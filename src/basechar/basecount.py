@@ -10,8 +10,9 @@ actions it is only a candidate and the report says so.
 from dataclasses import dataclass
 import math
 
-from .characters import (char_vector_subsets, char_vector_uniform_partitions,
-                         inner_product, iter_inner_products, sign_vector)
+from .characters import (CharVector, char_vector_subsets,
+                         char_vector_uniform_partitions, inner_product,
+                         iter_inner_products, sign_vector)
 from .errors import CapacityError, InputError
 
 # Published base size of the symmetric group on 15 points acting on the
@@ -39,6 +40,7 @@ class BaseSizeReport:
     method: str
     caveat: str | None = None
     known_base_size: int | None = None
+    character: CharVector | None = None
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,12 @@ def _validate_subsets(n, k):
         raise InputError("need n > 2k when k >= 2")
 
 
+def validate_l_limit(l_limit):
+    """Reject a search limit below 1 before any work starts."""
+    if l_limit is not None and l_limit < 1:
+        raise InputError(f"the l limit must be at least 1, got {l_limit}")
+
+
 def _min_l_search(phi, chi, threshold, cap):
     trace = []
     for l, value in iter_inner_products(phi, chi):
@@ -75,6 +83,7 @@ def _min_l_search(phi, chi, threshold, cap):
 def base_size_subsets(n, k, max_l=None):
     """Base size of the symmetric group of degree n on k-subsets."""
     _validate_subsets(n, k)
+    validate_l_limit(max_l)
     chi = char_vector_subsets(n, k)
     phi = sign_vector(n)
     cap = math.comb(n, k) if max_l is None else max_l
@@ -119,12 +128,12 @@ def large_base_bounds(m, k, r):
     return lower, upper
 
 
-def base_size_partitions_action(n, r, s, max_l=None, backend=None,
-                                cache_dir=None):
+def base_size_partitions_action(n, r, s, max_l=None):
     """Candidate base size for the uniform-partition action: the least l
-    with a nonzero signed count. Always flagged, see PARTITIONS_CAVEAT."""
-    chi = char_vector_uniform_partitions(n, r, s, backend=backend,
-                                         cache_dir=cache_dir)
+    with a nonzero signed count. Always flagged, see PARTITIONS_CAVEAT.
+    The report carries the character it was computed from."""
+    validate_l_limit(max_l)
+    chi = char_vector_uniform_partitions(n, r, s)
     phi = sign_vector(n)
     action = f"partitions of [{n}] into {r} blocks of size {s}"
     known = KNOWN_PARTITION_BASE_SIZES.get((n, r, s))
@@ -134,7 +143,8 @@ def base_size_partitions_action(n, r, s, max_l=None, backend=None,
     if trivial_classes > 1:
         return BaseSizeReport(
             action, None, (), "formula",
-            caveat="the action is not faithful, no base exists", known_base_size=known)
+            caveat="the action is not faithful, no base exists",
+            known_base_size=known, character=chi)
     cap = chi.domain_size if max_l is None else max_l
     base, trace = _min_l_search(phi, chi, 1, cap)
     caveat = PARTITIONS_CAVEAT
@@ -143,4 +153,4 @@ def base_size_partitions_action(n, r, s, max_l=None, backend=None,
         caveat += (f"; the reported value {base} {relation} the published "
                    f"base size {known}")
     return BaseSizeReport(action, base, trace, "formula", caveat=caveat,
-                          known_base_size=known)
+                          known_base_size=known, character=chi)

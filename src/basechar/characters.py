@@ -4,8 +4,7 @@ Two actions are covered, both with character values computed per
 conjugacy class (indexed by cycle type): the action on k-element subsets
 of [n], where the fixed-subset count has a closed form as a sum over
 partitions of k, and the action on partitions of [n] into r blocks of
-equal size s, where no closed form is used and fixed points are counted
-by direct enumeration (see kernels).
+equal size s, whose character is read off the plethysm h_r[h_s].
 
 Inner products against the l-th power of a character are exact integer
 computations: sum over classes of phi * class_size * chi^l must divide
@@ -17,11 +16,12 @@ they can only come from bugs, never from input.
 from dataclasses import dataclass
 from math import comb, factorial
 
-from . import kernels
 from .errors import CapacityError, ConsistencyError, InputError
-from .partitions import class_data, enumerate_cycle_types, sign_of
+from .partitions import class_data, class_size, enumerate_cycle_types, sign_of
 
-DEFAULT_UNIFORM_CEILING = 16
+# Largest n for the uniform-partition action.  The closed form costs about
+# as much as p(n) classes, like basesize, so this is a bound on time only.
+UNIFORM_CEILING = 36
 
 
 @dataclass(frozen=True)
@@ -68,25 +68,66 @@ def chi_subsets(ct, k):
     return total
 
 
-def chi_uniform_partitions(ct, r, s, ceiling=DEFAULT_UNIFORM_CEILING,
-                           backend=None, cache_dir=None):
-    """Number of partitions of [n] into r blocks of size s fixed by the
-    canonical representative of cycle type ct (blocks permuted among
-    themselves).
+def _uniform_partition_coefficients(r, s):
+    """Power-sum expansion of the plethysm h_r[h_s], the Frobenius
+    characteristic of the action on partitions into r blocks of size s
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.8).
 
-    The count is a class function, so the choice of representative does
-    not matter; the canonical one lays out cycles over consecutive
-    points, longest first.  Counted by enumeration, not a closed form.
+    h_r[h_s] = sum over nu |- r of z_nu^-1 prod_i p_{nu_i}[h_s], where
+    p_k[h_s] = sum over lambda |- s of z_lambda^-1 p_{k lambda}.  Every
+    coefficient is scaled by r! s!^r, which makes it an integer: a term for
+    nu has len(nu) factors scaled by s! each, and s!^(r - len(nu)) makes up
+    the rest.  The map goes from descending part tuples to scaled
+    coefficients; products are merged by cycle type as they are built.
     """
-    n = ct.n
+    inner = {}
+    total = {}
+    for nu in enumerate_cycle_types(r):
+        terms = {(): class_size(nu) * factorial(s) ** (r - nu.num_cycles)}
+        for k in nu.parts():
+            if k not in inner:
+                inner[k] = [(tuple(k * part for part in lam.parts()),
+                             class_size(lam))
+                            for lam in enumerate_cycle_types(s)]
+            merged = {}
+            for parts, coefficient in terms.items():
+                for more, factor in inner[k]:
+                    key = tuple(sorted(parts + more, reverse=True))
+                    merged[key] = merged.get(key, 0) + coefficient * factor
+            terms = merged
+        for key, coefficient in terms.items():
+            total[key] = total.get(key, 0) + coefficient
+    return total
+
+
+def _uniform_partition_setup(n, r, s):
+    """Validate the shape, then return (domain size, scaled coefficients)."""
     if r < 1 or s < 1 or n != r * s:
         raise InputError(f"need n = r*s, got n={n}, r={r}, s={s}")
-    if n > ceiling:
+    if n > UNIFORM_CEILING:
         raise CapacityError(
-            f"n={n} exceeds the set-partition enumeration ceiling {ceiling}")
-    perm = kernels.representative_perm(ct)
-    return kernels.count_fixed_uniform_partitions(
-        n, r, s, perm, backend=backend, cache_dir=cache_dir)
+            f"n={n} exceeds the uniform-partition limit {UNIFORM_CEILING}")
+    domain = factorial(n) // (factorial(s) ** r * factorial(r))
+    return domain, _uniform_partition_coefficients(r, s)
+
+
+def _uniform_partition_value(ct, domain, coefficients):
+    # chi(mu) = z_mu [p_mu] h_r[h_s]; with z_mu = n! / class_size and the
+    # r! s!^r scaling this is domain * coefficient / class_size.
+    value, rem = divmod(domain * coefficients.get(tuple(ct.parts()), 0),
+                        class_size(ct))
+    if rem:
+        raise ConsistencyError(
+            f"h_r[h_s] gives a non-integral character value at class {ct}")
+    return value
+
+
+def chi_uniform_partitions(ct, r, s):
+    """Number of partitions of [n] into r blocks of size s fixed by a
+    permutation of cycle type ct (blocks permuted among themselves),
+    read off the closed form h_r[h_s]."""
+    domain, coefficients = _uniform_partition_setup(ct.n, r, s)
+    return _uniform_partition_value(ct, domain, coefficients)
 
 
 def char_vector_subsets(n, k):
@@ -95,16 +136,11 @@ def char_vector_subsets(n, k):
     return CharVector(n, f"subsets:{k}", comb(n, k), values)
 
 
-def char_vector_uniform_partitions(n, r, s, ceiling=DEFAULT_UNIFORM_CEILING,
-                                   backend=None, cache_dir=None):
+def char_vector_uniform_partitions(n, r, s):
     """Character of S_n on uniform set partitions, all classes."""
-    if r < 1 or s < 1 or n != r * s:
-        raise InputError(f"need n = r*s, got n={n}, r={r}, s={s}")
-    values = tuple(
-        chi_uniform_partitions(ct, r, s, ceiling=ceiling, backend=backend,
-                               cache_dir=cache_dir)
-        for ct in enumerate_cycle_types(n))
-    domain = factorial(n) // (factorial(s) ** r * factorial(r))
+    domain, coefficients = _uniform_partition_setup(n, r, s)
+    values = tuple(_uniform_partition_value(ct, domain, coefficients)
+                   for ct in enumerate_cycle_types(n))
     return CharVector(n, f"partitions:{r}x{s}", domain, values)
 
 

@@ -13,8 +13,8 @@ import sys
 import time
 
 from . import basecount, oracle
-from .characters import (char_vector_subsets, char_vector_uniform_partitions,
-                         inner_product, orbit_counts, sign_vector)
+from .characters import (char_vector_subsets, inner_product, orbit_counts,
+                         sign_vector)
 from .errors import CapacityError, ConsistencyError, InputError
 from .partitions import enumerate_cycle_types
 
@@ -90,9 +90,8 @@ def cmd_bounds(args):
 def cmd_partitions_action(args):
     started = time.perf_counter()
     report = basecount.base_size_partitions_action(
-        args.n, args.r, args.s, max_l=args.l_max, cache_dir=args.cache_dir)
-    chi = char_vector_uniform_partitions(args.n, args.r, args.s,
-                                         cache_dir=args.cache_dir)
+        args.n, args.r, args.s, max_l=args.l_max)
+    chi = report.character
     character = [(str(ct), value)
                  for ct, value in zip(enumerate_cycle_types(args.n),
                                       chi.values)]
@@ -156,6 +155,7 @@ def _formula_comparison(parsed, oracle_base, warnings):
 
 def cmd_verify(args):
     started = time.perf_counter()
+    basecount.validate_l_limit(args.l_max)
     warnings = []
     parsed = oracle.parse_group_spec(args.group, labels_mode=args.labels)
     action = parsed.action
@@ -264,7 +264,6 @@ def build_parser():
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--l-max", type=int, default=None)
-    p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=cmd_partitions_action)
 
     p = sub.add_parser("verify",

@@ -1,191 +1,16 @@
-"""Hot kernel: counting set partitions fixed by a permutation.
+"""Names kept only for the benchmark harness in perfbench/.
 
-The one genuinely hot loop in this package is the fixed-point sweep for
-the uniform-set-partition action: for n = 15 with 3 blocks of size 5
-there are 126126 partitions to test against each of the 176 conjugacy
-classes, about 2.2e7 block-wise invariance tests per character vector.
-Everything here runs on small machine integers (block bitmasks), so it
-gets a numba @njit kernel with a pure-numpy fallback.  The exact
-big-integer arithmetic elsewhere in the package cannot use either and
-stays in plain Python.
-
-Backend selection: the BASECHAR_KERNEL environment variable ("numba",
-"numpy", or "auto"/unset), overridable per call; "auto" means numba when
-importable, numpy otherwise.  Both paths share the same mask-image
-table, and benchmarks/bench_kernels.py compares them.
-
-Encoding: a block is a bitmask over the n points; a partition is a row
-of r masks sorted ascending, which is the canonical form (rows are
-unordered sets of blocks).  A permutation fixes a partition iff the
-sorted image row equals the row.
+The uniform-partition character now comes from a closed form in
+characters, so there is no fixed-point kernel left.  perfbench/run.py
+still records HAS_NUMBA and active_backend() with every run and clears
+_table_memo before each traced case, and perfbench/spans.py imports this
+module; drop it once the harness stops reading these names.
 """
 
-import os
-from itertools import combinations
-from pathlib import Path
-
-import numpy as np
-
-from .errors import InputError
-
-try:
-    from numba import njit
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-MAX_MASK_BITS = 62
+HAS_NUMBA = False
 
 _table_memo = {}
 
 
-def active_backend(backend=None):
-    """Resolve the kernel backend actually used for a call."""
-    choice = backend or os.environ.get("BASECHAR_KERNEL", "auto")
-    if choice not in ("auto", "numba", "numpy"):
-        raise InputError(f"unknown kernel backend {choice!r}")
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice == "numba" and not HAS_NUMBA:
-        raise InputError("numba backend requested but numba is not importable")
-    return choice
-
-
-def representative_perm(ct):
-    """Canonical representative of a cycle type, as an image array.
-
-    Cycles are laid out over consecutive points, longest cycles first:
-    (2,2,2) on 6 points becomes (0 1)(2 3)(4 5).
-    """
-    perm = np.empty(ct.n, dtype=np.int64)
-    pos = 0
-    for length in ct.parts():
-        for j in range(length - 1):
-            perm[pos + j] = pos + j + 1
-        perm[pos + length - 1] = pos
-        pos += length
-    return perm
-
-
-def uniform_partition_table(n, r, s, cache_dir=None):
-    """All partitions of n points into r blocks of size s, as mask rows.
-
-    Returns a read-only (N, r) int64 array; each row holds the r block
-    bitmasks sorted ascending, rows in enumeration order.  Results are
-    memoized in-process and, when cache_dir is given, on disk keyed by
-    (n, r, s).
-    """
-    if r < 1 or s < 1 or n != r * s:
-        raise InputError(f"need n = r*s with r,s >= 1, got n={n}, r={r}, s={s}")
-    if n > MAX_MASK_BITS:
-        raise InputError(f"n={n} exceeds the {MAX_MASK_BITS}-bit mask encoding")
-
-    key = (n, r, s)
-    if key in _table_memo:
-        return _table_memo[key]
-
-    cache_file = None
-    if cache_dir is not None:
-        cache_file = Path(cache_dir) / f"uniform_partitions_n{n}_r{r}_s{s}.npy"
-        if cache_file.is_file():
-            blocks = np.load(cache_file)
-            blocks.setflags(write=False)
-            _table_memo[key] = blocks
-            return blocks
-
-    rows = []
-    row = [0] * r
-
-    def extend(free, depth):
-        # The block at each depth contains the smallest free point, which
-        # yields every partition exactly once.
-        if depth == r:
-            rows.append(sorted(row))
-            return
-        first = free[0]
-        rest = free[1:]
-        for others in combinations(rest, s - 1):
-            mask = 1 << first
-            for p in others:
-                mask |= 1 << p
-            row[depth] = mask
-            chosen = set(others)
-            extend([p for p in rest if p not in chosen], depth + 1)
-
-    extend(list(range(n)), 0)
-    blocks = np.array(rows, dtype=np.int64)
-    blocks.setflags(write=False)
-    _table_memo[key] = blocks
-
-    if cache_file is not None:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        np.save(cache_file, blocks)
-    return blocks
-
-
-def mask_images(perm):
-    """Image of every subset bitmask under a permutation of n points.
-
-    Returns an int64 array of length 2^n with table[m] = mask of
-    {perm[i] : bit i set in m}.
-    """
-    n = len(perm)
-    if n > 24:
-        raise InputError(f"mask image table for n={n} would need 2^{n} entries")
-    table = np.zeros(1 << n, dtype=np.int64)
-    idx = np.arange(1 << n)
-    for bit in range(n):
-        table[(idx >> bit) & 1 == 1] |= np.int64(1) << np.int64(perm[bit])
-    return table
-
-
-def _count_numpy(blocks, img_table):
-    img = img_table[blocks]
-    img.sort(axis=1)
-    return int(np.count_nonzero(np.all(img == blocks, axis=1)))
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _count_numba(blocks, img_table):
-        count = 0
-        nrows, r = blocks.shape
-        img = np.empty(r, dtype=np.int64)
-        for i in range(nrows):
-            for j in range(r):
-                img[j] = img_table[blocks[i, j]]
-            # insertion sort; r is tiny
-            for j in range(1, r):
-                v = img[j]
-                k = j - 1
-                while k >= 0 and img[k] > v:
-                    img[k + 1] = img[k]
-                    k -= 1
-                img[k + 1] = v
-            ok = True
-            for j in range(r):
-                if img[j] != blocks[i, j]:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-        return count
-
-
-def count_fixed_partitions(blocks, perm, backend=None):
-    """Number of rows of `blocks` invariant under `perm` (blocks permuted
-    among themselves)."""
-    img_table = mask_images(perm)
-    if active_backend(backend) == "numba":
-        return int(_count_numba(blocks, img_table))
-    return _count_numpy(blocks, img_table)
-
-
-def count_fixed_uniform_partitions(n, r, s, perm, backend=None, cache_dir=None):
-    """Fixed uniform partitions of a single permutation; builds (and
-    memoizes) the partition table on first use."""
-    if len(perm) != n:
-        raise InputError(f"permutation has degree {len(perm)}, expected {n}")
-    blocks = uniform_partition_table(n, r, s, cache_dir=cache_dir)
-    return count_fixed_partitions(blocks, perm, backend=backend)
+def active_backend():
+    return "closed-form"

@@ -140,6 +140,6 @@ def test_partitions_action_validation():
     with pytest.raises(InputError):
         base_size_partitions_action(6, 2, 2)  # 6 != 2*2
     with pytest.raises(CapacityError):
-        base_size_partitions_action(18, 9, 2)  # past the enumeration ceiling
+        base_size_partitions_action(38, 19, 2)  # past the ceiling n = 36
     with pytest.raises(CapacityError):
         base_size_partitions_action(6, 3, 2, max_l=3)

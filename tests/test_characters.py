@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from basechar import characters
 from basechar.characters import (CharVector, char_vector_subsets,
                                  char_vector_uniform_partitions, chi_subsets,
                                  chi_uniform_partitions, inner_product,
@@ -42,11 +43,41 @@ def test_chi_subsets_k_range():
 
 
 def test_chi_uniform_matches_enumeration():
-    parts_list = uniform_partitions_frozen(6, 3, 2)
-    for ct in enumerate_cycle_types(6):
-        perm = perm_shortest_first(ct.parts(), 6)
-        assert (chi_uniform_partitions(ct, 3, 2)
-                == count_fixed_uniform(perm, parts_list))
+    # Every class of every shape with n <= 10, and of 3 blocks of 4.
+    shapes = [(r, n // r) for n in range(1, 11) for r in range(1, n + 1)
+              if n % r == 0]
+    for r, s in shapes + [(3, 4)]:
+        n = r * s
+        parts_list = uniform_partitions_frozen(n, r, s)
+        chi = char_vector_uniform_partitions(n, r, s)
+        for ct, value in zip(enumerate_cycle_types(n), chi.values):
+            perm = perm_shortest_first(ct.parts(), n)
+            assert value == count_fixed_uniform(perm, parts_list)
+            assert chi_uniform_partitions(ct, r, s) == value
+
+
+def test_chi_uniform_fifteen_points():
+    # 3 blocks of 5: a few classes, since each costs a sweep over all
+    # 126,126 partitions.
+    parts_list = uniform_partitions_frozen(15, 3, 5)
+    expected = {(5, 5, 5): 1, (3,) * 5: 81, (2,) + (1,) * 13: 36036,
+                (2,) * 7 + (1,): 336}
+    for parts, value in expected.items():
+        perm = perm_shortest_first(parts, 15)
+        assert count_fixed_uniform(perm, parts_list) == value
+        assert chi_uniform_partitions(
+            CycleType.from_parts(15, parts), 3, 5) == value
+
+
+def test_chi_uniform_transitive_at_ceiling():
+    # The identity fixes every partition, and S_n is transitive on them.
+    for r, s in ((6, 6), (18, 2), (2, 18)):
+        n = r * s
+        chi = char_vector_uniform_partitions(n, r, s)
+        domain = factorial(n) // (factorial(s) ** r * factorial(r))
+        assert chi.domain_size == domain
+        assert chi.values[-1] == domain  # identity class comes last
+        assert orbit_counts(chi, 1)[0] == 1
 
 
 def test_chi_uniform_single_block():
@@ -57,8 +88,10 @@ def test_chi_uniform_single_block():
 def test_chi_uniform_errors():
     with pytest.raises(InputError):
         chi_uniform_partitions(CycleType.from_parts(6, (6,)), 4, 2)
+    with pytest.raises(InputError):
+        chi_uniform_partitions(CycleType.from_parts(4, (4,)), 0, 4)
     with pytest.raises(CapacityError):
-        chi_uniform_partitions(CycleType.from_parts(18, (18,)), 9, 2)
+        chi_uniform_partitions(CycleType.from_parts(38, (38,)), 19, 2)
 
 
 def test_char_vector_identity_columns():
@@ -146,6 +179,20 @@ def test_tampered_character_is_caught():
     bad = CharVector(5, chi.action, chi.domain_size, tuple(values))
     with pytest.raises(ConsistencyError):
         inner_product(sign_vector(5), bad, 1)
+
+
+def test_non_integral_partition_character_is_caught(monkeypatch):
+    expand = characters._uniform_partition_coefficients
+
+    def tampered(r, s):
+        coefficients = dict(expand(r, s))
+        coefficients[(6,)] += 1  # 15 * 1 is not a multiple of 6!/6 = 120
+        return coefficients
+
+    monkeypatch.setattr(characters, "_uniform_partition_coefficients",
+                        tampered)
+    with pytest.raises(ConsistencyError):
+        char_vector_uniform_partitions(6, 3, 2)
 
 
 def test_inner_product_input_errors():

@@ -134,10 +134,25 @@ def test_partitions_action_bad_shape(capsys):
 
 
 def test_partitions_action_capacity(capsys):
-    code, _, err = run_cli(capsys, "partitions-action", "--n", "18",
-                           "--r", "9", "--s", "2")
+    code, _, err = run_cli(capsys, "partitions-action", "--n", "38",
+                           "--r", "19", "--s", "2")
     assert code == 3
     assert "capacity" in err
+
+
+def test_search_limits_below_one(capsys):
+    commands = (
+        ("basesize", "--n", "6", "--k", "2", "--max-l"),
+        ("partitions-action", "--n", "6", "--r", "3", "--s", "2", "--l-max"),
+        ("verify", "--group", "sn:3", "--l-max"),
+    )
+    for argv in commands:
+        for value in ("0", "-1"):
+            code = cli.main([*argv, value])
+            captured = capsys.readouterr()
+            assert code == 2, (argv, value)
+            assert captured.out == ""
+            assert "Traceback" not in captured.err
 
 
 def test_verify_pgl27(capsys):

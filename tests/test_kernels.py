@@ -1,139 +1,48 @@
-from math import factorial
+"""Fixed-point counts on uniform set partitions, read off the closed form.
 
-import numpy as np
+These checks once ran against an enumerated partition table and a
+counting kernel; they now hold the closed form in `characters` to the
+same frozenset enumeration in `reference_impls`.
+"""
+
 import pytest
 
-from basechar import kernels
+from basechar.characters import (char_vector_uniform_partitions,
+                                 chi_uniform_partitions)
 from basechar.errors import InputError
-from basechar.kernels import (active_backend, count_fixed_partitions,
-                              count_fixed_uniform_partitions, mask_images,
-                              representative_perm, uniform_partition_table)
 from basechar.partitions import CycleType, enumerate_cycle_types
 from reference_impls import (count_fixed_uniform, perm_shortest_first,
                              uniform_partitions_frozen)
 
 
-def fresh_table(n, r, s, **kwargs):
-    # Drop the in-process memo so table construction really runs.
-    kernels._table_memo.pop((n, r, s), None)
-    return uniform_partition_table(n, r, s, **kwargs)
+def perm_longest_first(parts, n):
+    """A permutation of cycle type `parts`, longest cycles laid out first."""
+    images = list(range(n))
+    pos = 0
+    for length in sorted(parts, reverse=True):
+        for i in range(length):
+            images[pos + i] = pos + (i + 1) % length
+        pos += length
+    return images
 
 
 def test_table_row_counts():
-    assert uniform_partition_table(4, 2, 2).shape == (3, 2)
-    assert uniform_partition_table(6, 3, 2).shape == (15, 3)
-    for n, r, s in ((6, 2, 3), (8, 4, 2), (9, 3, 3)):
-        expected = factorial(n) // (factorial(s) ** r * factorial(r))
-        assert uniform_partition_table(n, r, s).shape == (expected, r)
-
-
-def test_table_first_rows_and_canonical_form():
-    table = uniform_partition_table(4, 2, 2)
-    assert table.tolist() == [[3, 12], [5, 10], [6, 9]]
-    for n, r, s in ((6, 3, 2), (8, 2, 4)):
-        table = uniform_partition_table(n, r, s)
-        full = (1 << n) - 1
-        rows = table.tolist()
-        assert len(set(map(tuple, rows))) == len(rows)
-        for row in rows:
-            assert row == sorted(row)
-            combined = 0
-            for mask in row:
-                assert combined & mask == 0  # blocks are disjoint
-                assert bin(mask).count("1") == s
-                combined |= mask
-            assert combined == full
-
-
-def test_table_is_read_only():
-    table = uniform_partition_table(6, 3, 2)
-    with pytest.raises(ValueError):
-        table[0, 0] = 0
-
-
-def test_table_matches_frozenset_enumeration():
-    table = uniform_partition_table(6, 2, 3)
-    as_sets = {
-        frozenset(frozenset(i for i in range(6) if mask >> i & 1)
-                  for mask in row)
-        for row in table.tolist()}
-    assert as_sets == set(uniform_partitions_frozen(6, 2, 3))
+    # The number of partitions, from the closed form and by enumeration.
+    for n, r, s, expected in ((4, 2, 2, 3), (6, 3, 2, 15), (6, 2, 3, 10),
+                              (8, 4, 2, 105), (9, 3, 3, 280)):
+        assert len(uniform_partitions_frozen(n, r, s)) == expected
+        chi = char_vector_uniform_partitions(n, r, s)
+        assert chi.domain_size == expected
+        assert chi.values[-1] == expected  # identity class comes last
 
 
 def test_table_input_errors():
     with pytest.raises(InputError):
-        uniform_partition_table(7, 3, 2)  # 7 != 3*2
+        char_vector_uniform_partitions(7, 3, 2)  # 7 != 3*2
     with pytest.raises(InputError):
-        uniform_partition_table(4, 0, 4)
+        char_vector_uniform_partitions(4, 0, 4)
     with pytest.raises(InputError):
-        uniform_partition_table(63, 63, 1)  # beyond the 62-bit mask encoding
-
-
-def test_cache_round_trip(tmp_path, monkeypatch):
-    first = fresh_table(6, 2, 3, cache_dir=tmp_path)
-    cache_file = tmp_path / "uniform_partitions_n6_r2_s3.npy"
-    assert cache_file.is_file()
-
-    # A reload must come from the file: break enumeration and recompute.
-    def boom(*args, **kwargs):
-        raise AssertionError("enumeration ran despite a disk cache hit")
-
-    monkeypatch.setattr(kernels, "combinations", boom)
-    kernels._table_memo.pop((6, 2, 3), None)
-    again = uniform_partition_table(6, 2, 3, cache_dir=tmp_path)
-    assert np.array_equal(first, again)
-
-
-def test_representative_perm_layout():
-    ct = CycleType.from_parts(5, (3, 2))
-    assert representative_perm(ct).tolist() == [1, 2, 0, 4, 3]
-    ident = CycleType.from_parts(4, (1, 1, 1, 1))
-    assert representative_perm(ident).tolist() == [0, 1, 2, 3]
-
-
-def test_mask_images_pointwise():
-    table = mask_images([1, 2, 0])
-    assert len(table) == 8
-    assert table[0] == 0
-    assert table[0b011] == 0b110  # {0,1} -> {1,2}
-    assert table[0b100] == 0b001  # {2} -> {0}
-    assert table[0b111] == 0b111
-    with pytest.raises(InputError):
-        mask_images(list(range(25)))
-
-
-def test_active_backend_resolution(monkeypatch):
-    assert active_backend("numpy") == "numpy"
-    with pytest.raises(InputError):
-        active_backend("fortran")
-    monkeypatch.setenv("BASECHAR_KERNEL", "numpy")
-    assert active_backend() == "numpy"
-    monkeypatch.setenv("BASECHAR_KERNEL", "junk")
-    with pytest.raises(InputError):
-        active_backend()
-    monkeypatch.delenv("BASECHAR_KERNEL")
-    assert active_backend() in ("numba", "numpy")
-    if kernels.HAS_NUMBA:
-        assert active_backend() == "numba"
-        assert active_backend("numba") == "numba"
-
-
-def test_env_flag_reaches_counting(monkeypatch):
-    table = uniform_partition_table(6, 3, 2)
-    perm = perm_shortest_first([2, 2, 2], 6)
-    monkeypatch.setenv("BASECHAR_KERNEL", "numpy")
-    via_env = count_fixed_partitions(table, perm)
-    assert via_env == count_fixed_partitions(table, perm, backend="numpy")
-
-
-def test_backends_agree_across_all_classes():
-    if not kernels.HAS_NUMBA:
-        pytest.skip("numba not importable")
-    table = uniform_partition_table(8, 4, 2)
-    for ct in enumerate_cycle_types(8):
-        perm = representative_perm(ct)
-        assert (count_fixed_partitions(table, perm, backend="numba")
-                == count_fixed_partitions(table, perm, backend="numpy"))
+        char_vector_uniform_partitions(4, 4, 0)
 
 
 def test_counts_match_frozenset_reference():
@@ -141,23 +50,20 @@ def test_counts_match_frozenset_reference():
     for ct in enumerate_cycle_types(6):
         perm = perm_shortest_first(ct.parts(), 6)
         expected = count_fixed_uniform(perm, parts_list)
-        assert count_fixed_uniform_partitions(6, 3, 2, perm) == expected
+        assert chi_uniform_partitions(ct, 3, 2) == expected
 
 
 def test_count_class_invariance():
-    # Shortest-first and longest-first representatives of one class agree.
+    # Shortest-first and longest-first representatives of one class fix
+    # the same number of partitions, and the closed form gives it.
+    parts_list = uniform_partitions_frozen(6, 2, 3)
     for ct in enumerate_cycle_types(6):
-        a = count_fixed_uniform_partitions(6, 2, 3, representative_perm(ct))
-        b = count_fixed_uniform_partitions(
-            6, 2, 3, perm_shortest_first(ct.parts(), 6))
-        assert a == b
+        a = count_fixed_uniform(perm_longest_first(ct.parts(), 6), parts_list)
+        b = count_fixed_uniform(perm_shortest_first(ct.parts(), 6),
+                                parts_list)
+        assert a == b == chi_uniform_partitions(ct, 2, 3)
 
 
 def test_identity_fixes_everything():
-    assert count_fixed_uniform_partitions(6, 3, 2, list(range(6))) == 15
-    assert count_fixed_uniform_partitions(4, 2, 2, [0, 1, 2, 3]) == 3
-
-
-def test_count_degree_mismatch():
-    with pytest.raises(InputError):
-        count_fixed_uniform_partitions(6, 3, 2, [1, 0, 2])
+    assert chi_uniform_partitions(CycleType.from_parts(6, (1,) * 6), 3, 2) == 15
+    assert chi_uniform_partitions(CycleType.from_parts(4, (1,) * 4), 2, 2) == 3

@@ -12,7 +12,7 @@ import math
 
 from .characters import (CharVector, char_vector_subsets,
                          char_vector_uniform_partitions, inner_product,
-                         iter_inner_products, sign_vector)
+                         iter_inner_products)
 from .errors import CapacityError, InputError
 
 # Published base size of the symmetric group on 15 points acting on the
@@ -30,8 +30,10 @@ class BaseSizeReport:
     """Minimum-l search outcome with its full witness trace.
 
     witness_l_values holds (l, regular_orbit_count) for l = 1..base_size;
-    counts are zero strictly below base_size and positive at it. base_size
-    None means the action has no base (nontrivial kernel).
+    counts are below the search threshold strictly before base_size and
+    reach it there (the threshold is 1 for a base size, the distinguishing
+    number of the top group for a wreath product). base_size None means
+    the action has no base (nontrivial kernel).
     """
 
     action: str
@@ -41,16 +43,6 @@ class BaseSizeReport:
     caveat: str | None = None
     known_base_size: int | None = None
     character: CharVector | None = None
-
-
-@dataclass(frozen=True)
-class WreathReport:
-    """Threshold search outcome for a wreath product in product action."""
-
-    inner_action: str
-    distinguishing_number: int
-    base_size: int
-    threshold_trace: tuple
 
 
 def _validate_subsets(n, k):
@@ -69,9 +61,9 @@ def validate_l_limit(l_limit):
         raise InputError(f"the l limit must be at least 1, got {l_limit}")
 
 
-def _min_l_search(phi, chi, threshold, cap):
+def _min_l_search(chi, threshold, cap):
     trace = []
-    for l, value in iter_inner_products(phi, chi):
+    for l, value in iter_inner_products(chi):
         trace.append((l, value))
         if value >= threshold:
             return l, tuple(trace)
@@ -85,9 +77,8 @@ def base_size_subsets(n, k, max_l=None):
     _validate_subsets(n, k)
     validate_l_limit(max_l)
     chi = char_vector_subsets(n, k)
-    phi = sign_vector(n)
     cap = math.comb(n, k) if max_l is None else max_l
-    base, trace = _min_l_search(phi, chi, 1, cap)
+    base, trace = _min_l_search(chi, 1, cap)
     return BaseSizeReport(f"{k}-subsets of [{n}]", base, trace, "formula")
 
 
@@ -96,7 +87,7 @@ def regular_orbit_count(n, k, l):
     _validate_subsets(n, k)
     if l < 0:
         raise InputError("l must be nonnegative")
-    return inner_product(sign_vector(n), char_vector_subsets(n, k), l)
+    return inner_product(char_vector_subsets(n, k), l)
 
 
 def base_size_wreath_subsets(n, k, distinguishing):
@@ -106,9 +97,8 @@ def base_size_wreath_subsets(n, k, distinguishing):
     if distinguishing < 1:
         raise InputError("distinguishing number must be positive")
     chi = char_vector_subsets(n, k)
-    phi = sign_vector(n)
-    base, trace = _min_l_search(phi, chi, distinguishing, math.comb(n, k))
-    return WreathReport(f"{k}-subsets of [{n}]", distinguishing, base, trace)
+    base, trace = _min_l_search(chi, distinguishing, math.comb(n, k))
+    return BaseSizeReport(f"{k}-subsets of [{n}]", base, trace, "formula")
 
 
 def large_base_bounds(m, k, r):
@@ -134,7 +124,6 @@ def base_size_partitions_action(n, r, s, max_l=None):
     The report carries the character it was computed from."""
     validate_l_limit(max_l)
     chi = char_vector_uniform_partitions(n, r, s)
-    phi = sign_vector(n)
     action = f"partitions of [{n}] into {r} blocks of size {s}"
     known = KNOWN_PARTITION_BASE_SIZES.get((n, r, s))
     # a class value equal to the domain size means the class acts trivially
@@ -146,7 +135,7 @@ def base_size_partitions_action(n, r, s, max_l=None):
             caveat="the action is not faithful, no base exists",
             known_base_size=known, character=chi)
     cap = chi.domain_size if max_l is None else max_l
-    base, trace = _min_l_search(phi, chi, 1, cap)
+    base, trace = _min_l_search(chi, 1, cap)
     caveat = PARTITIONS_CAVEAT
     if known is not None:
         relation = "agrees with" if base == known else "differs from"

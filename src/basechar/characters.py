@@ -1,4 +1,4 @@
-"""Permutation characters of S_n actions and exact inner products.
+"""Permutation characters of S_n actions as weighted class sums.
 
 Two actions are covered, both with character values computed per
 conjugacy class (indexed by cycle type): the action on k-element subsets
@@ -6,18 +6,22 @@ of [n], where the fixed-subset count has a closed form as a sum over
 partitions of k, and the action on partitions of [n] into r blocks of
 equal size s, whose character is read off the plethysm h_r[h_s].
 
-Inner products against the l-th power of a character are exact integer
-computations: sum over classes of phi * class_size * chi^l must divide
-by n! with no remainder, and sign-character inner products must be
-nonnegative (they count orbits).  Violations raise ConsistencyError --
-they can only come from bugs, never from input.
+A CharVector is built in one pass over the classes and holds, for each
+class, its cycle type and the term (class size, sign, value).  Every
+count is one loop over these terms: the total T = sum of size * chi^l
+and its even-sign part E give o = T/n! orbits of S_n and o_K = 2E/n!
+orbits of A_n on l-tuples, and o_K - o = <sgn, chi^l> is the number of
+orbits that split, the regular-orbit count of the paper.  Both sums must
+divide by n! with no remainder and all three counts must be nonnegative;
+violations raise ConsistencyError -- they can only come from bugs, never
+from input.
 """
 
 from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import CapacityError, ConsistencyError, InputError
-from .partitions import class_data, class_size, enumerate_cycle_types, sign_of
+from .partitions import class_size, enumerate_cycle_types, sign_of
 
 # Largest n for the uniform-partition action.  The closed form costs about
 # as much as p(n) classes, like basesize, so this is a bound on time only.
@@ -26,25 +30,54 @@ UNIFORM_CEILING = 36
 
 @dataclass(frozen=True)
 class CharVector:
-    """Per-class values of a permutation character of S_n.
+    """A permutation character of S_n as a weighted class sum.
 
-    values is aligned with enumerate_cycle_types(n); action is a tag
-    like "subsets:2" or "partitions:3x5"; domain_size is the number of
-    points acted on (the value at the identity class).
+    One entry per conjugacy class, aligned with enumerate_cycle_types(n):
+    cycle_types[i] is the class and terms[i] its (class size, sign,
+    character value).  action is a tag like "subsets:2" or
+    "partitions:3x5"; domain_size is the number of points acted on (the
+    value at the identity class).
     """
 
     n: int
     action: str
     domain_size: int
-    values: tuple
+    cycle_types: tuple
+    terms: tuple
+
+    @property
+    def values(self):
+        """Character values, one per class."""
+        return tuple(value for _, _, value in self.terms)
 
 
-@dataclass(frozen=True)
-class SignVector:
-    """Per-class values of the sign character, same alignment."""
+def _char_vector(n, action, domain_size, value_of):
+    # The one pass over the classes; value_of(ct, size) is the character
+    # value at a class of the given size.
+    cycle_types = tuple(enumerate_cycle_types(n))
+    terms = []
+    for ct in cycle_types:
+        size = class_size(ct)
+        terms.append((size, sign_of(ct), value_of(ct, size)))
+    return CharVector(n, action, domain_size, cycle_types, tuple(terms))
 
-    n: int
-    values: tuple
+
+def _subset_etas(k):
+    # The partitions of k as lists of (part length j, multiplicity b_j).
+    return [[(j, b) for j, b in enumerate(eta.counts, start=1) if b]
+            for eta in enumerate_cycle_types(k)]
+
+
+def _subset_value(ct, etas):
+    total = 0
+    for eta in etas:
+        prod = 1
+        for j, b in eta:
+            prod *= comb(ct.counts[j - 1], b)
+            if prod == 0:
+                break
+        total += prod
+    return total
 
 
 def chi_subsets(ct, k):
@@ -56,16 +89,7 @@ def chi_subsets(ct, k):
     """
     if not 1 <= k <= ct.n:
         raise InputError(f"k must be in 1..{ct.n}, got {k}")
-    total = 0
-    for eta in enumerate_cycle_types(k):
-        prod = 1
-        for j, b in enumerate(eta.counts, start=1):
-            if b:
-                prod *= comb(ct.counts[j - 1], b)
-                if prod == 0:
-                    break
-        total += prod
-    return total
+    return _subset_value(ct, _subset_etas(k))
 
 
 def _uniform_partition_coefficients(r, s):
@@ -111,11 +135,10 @@ def _uniform_partition_setup(n, r, s):
     return domain, _uniform_partition_coefficients(r, s)
 
 
-def _uniform_partition_value(ct, domain, coefficients):
-    # chi(mu) = z_mu [p_mu] h_r[h_s]; with z_mu = n! / class_size and the
-    # r! s!^r scaling this is domain * coefficient / class_size.
-    value, rem = divmod(domain * coefficients.get(tuple(ct.parts()), 0),
-                        class_size(ct))
+def _uniform_partition_value(ct, size, domain, coefficients):
+    # chi(mu) = z_mu [p_mu] h_r[h_s]; with z_mu = n! / class size and the
+    # r! s!^r scaling this is domain * coefficient / class size.
+    value, rem = divmod(domain * coefficients.get(tuple(ct.parts()), 0), size)
     if rem:
         raise ConsistencyError(
             f"h_r[h_s] gives a non-integral character value at class {ct}")
@@ -127,101 +150,88 @@ def chi_uniform_partitions(ct, r, s):
     permutation of cycle type ct (blocks permuted among themselves),
     read off the closed form h_r[h_s]."""
     domain, coefficients = _uniform_partition_setup(ct.n, r, s)
-    return _uniform_partition_value(ct, domain, coefficients)
+    return _uniform_partition_value(ct, class_size(ct), domain, coefficients)
 
 
 def char_vector_subsets(n, k):
     """Character of S_n on k-subsets, all classes."""
-    values = tuple(chi_subsets(ct, k) for ct in enumerate_cycle_types(n))
-    return CharVector(n, f"subsets:{k}", comb(n, k), values)
+    if not 1 <= k <= n:
+        raise InputError(f"k must be in 1..{n}, got {k}")
+    etas = _subset_etas(k)
+    return _char_vector(n, f"subsets:{k}", comb(n, k),
+                        lambda ct, size: _subset_value(ct, etas))
 
 
 def char_vector_uniform_partitions(n, r, s):
     """Character of S_n on uniform set partitions, all classes."""
     domain, coefficients = _uniform_partition_setup(n, r, s)
-    values = tuple(_uniform_partition_value(ct, domain, coefficients)
-                   for ct in enumerate_cycle_types(n))
-    return CharVector(n, f"partitions:{r}x{s}", domain, values)
+    return _char_vector(
+        n, f"partitions:{r}x{s}", domain,
+        lambda ct, size: _uniform_partition_value(ct, size, domain,
+                                                  coefficients))
 
 
-def sign_vector(n):
-    return SignVector(n, tuple(sign_of(ct) for ct in enumerate_cycle_types(n)))
-
-
-def _phi_values(phi, chi):
-    if isinstance(phi, SignVector):
-        if phi.n != chi.n:
-            raise InputError(f"sign vector is for n={phi.n}, character for n={chi.n}")
-        values = phi.values
-    else:
-        values = tuple(phi)
-    if len(values) != len(chi.values):
-        raise InputError("phi and chi are not aligned to the same class list")
-    return values
-
-
-def _exact_quotient(total, n, what):
-    q, rem = divmod(total, factorial(n))
+def _exact_quotient(total, order, what):
+    q, rem = divmod(total, order)
     if rem:
-        raise ConsistencyError(f"{what}: class sum {total} not divisible by {n}!")
+        raise ConsistencyError(f"{what}: class sum {total} not divisible by n!")
     if q < 0:
         raise ConsistencyError(f"{what}: negative orbit count {q}")
     return q
 
 
-def inner_product(phi, chi, l):
-    """Exact inner product of a +-1 class vector with the l-th power of a
-    permutation character of S_n.
+def _class_sums(chi, l):
+    """Yield (l, o, o_K) for the powers l, l + 1, ... of chi.
 
-    Returns (sum over classes of phi * class_size * chi^l) / n! as an
-    integer.  The division is always exact and the result nonnegative:
-    for surjective phi it counts the G-orbits that split under the
-    kernel, and for the all-ones vector it counts all orbits.
+    The one loop behind every count: T sums size * chi^l over all classes
+    and E over the even ones, o = T/n! and o_K = 2E/n!.  Powers are
+    updated incrementally, one multiply per class per step.
     """
     if l < 0:
         raise InputError(f"l must be nonnegative, got {l}")
-    values = _phi_values(phi, chi)
-    total = 0
-    for p, datum, v in zip(values, class_data(chi.n), chi.values):
-        total += p * datum.size * v ** l
-    return _exact_quotient(total, chi.n, f"<phi, ({chi.action})^{l}>")
-
-
-def iter_inner_products(phi, chi):
-    """Yield (l, inner_product(phi, chi, l)) for l = 1, 2, ...
-
-    Powers are updated incrementally (one multiply per class per step),
-    which is what min-l searches want.
-    """
-    values = _phi_values(phi, chi)
-    data = class_data(chi.n)
-    powers = [1] * len(data)
-    l = 0
+    order = factorial(chi.n)
+    powers = [value ** l for _, _, value in chi.terms]
     while True:
+        total = even = 0
+        for (size, sign, _), power in zip(chi.terms, powers):
+            term = size * power
+            total += term
+            if sign > 0:
+                even += term
+        what = f"({chi.action})^{l}"
+        o = _exact_quotient(total, order, f"o of {what}")
+        o_k = _exact_quotient(2 * even, order, f"o_K of {what}")
+        if o_k < o:
+            raise ConsistencyError(
+                f"<sgn, {what}>: negative orbit count {o_k - o}")
+        yield l, o, o_k
         l += 1
-        total = 0
-        for i, (p, datum, v) in enumerate(zip(values, data, chi.values)):
-            powers[i] *= v
-            total += p * datum.size * powers[i]
-        yield l, _exact_quotient(total, chi.n, f"<phi, ({chi.action})^{l}>")
+        powers = [power * value
+                  for power, (_, _, value) in zip(powers, chi.terms)]
+
+
+def inner_product(chi, l):
+    """Exact <sgn, chi^l> = o_K - o: the number of S_n-orbits on l-tuples
+    that split over the even-sign kernel A_n.  Every regular orbit
+    splits, so this is the regular-orbit count when the sign is
+    base-controlling."""
+    _, o, o_k = next(_class_sums(chi, l))
+    return o_k - o
+
+
+def iter_inner_products(chi):
+    """Yield (l, inner_product(chi, l)) for l = 1, 2, ..., as min-l
+    searches want."""
+    for l, o, o_k in _class_sums(chi, 1):
+        yield l, o_k - o
 
 
 def orbit_counts(chi, l):
     """Exact (o, o_K) for the l-th tuple power of the action.
 
-    o is the number of orbits of S_n on Omega^l (all-ones inner product);
-    o_K is the number of orbits of the even-sign kernel K = A_n, equal to
+    o is the number of orbits of S_n on Omega^l; o_K is the number of
+    orbits of the even-sign kernel K = A_n, equal to
     (2 / n!) * sum over positive-sign classes of class_size * chi^l.
     """
-    if l < 0:
-        raise InputError(f"l must be nonnegative, got {l}")
-    total = 0
-    total_even = 0
-    for datum, v in zip(class_data(chi.n), chi.values):
-        term = datum.size * v ** l
-        total += term
-        if datum.sign > 0:
-            total_even += term
-    o = _exact_quotient(total, chi.n, f"o({l}) of {chi.action}")
-    o_k = _exact_quotient(2 * total_even, chi.n, f"o_K({l}) of {chi.action}")
+    _, o, o_k = next(_class_sums(chi, l))
     return o, o_k

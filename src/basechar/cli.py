@@ -13,10 +13,8 @@ import sys
 import time
 
 from . import basecount, oracle
-from .characters import (char_vector_subsets, inner_product, orbit_counts,
-                         sign_vector)
+from .characters import char_vector_subsets, orbit_counts
 from .errors import CapacityError, ConsistencyError, InputError
-from .partitions import enumerate_cycle_types
 
 
 def _stringify(value):
@@ -58,12 +56,9 @@ def cmd_orbits(args):
     started = time.perf_counter()
     if args.l < 0:
         raise InputError("l must be nonnegative")
-    chi = char_vector_subsets(args.n, args.k)
-    phi = sign_vector(args.n)
-    regular = inner_product(phi, chi, args.l)
-    o, o_k = orbit_counts(chi, args.l)
+    o, o_k = orbit_counts(char_vector_subsets(args.n, args.k), args.l)
     return _document("orbits", {"n": args.n, "k": args.k, "l": args.l},
-                     {"regular": regular, "o": o, "o_K": o_k},
+                     {"regular": o_k - o, "o": o, "o_K": o_k},
                      "formula", [], started)
 
 
@@ -73,9 +68,9 @@ def cmd_wreath(args):
     report = basecount.base_size_wreath_subsets(args.n, args.k, distinguishing)
     inputs = {"n": args.n, "k": args.k, "r": args.r, "dist": args.dist}
     outputs = {
-        "distinguishing_number": report.distinguishing_number,
+        "distinguishing_number": distinguishing,
         "base_size": report.base_size,
-        "trace": report.threshold_trace,
+        "trace": report.witness_l_values,
     }
     return _document("wreath", inputs, outputs, "formula", [], started)
 
@@ -93,8 +88,7 @@ def cmd_partitions_action(args):
         args.n, args.r, args.s, max_l=args.l_max)
     chi = report.character
     character = [(str(ct), value)
-                 for ct, value in zip(enumerate_cycle_types(args.n),
-                                      chi.values)]
+                 for ct, (_, _, value) in zip(chi.cycle_types, chi.terms)]
     outputs = {
         "min_l": report.base_size,
         "trace": report.witness_l_values,
@@ -114,36 +108,25 @@ def _formula_comparison(parsed, oracle_base, warnings):
     if parsed.base_kind != "sn":
         return None
     n = parsed.base_param
-    tags = parsed.action_tags
     try:
-        if tags == ():
-            report = basecount.base_size_subsets(n, 1)
-        elif len(tags) == 1 and tags[0].startswith("subsets:"):
-            report = basecount.base_size_subsets(n, int(tags[0][8:]))
-        elif len(tags) == 1 and tags[0].startswith("partitions:"):
-            r_text, s_text = tags[0][len("partitions:"):].split("x", 1)
-            report = basecount.base_size_partitions_action(
-                n, int(r_text), int(s_text))
-            if report.caveat:
-                warnings.append(report.caveat)
-        elif (len(tags) == 2 and tags[0].startswith("subsets:")
-              and tags[1].startswith("wreath:")):
-            wreath = basecount.base_size_wreath_subsets(
-                n, int(tags[0][8:]), int(tags[1][7:]))
-            report = basecount.BaseSizeReport(
-                wreath.inner_action, wreath.base_size,
-                wreath.threshold_trace, "formula")
-        elif len(tags) == 1 and tags[0].startswith("wreath:"):
-            wreath = basecount.base_size_wreath_subsets(
-                n, 1, int(tags[0][7:]))
-            report = basecount.BaseSizeReport(
-                wreath.inner_action, wreath.base_size,
-                wreath.threshold_trace, "formula")
-        else:
-            return None
+        match parsed.action_tags:
+            case ():
+                report = basecount.base_size_subsets(n, 1)
+            case (("subsets", k),):
+                report = basecount.base_size_subsets(n, k)
+            case (("partitions", r, s),):
+                report = basecount.base_size_partitions_action(n, r, s)
+            case (("subsets", k), ("wreath", r)):
+                report = basecount.base_size_wreath_subsets(n, k, r)
+            case (("wreath", r),):
+                report = basecount.base_size_wreath_subsets(n, 1, r)
+            case _:
+                return None
     except InputError as exc:
         warnings.append(f"formula comparison skipped: {exc}")
         return None
+    if report.caveat:
+        warnings.append(report.caveat)
     if oracle_base is None:
         relation = "no oracle base size"
     elif report.base_size == oracle_base:
@@ -177,7 +160,14 @@ def cmd_verify(args):
         outputs["base_size"] = None
         warnings.append("action is not faithful, no base exists")
 
-    if action.labels is not None:
+    if action.labels is None:
+        outputs["base_controlling"] = None
+        warnings.append("no labels on this group, base-controlling check "
+                        "and kernel orbit counts skipped")
+    elif -1 not in action.labels:
+        outputs["base_controlling"] = None
+        warnings.append("labels are all +1, base-controlling check skipped")
+    else:
         verdict = oracle.is_base_controlling(action)
         entry = {"controlling": verdict.controlling}
         if not verdict.controlling:
@@ -185,10 +175,6 @@ def cmd_verify(args):
             entry["stabilizer_order"] = verdict.stabilizer_order
             entry["label_image"] = list(verdict.label_image)
         outputs["base_controlling"] = entry
-    else:
-        outputs["base_controlling"] = None
-        warnings.append("no labels on this group, base-controlling check "
-                        "and kernel orbit counts skipped")
 
     l_max = args.l_max if args.l_max is not None else \
         (base + 1 if base is not None else 2)

@@ -658,7 +658,11 @@ def label_homomorphism_spot_check(group, samples=50, seed=0):
 
 @dataclass(frozen=True)
 class ParsedGroup:
-    """A parsed group spec: the induced action plus what it was built from."""
+    """A parsed group spec: the induced action plus what it was built from.
+
+    action_tags holds one parsed tuple per suffix, in order:
+    ("subsets", k), ("partitions", r, s) or ("wreath", r).
+    """
 
     action: InducedAction
     base_kind: str
@@ -737,7 +741,9 @@ def parse_group_spec(spec, labels_mode="auto"):
         if suffix.startswith("subsets:"):
             if action is not None:
                 raise InputError("subsets action must come first")
-            action = act_on_subsets(group, _parse_int(suffix[8:], "subset size"))
+            k = _parse_int(suffix[8:], "subset size")
+            action = act_on_subsets(group, k)
+            tags.append(("subsets", k))
         elif suffix.startswith("partitions:"):
             if action is not None:
                 raise InputError("partitions action must come first")
@@ -748,13 +754,14 @@ def parse_group_spec(spec, labels_mode="auto"):
             r = _parse_int(r_text, "block count")
             s = _parse_int(s_text, "block size")
             action = act_on_uniform_partitions(group, r, s)
+            tags.append(("partitions", r, s))
         elif suffix.startswith("wreath:"):
             r = _parse_int(suffix[7:], "wreath arity")
             action = product_action_wreath(
                 action if action is not None else group, r)
+            tags.append(("wreath", r))
         else:
             raise InputError(f"unknown action suffix: {suffix!r}")
-        tags.append(suffix)
     if action is None:
         action = natural_action(group)
     return ParsedGroup(action, kind, param, tuple(tags), group)

@@ -22,7 +22,7 @@ from .errors import InputError
 DEFAULT_N_LIMIT = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleType:
     """Multiplicity vector of a partition of n.
 
@@ -75,15 +75,6 @@ class CycleType:
         return "+".join(map(str, self.parts()))
 
 
-@dataclass(frozen=True)
-class ClassDatum:
-    """A conjugacy class of S_n: cycle type, exact size, and sign."""
-
-    cycle_type: CycleType
-    size: int
-    sign: int
-
-
 def _parts_desc(n, max_part):
     # Descending part lists in descending lexicographic order.
     if n == 0:
@@ -127,9 +118,3 @@ def class_size(ct):
 def sign_of(ct):
     """Sign of any permutation with this cycle type: (-1)^(n - #cycles)."""
     return -1 if (ct.n - ct.num_cycles) % 2 else 1
-
-
-def class_data(n, limit=DEFAULT_N_LIMIT):
-    """All conjugacy classes of S_n, aligned with enumerate_cycle_types."""
-    return [ClassDatum(ct, class_size(ct), sign_of(ct))
-            for ct in enumerate_cycle_types(n, limit=limit)]

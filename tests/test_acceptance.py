@@ -14,8 +14,7 @@ from basechar import cli, oracle
 from basechar.basecount import (PARTITIONS_CAVEAT, base_size_subsets,
                                 base_size_wreath_subsets)
 from basechar.characters import (char_vector_subsets, inner_product,
-                                 orbit_counts, sign_vector)
-from basechar.partitions import class_data
+                                 orbit_counts)
 
 
 def report(capsys, ok, criterion, detail):
@@ -58,11 +57,10 @@ def test_02_regular_orbit_counts_match_oracle(capsys):
     bad = []
     for n, k in REGULAR_ORBIT_PAIRS:
         chi = char_vector_subsets(n, k)
-        sgn = sign_vector(n)
         action = subsets_action(n, k)
         base = base_size_subsets(n, k).base_size
         for l in range(1, base + 2):
-            formula = inner_product(sgn, chi, l)
+            formula = inner_product(chi, l)
             brute = oracle.regular_orbits_on_tuples(action, l)
             checks += 1
             if formula != brute:
@@ -81,13 +79,12 @@ def test_03_kernel_orbit_surplus_identity(capsys):
     bad = []
     for n, k in REGULAR_ORBIT_PAIRS:
         chi = char_vector_subsets(n, k)
-        sgn = sign_vector(n)
         action = subsets_action(n, k)
         base = base_size_subsets(n, k).base_size
         for l in range(1, base + 2):
             o, o_k = orbit_counts(chi, l)
             brute_o, brute_o_k = oracle.orbit_counts_bruteforce(action, l)
-            signed = inner_product(sgn, chi, l)
+            signed = inner_product(chi, l)
             checks += 1
             if (o, o_k) != (brute_o, brute_o_k) or o_k - o != signed:
                 bad.append((n, k, l, (o, o_k), (brute_o, brute_o_k), signed))
@@ -177,13 +174,12 @@ def test_07_random_property_suite(capsys):
         k = rng.randrange(1, (n - 1) // 2 + 1)
         l = rng.randrange(1, 9)
         chi = char_vector_subsets(n, k)
-        sgn = sign_vector(n)
-        total = sum(d.sign * d.size * v ** l
-                    for d, v in zip(class_data(n), chi.values))
+        total = sum(sign * size * value ** l
+                    for size, sign, value in chi.terms)
         quotient, remainder = divmod(total, factorial(n))
-        grown = inner_product(sgn, chi, l + 1)
+        grown = inner_product(chi, l + 1)
         if (remainder != 0 or quotient < 0
-                or quotient != inner_product(sgn, chi, l)
+                or quotient != inner_product(chi, l)
                 or grown < comb(n, k) * quotient):
             bad.append((n, k, l))
     elapsed = perf_counter() - started
@@ -199,10 +195,10 @@ def test_08_class_size_sanity(capsys):
     started = perf_counter()
     bad = []
     for n in range(2, 26):
-        data = class_data(n)
-        if sum(d.size for d in data) != factorial(n):
+        terms = char_vector_subsets(n, 1).terms
+        if sum(size for size, _, _ in terms) != factorial(n):
             bad.append((n, "total"))
-        if sum(d.sign * d.size for d in data) != 0:
+        if sum(sign * size for size, sign, _ in terms) != 0:
             bad.append((n, "signed"))
     elapsed = perf_counter() - started
     ok = not bad and elapsed < 10

@@ -73,8 +73,11 @@ def test_regular_orbit_count_values():
 def test_wreath_thresholds():
     report = base_size_wreath_subsets(3, 1, 2)
     assert report.base_size == 3
-    assert report.distinguishing_number == 2
-    assert report.threshold_trace[-1][1] >= 2
+    assert report.action == "1-subsets of [3]"
+    assert report.method == "formula"
+    assert [l for l, _ in report.witness_l_values] == [1, 2, 3]
+    assert all(count < 2 for _, count in report.witness_l_values[:-1])
+    assert report.witness_l_values[-1][1] >= 2
     assert base_size_wreath_subsets(4, 1, 2).base_size == 4
     # threshold 1 is exactly the plain base-size search
     assert base_size_wreath_subsets(5, 2, 1).base_size == \

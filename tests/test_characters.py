@@ -1,14 +1,14 @@
-from itertools import islice
+from dataclasses import replace
+from itertools import islice, permutations
 from math import comb, factorial
 
 import pytest
 
-from basechar import characters
-from basechar.characters import (CharVector, char_vector_subsets,
+from basechar import basecount, characters, cli, oracle, partitions
+from basechar.characters import (char_vector_subsets,
                                  char_vector_uniform_partitions, chi_subsets,
                                  chi_uniform_partitions, inner_product,
-                                 iter_inner_products, orbit_counts,
-                                 sign_vector)
+                                 iter_inner_products, orbit_counts)
 from basechar.errors import CapacityError, ConsistencyError, InputError
 from basechar.partitions import CycleType, enumerate_cycle_types
 from reference_impls import (count_fixed_subsets, count_fixed_uniform,
@@ -107,33 +107,35 @@ def test_char_vector_identity_columns():
 
 
 def test_sign_vector_values():
-    sgn = sign_vector(4)
-    parts = [tuple(ct.parts()) for ct in enumerate_cycle_types(4)]
+    chi = char_vector_subsets(4, 1)
+    parts = [tuple(ct.parts()) for ct in chi.cycle_types]
+    assert parts == [tuple(ct.parts()) for ct in enumerate_cycle_types(4)]
     expect = {(4,): -1, (3, 1): 1, (2, 2): 1, (2, 1, 1): -1, (1, 1, 1, 1): 1}
-    assert list(sgn.values) == [expect[p] for p in parts]
+    assert [sign for _, sign, _ in chi.terms] == [expect[p] for p in parts]
 
 
 def test_inner_product_hand_values():
     # S_3 on 1-subsets (natural action): 0, 1, 4 for l = 1, 2, 3.
     chi = char_vector_subsets(3, 1)
-    sgn = sign_vector(3)
-    assert [inner_product(sgn, chi, l) for l in (1, 2, 3)] == [0, 1, 4]
-    assert inner_product(sgn, chi, 0) == 0
+    assert [inner_product(chi, l) for l in (1, 2, 3)] == [0, 1, 4]
+    assert inner_product(chi, 0) == 0
 
 
 def test_inner_product_matches_fraction_reference():
     for n, k in ((4, 2), (5, 2), (6, 3), (7, 2)):
         chi = char_vector_subsets(n, k)
-        sgn = sign_vector(n)
         for l in range(5):
-            assert inner_product(sgn, chi, l) == subsets_inner_product(n, k, l)
+            assert inner_product(chi, l) == subsets_inner_product(n, k, l)
 
 
 def test_all_ones_vector_counts_orbits():
+    # The all-ones class sum o counts orbits: Burnside's average of
+    # fix(g)^l over all 120 permutations of S_5 on 2-subsets.
     chi = char_vector_subsets(5, 2)
-    ones = [1] * len(chi.values)
+    fixed = [count_fixed_subsets(list(perm), 2)
+             for perm in permutations(range(5))]
     for l in range(4):
-        assert inner_product(ones, chi, l) == orbit_counts(chi, l)[0]
+        assert orbit_counts(chi, l)[0] * 120 == sum(f ** l for f in fixed)
 
 
 def test_orbit_counts_hand_values():
@@ -147,10 +149,9 @@ def test_split_orbit_identity():
     # <sgn, chi^l> equals the kernel orbit surplus o_K(l) - o(l).
     for n, k in ((5, 2), (6, 2), (7, 3)):
         chi = char_vector_subsets(n, k)
-        sgn = sign_vector(n)
         for l in range(5):
             o, o_k = orbit_counts(chi, l)
-            assert inner_product(sgn, chi, l) == o_k - o
+            assert inner_product(chi, l) == o_k - o
 
 
 def test_split_counts_monotone_in_l():
@@ -158,27 +159,26 @@ def test_split_counts_monotone_in_l():
     # orbit counts never decrease with l.
     for n, k in ((5, 2), (6, 3)):
         chi = char_vector_subsets(n, k)
-        sgn = sign_vector(n)
-        values = [inner_product(sgn, chi, l) for l in range(7)]
+        values = [inner_product(chi, l) for l in range(7)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 def test_iter_matches_direct():
     chi = char_vector_uniform_partitions(6, 3, 2)
-    sgn = sign_vector(6)
-    seq = list(islice(iter_inner_products(sgn, chi), 6))
-    assert seq == [(l, inner_product(sgn, chi, l)) for l in range(1, 7)]
+    seq = list(islice(iter_inner_products(chi), 6))
+    assert seq == [(l, inner_product(chi, l)) for l in range(1, 7)]
 
 
 def test_tampered_character_is_caught():
     chi = char_vector_subsets(5, 1)
     index = [tuple(ct.parts())
-             for ct in enumerate_cycle_types(5)].index((2, 1, 1, 1))
-    values = list(chi.values)
-    values[index] += 1
-    bad = CharVector(5, chi.action, chi.domain_size, tuple(values))
+             for ct in chi.cycle_types].index((2, 1, 1, 1))
+    terms = list(chi.terms)
+    size, sign, value = terms[index]
+    terms[index] = (size, sign, value + 1)
+    bad = replace(chi, terms=tuple(terms))
     with pytest.raises(ConsistencyError):
-        inner_product(sign_vector(5), bad, 1)
+        inner_product(bad, 1)
 
 
 def test_non_integral_partition_character_is_caught(monkeypatch):
@@ -198,8 +198,34 @@ def test_non_integral_partition_character_is_caught(monkeypatch):
 def test_inner_product_input_errors():
     chi = char_vector_subsets(5, 2)
     with pytest.raises(InputError):
-        inner_product(sign_vector(4), chi, 1)
+        inner_product(chi, -1)
     with pytest.raises(InputError):
-        inner_product([1, -1], chi, 1)
+        orbit_counts(chi, -1)
     with pytest.raises(InputError):
-        inner_product(sign_vector(5), chi, -1)
+        char_vector_subsets(5, 6)
+
+
+def test_one_class_pass_per_command(monkeypatch, capsys):
+    # Each formula command enumerates the classes of S_n exactly once.
+    original = partitions.enumerate_cycle_types
+    calls = []
+
+    def counted(n, *args, **kwargs):
+        calls.append(n)
+        return original(n, *args, **kwargs)
+
+    for module in (partitions, characters, basecount, oracle, cli):
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    commands = (
+        ("basesize", "--n", "9", "--k", "2"),
+        ("orbits", "--n", "9", "--k", "2", "--l", "3"),
+        ("wreath", "--n", "9", "--k", "2", "--r", "3"),
+        ("partitions-action", "--n", "8", "--r", "4", "--s", "2"),
+    )
+    for argv in commands:
+        calls.clear()
+        assert cli.main(list(argv)) == 0
+        capsys.readouterr()
+        assert calls.count(int(argv[2])) == 1, (argv, calls)

@@ -225,6 +225,20 @@ def test_verify_unlabeled_group(capsys):
     assert any("no labels" in w for w in doc["warnings"])
 
 
+def test_verify_all_plus_one_labels(capsys):
+    # Labels that are all +1 cannot be base-controlling; the oracle still
+    # reports the base size and regular orbits.
+    for spec, base in (("gens:(1,2,3)", "1"), ("sn:1", "0")):
+        code, doc, err = run_cli(capsys, "verify", "--group", spec)
+        assert code == 0, (spec, err)
+        out = doc["outputs"]
+        assert out["base_size"] == base
+        assert out["base_controlling"] is None
+        assert [l for l, _ in out["regular_orbits"]][0] == "1"
+        assert "labels are all +1, base-controlling check skipped" \
+            in doc["warnings"]
+
+
 def test_verify_non_faithful(capsys):
     code, doc, _ = run_cli(capsys, "verify", "--group", "sn:4/partitions:2x2")
     assert code == 0

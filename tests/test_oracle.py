@@ -307,7 +307,7 @@ def test_parse_group_spec_forms():
     assert parsed.action.degree == 15
     assert parsed.base_kind == "sn"
     assert parsed.base_param == 6
-    assert parsed.action_tags == ("subsets:2",)
+    assert parsed.action_tags == (("subsets", 2),)
 
     natural = parse_group_spec("sn:4")
     assert natural.action.degree == 4
@@ -318,6 +318,7 @@ def test_parse_group_spec_forms():
 
     partitions = parse_group_spec("sn:6/partitions:3x2")
     assert partitions.action.degree == 15
+    assert partitions.action_tags == (("partitions", 3, 2),)
 
     wreath = parse_group_spec("sn:3/wreath:2")
     assert wreath.action.degree == 9
@@ -325,6 +326,7 @@ def test_parse_group_spec_forms():
 
     nested = parse_group_spec("sn:3/subsets:1/wreath:2")
     assert nested.action.degree == 9
+    assert nested.action_tags == (("subsets", 1), ("wreath", 2))
 
 
 def test_parse_group_spec_gens():

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from basechar.characters import char_vector_subsets
 from basechar.errors import InputError
-from basechar.partitions import (CycleType, class_data, class_size,
+from basechar.partitions import (CycleType, class_size,
                                  enumerate_cycle_types, sign_of)
 from reference_impls import partition_count, sympy_class_data
 
@@ -101,7 +102,9 @@ def test_against_sympy():
 
 
 def test_class_data_bundles():
-    data = class_data(6)
-    assert len(data) == partition_count(6)
-    assert all(d.size == class_size(d.cycle_type) for d in data)
-    assert all(d.sign == sign_of(d.cycle_type) for d in data)
+    # A character's class-sum terms bundle each class's size and sign.
+    chi = char_vector_subsets(6, 2)
+    assert len(chi.terms) == len(chi.cycle_types) == partition_count(6)
+    pairs = list(zip(chi.cycle_types, chi.terms))
+    assert all(size == class_size(ct) for ct, (size, _, _) in pairs)
+    assert all(sign == sign_of(ct) for ct, (_, sign, _) in pairs)

@@ -139,6 +139,8 @@ def _formula_comparison(parsed, oracle_base, warnings):
 def cmd_verify(args):
     started = time.perf_counter()
     basecount.validate_l_limit(args.l_max)
+    if args.l_max is not None:
+        oracle.check_tuple_length(args.l_max)
     warnings = []
     parsed = oracle.parse_group_spec(args.group, labels_mode=args.labels)
     action = parsed.action
@@ -178,16 +180,10 @@ def cmd_verify(args):
 
     l_max = args.l_max if args.l_max is not None else \
         (base + 1 if base is not None else 2)
-    regular = []
-    counts = []
-    for l in range(1, l_max + 1):
-        regular.append((l, oracle.regular_orbits_on_tuples(action, l)))
-        if action.labels is not None:
-            o, o_k = oracle.orbit_counts_bruteforce(action, l)
-            counts.append((l, o, o_k))
-    outputs["regular_orbits"] = regular
-    if counts:
-        outputs["orbit_counts"] = counts
+    counts = oracle.tuple_orbit_counts(action, l_max)[1:]
+    outputs["regular_orbits"] = [(l, regular) for l, _, _, regular in counts]
+    if action.labels is not None:
+        outputs["orbit_counts"] = [(l, o, o_k) for l, o, o_k, _ in counts]
 
     if args.seed is not None and parsed.base_group.labels is not None:
         pairs = oracle.label_homomorphism_spot_check(

@@ -3,7 +3,10 @@
 Groups are stored as full element lists (no stabilizer chains); induced
 actions carry one table row per parent element, so stabilizers are sets of
 element indices and labels stay well-defined even when the action is not
-faithful. Everything here is deliberately simple and slow; the fast formula
+faithful. One stabilizer-pruned depth-first walk over the group's rows
+gives the orbit and regular-orbit counts on l-tuples for every l up to a
+limit, and a second walk over the label kernel's rows gives its orbit
+counts. Everything here is deliberately simple and slow; the fast formula
 code is validated against it, never the other way around.
 """
 
@@ -22,6 +25,11 @@ MAX_INDUCED_DEGREE = 10 ** 4
 MAX_TABLE_CELLS = 5 * 10 ** 7
 MAX_CONTROLLING_DEGREE = 24
 MAX_DISTINGUISHING_POINTS = 12
+# The tuple-orbit walk recurses once per tuple entry. A faithful action of
+# a group of order at most MAX_CLOSURE_ORDER has a base of at most 19
+# points (each base point at least halves the stabilizer), so the default
+# tuple length of base size + 1 stays far below this cap.
+MAX_TUPLE_LENGTH = 64
 
 
 # ---------------------------------------------------------------------------
@@ -35,13 +43,6 @@ def identity_perm(degree):
 def compose(p, q):
     """Apply p first, then q."""
     return tuple(q[i] for i in p)
-
-
-def inverse(p):
-    inv = [0] * len(p)
-    for i, image in enumerate(p):
-        inv[image] = i
-    return tuple(inv)
 
 
 def check_perm(p):
@@ -104,24 +105,6 @@ def max_point_of_cycles(text):
             except ValueError:
                 raise InputError(f"malformed cycle notation: {text!r}") from None
     return best
-
-
-def format_cycles(p):
-    """1-based cycle notation, identity printed as ``()``."""
-    seen = [False] * len(p)
-    out = []
-    for start in range(len(p)):
-        if seen[start] or p[start] == start:
-            seen[start] = True
-            continue
-        cycle = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            cycle.append(str(j + 1))
-            j = p[j]
-        out.append("(" + ",".join(cycle) + ")")
-    return "".join(out) if out else "()"
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +184,6 @@ def with_sign_labels(group):
                         tuple(perm_sign(e) for e in group.elements))
 
 
-def trivial_group(degree):
-    return LabeledGroup(degree, (identity_perm(degree),), None)
-
-
 def symmetric_group(n, sign_labels=True):
     if n < 1:
         raise InputError("degree must be positive")
@@ -237,38 +216,34 @@ def pgl2(q):
     """PGL_2(q) as Moebius maps on the projective line over F_q.
 
     Points 0..q-1 are field elements, point q is infinity. Each element is
-    labeled +1 iff its determinant is a nonzero square mod q; the kernel of
-    that labeling is PSL_2(q).
+    built once, from the matrix scaled to bottom row (0, 1) or (1, d). It
+    is labeled +1 iff its determinant is a nonzero square mod q (scaling
+    multiplies the determinant by a square); the kernel of that labeling is
+    PSL_2(q).
     """
     if not _is_prime(q) or q % 2 == 0 or q > 31:
         raise InputError("q must be an odd prime at most 31")
     squares = {(x * x) % q for x in range(1, q)}
+    inverses = [0] + [pow(x, q - 2, q) for x in range(1, q)]
     infinity = q
     found = {}
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    det = (a * d - b * c) % q
-                    if det == 0:
-                        continue
-                    images = []
-                    for x in range(q):
-                        den = (c * x + d) % q
-                        if den == 0:
-                            images.append(infinity)
-                        else:
-                            num = (a * x + b) % q
-                            images.append((num * pow(den, q - 2, q)) % q)
-                    images.append((a * pow(c, q - 2, q)) % q if c % q else infinity)
-                    perm = tuple(images)
-                    label = 1 if det in squares else -1
-                    known = found.get(perm)
-                    if known is None:
-                        found[perm] = label
-                    elif known != label:
-                        raise ConsistencyError(
-                            "determinant square class not well-defined")
+    for c, d in [(0, 1)] + [(1, d) for d in range(q)]:
+        for a in range(q):
+            for b in range(q):
+                det = (a * d - b * c) % q
+                if det == 0:
+                    continue
+                images = []
+                for x in range(q):
+                    den = (c * x + d) % q
+                    images.append(
+                        (a * x + b) * inverses[den] % q if den else infinity)
+                images.append(a if c else infinity)  # c is 0 or 1
+                found[tuple(images)] = 1 if det in squares else -1
+    if len(found) != q ** 3 - q:
+        raise ConsistencyError(
+            f"{len(found)} distinct maps from normalised matrices, "
+            f"expected {q ** 3 - q}")
     elements = tuple(sorted(found))
     return LabeledGroup(q + 1, elements, tuple(found[e] for e in elements))
 
@@ -431,56 +406,68 @@ def kernel_order(action):
     return _kernel_size(action.table)
 
 
-def _tree_counts(table, l, rows):
-    """Count (all, regular) orbits on Omega^l by stabilizer-pruned search.
+def check_tuple_length(l_max):
+    """Reject a tuple length the orbit walk cannot reach or need."""
+    if l_max < 0:
+        raise InputError("l must be nonnegative")
+    if l_max > MAX_TUPLE_LENGTH:
+        raise CapacityError(
+            f"tuple length {l_max} exceeds {MAX_TUPLE_LENGTH}")
+
+
+def _tree_counts(table, rows, l_max):
+    """(all, regular) orbit counts on Omega^l for l = 0..l_max, one walk.
 
     Orbits of tuples extending a partial tuple t correspond to orbits of the
-    stabilizer of t on points; a node with trivial stabilizer at depth i
-    contributes degree^(l-i) leaves, all regular, without recursion.
+    stabilizer of t on points, so each node of the walk is one orbit on
+    tuples of its depth d. A node with nontrivial stabilizer is one
+    non-regular orbit at l = d; a node with trivial stabilizer stops the
+    walk and is degree^(l-d) regular orbits at every l >= d.
     """
     degree = table.shape[1]
+    nonregular = [0] * (l_max + 1)
+    regular_roots = [0] * (l_max + 1)
 
     def walk(stab, depth):
         if stab.shape[0] == 1:
-            leaves = degree ** (l - depth)
-            return leaves, leaves
-        if depth == l:
-            return 1, 0
+            regular_roots[depth] += 1
+            return
+        nonregular[depth] += 1
+        if depth == l_max:
+            return
         sub = table[stab]
-        total = regular = 0
         seen = np.zeros(degree, dtype=bool)
         for point in range(degree):
             if seen[point]:
                 continue
             column = sub[:, point]
-            seen[np.unique(column)] = True
-            t, reg = walk(stab[column == point], depth + 1)
-            total += t
-            regular += reg
-        return total, regular
+            seen[column] = True
+            walk(stab[column == point], depth + 1)
 
-    return walk(rows, 0)
+    walk(rows, 0)
+    counts = []
+    for l in range(l_max + 1):
+        regular = sum(regular_roots[d] * degree ** (l - d)
+                      for d in range(l + 1))
+        counts.append((nonregular[l] + regular, regular))
+    return counts
 
 
-def regular_orbits_on_tuples(action, l):
-    """Exact number of orbits on Omega^l whose tuples have trivial stabilizer."""
-    if l < 0:
-        raise InputError("l must be nonnegative")
+def tuple_orbit_counts(action, l_max):
+    """(l, o, o_K, regular) for l = 0..l_max: orbits of the group and of its
+    label kernel on Omega^l, and the orbits whose tuples have trivial
+    stabilizer. o_K is None when the action has no labels.
+    """
+    check_tuple_length(l_max)
     rows = np.arange(action.order)
-    return _tree_counts(action.table, l, rows)[1]
-
-
-def orbit_counts_bruteforce(action, l):
-    """Orbit counts (o, o_K) of the group and its label kernel on Omega^l."""
-    if l < 0:
-        raise InputError("l must be nonnegative")
+    counts = _tree_counts(action.table, rows, l_max)
     if action.labels is None:
-        raise InputError("labels required for kernel orbit counts")
-    rows = np.arange(action.order)
-    o = _tree_counts(action.table, l, rows)[0]
-    kernel_rows = rows[np.asarray(action.labels) == 1]
-    o_k = _tree_counts(action.table, l, kernel_rows)[0]
-    return o, o_k
+        kernel_counts = [(None, None)] * (l_max + 1)
+    else:
+        kernel_rows = rows[np.asarray(action.labels) == 1]
+        kernel_counts = _tree_counts(action.table, kernel_rows, l_max)
+    return [(l, o, o_k, regular) for l, ((o, regular), (o_k, _))
+            in enumerate(zip(counts, kernel_counts))]
 
 
 def base_size_bruteforce(action):

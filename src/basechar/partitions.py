@@ -17,7 +17,7 @@ before the default limit of n = 64.
 from dataclasses import dataclass
 from math import factorial
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 
 DEFAULT_N_LIMIT = 64
 
@@ -92,8 +92,10 @@ def enumerate_cycle_types(n, limit=DEFAULT_N_LIMIT):
     n-cycle comes first and the identity last.  The count of yielded
     items is the partition number p(n).
     """
-    if not 1 <= n <= limit:
-        raise InputError(f"n must be in 1..{limit}, got {n}")
+    if n < 1:
+        raise InputError(f"n must be positive, got {n}")
+    if n > limit:
+        raise CapacityError(f"n = {n} exceeds the limit {limit}")
     for parts in _parts_desc(n, n):
         counts = [0] * n
         for p in parts:

@@ -282,3 +282,71 @@ def test_documents_deterministic_modulo_timing(capsys):
         del doc["timing_seconds"]
         docs.append(doc)
     assert docs[0] == docs[1]
+
+
+def test_verify_l_max_above_cap(capsys, monkeypatch):
+    # Rejected before the group is built, with the bound in the message.
+    def no_build(*args, **kwargs):
+        raise AssertionError("group built")
+
+    monkeypatch.setattr(oracle, "parse_group_spec", no_build)
+    code, doc, err = run_cli(capsys, "verify", "--group", "sn:3",
+                             "--l-max", "3000")
+    assert code == 3
+    assert doc is None
+    assert str(oracle.MAX_TUPLE_LENGTH) in err
+
+
+def test_verify_walks_each_row_set_once(capsys, monkeypatch):
+    # One tuple-orbit walk over the group's rows, and one over the label
+    # kernel's rows when the action is labeled, whatever the l limit.
+    original = oracle._tree_counts
+    calls = []
+
+    def counted(table, rows, l_max):
+        calls.append(l_max)
+        return original(table, rows, l_max)
+
+    monkeypatch.setattr(oracle, "_tree_counts", counted)
+    for spec, walks in (("pgl2:7", 2), ("sn:5/subsets:2", 2), ("an:5", 1)):
+        calls.clear()
+        code, doc, _ = run_cli(capsys, "verify", "--group", spec)
+        assert code == 0
+        l_max = int(doc["outputs"]["base_size"]) + 1
+        assert calls == [l_max] * walks, (spec, calls)
+
+
+HOSTILE_INPUTS = (
+    (("verify", "--group", "gens:"), 2),
+    (("verify", "--group", "gens:!()"), 2),
+    (("verify", "--group", "sn:0"), 2),
+    (("verify", "--group", "an:1"), 0),
+    (("verify", "--group", "pgl2:1"), 2),
+    (("verify", "--group", "sn:3/wreath:0"), 2),
+    (("verify", "--group", "sn:3/partitions:3x1"), 0),
+    (("verify", "--group", "sn:4/subsets:0"), 2),
+    (("verify", "--group", "sn:4/partitions:2x2"), 0),
+    (("verify", "--group", "gens:(1,2,3)"), 0),
+    (("verify", "--group", "sn:3", "--l-max", "3000"), 3),
+    (("wreath", "--n", "5", "--k", "2", "--dist", "0"), 2),
+    (("orbits", "--n", "0", "--k", "1", "--l", "1"), 2),
+    (("orbits", "--n", "70", "--k", "1", "--l", "1"), 3),
+    (("basesize", "--n", "65", "--k", "2"), 3),
+    (("partitions-action", "--n", "0", "--r", "0", "--s", "0"), 2),
+)
+
+
+@pytest.mark.parametrize("argv, expected", HOSTILE_INPUTS,
+                         ids=[" ".join(argv) for argv, _ in HOSTILE_INPUTS])
+def test_hostile_inputs(capsys, argv, expected):
+    # Exit 0, 2 or 3; JSON on stdout exactly when the exit is 0; no
+    # traceback (an uncaught exception would fail the test itself).
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == expected
+    if code == 0:
+        json.loads(captured.out)
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith(("error:", "capacity error:"))
+    assert "Traceback" not in captured.err

@@ -5,34 +5,29 @@ import pytest
 
 from basechar import oracle
 from basechar.errors import CapacityError, ConsistencyError, InputError
-from basechar.oracle import (InducedAction, act_on_subsets,
+from basechar.oracle import (MAX_TUPLE_LENGTH, InducedAction, act_on_subsets,
                              act_on_uniform_partitions, alternating_group,
                              base_size_bruteforce, closure, compose,
-                             distinguishing_number, format_cycles,
-                             identity_perm, inverse, is_base_controlling,
-                             kernel_order, label_homomorphism_spot_check,
-                             natural_action, orbit_counts_bruteforce,
+                             distinguishing_number, identity_perm,
+                             is_base_controlling, kernel_order,
+                             label_homomorphism_spot_check, natural_action,
                              parse_cycles, parse_group_spec, perm_sign, pgl2,
-                             product_action_wreath, regular_orbits_on_tuples,
-                             symmetric_group, trivial_group, with_sign_labels)
+                             product_action_wreath, symmetric_group,
+                             tuple_orbit_counts, with_sign_labels)
 from reference_impls import blind_orbit_data
 
 
 def test_perm_primitives():
-    p = (1, 2, 0, 4, 3)
-    assert compose(p, inverse(p)) == identity_perm(5)
     assert compose((1, 0, 2), (0, 2, 1)) == (2, 0, 1)  # left factor first
     assert perm_sign((1, 0, 2, 3)) == -1
     assert perm_sign((1, 2, 0)) == 1
     assert perm_sign(identity_perm(6)) == 1
 
 
-def test_parse_and_format_cycles():
+def test_parse_cycles():
     assert parse_cycles("(1,2)(3,4)", 5) == (1, 0, 3, 2, 4)
     assert parse_cycles("()", 3) == (0, 1, 2)
     assert parse_cycles(" (1, 3) ", 3) == (2, 1, 0)
-    assert format_cycles((1, 0, 3, 2, 4)) == "(1,2)(3,4)"
-    assert format_cycles(identity_perm(4)) == "()"
     for text in ("(1,2", "(1,a)", "(1,1)", "(1,2)(2,3)", "(9)"):
         with pytest.raises(InputError):
             parse_cycles(text, 4)
@@ -49,7 +44,6 @@ def test_closure_labeled_s4():
 
 def test_closure_trivial_and_errors():
     assert closure([], degree=5).order == 1
-    assert trivial_group(5).order == 1
     with pytest.raises(InputError):
         closure([])
     with pytest.raises(InputError):
@@ -104,6 +98,24 @@ def test_pgl2_examples():
     for q in (2, 9, 37):
         with pytest.raises(InputError):
             pgl2(q)
+
+
+def test_pgl2_equals_generated_closure():
+    # x -> x+1 and x -> -1/x have determinant 1, x -> w*x determinant w,
+    # a non-square; together they generate PGL_2(q).
+    for q in (3, 5, 7, 11, 13):
+        infinity = q
+        omega = next(w for w in range(2, q)
+                     if all(x * x % q != w for x in range(q)))
+        shift = tuple((x + 1) % q for x in range(q)) + (infinity,)
+        scale = tuple(omega * x % q for x in range(q)) + (infinity,)
+        flip = (infinity,) + tuple(-pow(x, q - 2, q) % q
+                                   for x in range(1, q)) + (0,)
+        generated = closure([shift, scale, flip], labels=[1, -1, 1])
+        group = pgl2(q)
+        assert group.order == q ** 3 - q
+        assert group.elements == generated.elements
+        assert group.labels == generated.labels
 
 
 def test_spot_check_catches_tampered_labels():
@@ -167,18 +179,21 @@ def test_capacity_errors_on_induced_actions():
     with pytest.raises(CapacityError):
         product_action_wreath(symmetric_group(5), 3)  # order 120^3 * 6
     with pytest.raises(CapacityError):
-        product_action_wreath(trivial_group(10), 5)  # degree 10^5
+        product_action_wreath(closure([], degree=10), 5)  # degree 10^5
     with pytest.raises(CapacityError):
         act_on_subsets(symmetric_group(10), 2)  # order 10! past the bound
 
 
 def test_regular_orbits_examples():
     s3 = natural_action(symmetric_group(3))
-    assert regular_orbits_on_tuples(s3, 2) == 1
+    assert tuple_orbit_counts(s3, 2)[2] == (2, 2, 3, 1)
     g7 = natural_action(pgl2(7))
-    assert [regular_orbits_on_tuples(g7, l) for l in (1, 2, 3)] == [0, 0, 1]
+    assert [regular for _, _, _, regular in tuple_orbit_counts(g7, 3)] \
+        == [0, 0, 0, 1]
     with pytest.raises(InputError):
-        regular_orbits_on_tuples(s3, -1)
+        tuple_orbit_counts(s3, -1)
+    with pytest.raises(CapacityError):
+        tuple_orbit_counts(s3, MAX_TUPLE_LENGTH + 1)
 
 
 def test_base_size_examples():
@@ -206,11 +221,10 @@ def test_base_size_invariant_under_point_relabeling():
 
 def test_orbit_counts_examples():
     s3 = natural_action(symmetric_group(3))
-    assert orbit_counts_bruteforce(s3, 2) == (2, 3)
-    assert orbit_counts_bruteforce(s3, 0) == (1, 1)
-    assert orbit_counts_bruteforce(s3, 1) == (1, 1)
-    with pytest.raises(InputError):
-        orbit_counts_bruteforce(natural_action(alternating_group(4)), 1)
+    assert [(o, o_k) for _, o, o_k, _ in tuple_orbit_counts(s3, 2)] \
+        == [(1, 1), (1, 1), (2, 3)]
+    a4 = natural_action(alternating_group(4))
+    assert tuple_orbit_counts(a4, 1) == [(0, 1, None, 0), (1, 1, None, 0)]
 
 
 def test_orbit_counts_sandwich():
@@ -218,8 +232,7 @@ def test_orbit_counts_sandwich():
     for action in (natural_action(symmetric_group(4)),
                    act_on_subsets(symmetric_group(5), 2),
                    natural_action(pgl2(5))):
-        for l in range(4):
-            o, o_k = orbit_counts_bruteforce(action, l)
+        for _, o, o_k, _ in tuple_orbit_counts(action, 3):
             assert o <= o_k <= 2 * o
 
 
@@ -229,13 +242,15 @@ def test_pruned_search_equals_blind_enumeration():
                natural_action(alternating_group(4)),
                act_on_uniform_partitions(symmetric_group(4), 2, 2))
     for action in actions:
-        for l in range(4):
+        for l, o, o_k, regular in tuple_orbit_counts(action, 3):
             data = blind_orbit_data(action.table, l)
-            o = oracle._tree_counts(action.table, l,
-                                    np.arange(action.order))[0]
             assert o == len(data)
-            regular = sum(1 for _, stab in data if stab == 1)
-            assert regular_orbits_on_tuples(action, l) == regular
+            assert regular == sum(1 for _, stab in data if stab == 1)
+            if action.labels is None:
+                assert o_k is None
+            else:
+                kernel = action.table[np.asarray(action.labels) == 1]
+                assert o_k == len(blind_orbit_data(kernel, l))
 
 
 def test_is_base_controlling_subsets():
@@ -288,12 +303,12 @@ def test_is_base_controlling_degenerate_inputs():
 def test_distinguishing_numbers():
     for r in (2, 3, 4):
         assert distinguishing_number(symmetric_group(r)) == r
-    assert distinguishing_number(trivial_group(5)) == 1
+    assert distinguishing_number(closure([], degree=5)) == 1
     swap = closure([parse_cycles("(1,2)", 2)])
     assert distinguishing_number(swap) == 2
     assert distinguishing_number(alternating_group(4)) == 3
     with pytest.raises(CapacityError):
-        distinguishing_number(trivial_group(13))
+        distinguishing_number(closure([], degree=13))
 
 
 def test_kernel_order():

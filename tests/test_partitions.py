@@ -3,7 +3,7 @@ import math
 import pytest
 
 from basechar.characters import char_vector_subsets
-from basechar.errors import InputError
+from basechar.errors import CapacityError, InputError
 from basechar.partitions import (CycleType, class_size,
                                  enumerate_cycle_types, sign_of)
 from reference_impls import partition_count, sympy_class_data
@@ -61,7 +61,7 @@ def test_enumerate_range_errors():
         list(enumerate_cycle_types(0))
     with pytest.raises(InputError):
         list(enumerate_cycle_types(-2))
-    with pytest.raises(InputError):
+    with pytest.raises(CapacityError):
         list(enumerate_cycle_types(65))
 
 

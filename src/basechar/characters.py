@@ -1,30 +1,37 @@
 """Permutation characters of S_n actions as weighted class sums.
 
-Two actions are covered, both with character values computed per
-conjugacy class (indexed by cycle type): the action on k-element subsets
-of [n], where the fixed-subset count has a closed form as a sum over
-partitions of k, and the action on partitions of [n] into r blocks of
-equal size s, whose character is read off the plethysm h_r[h_s].
+Two actions are covered: the action on k-element subsets of [n] and the
+action on partitions of [n] into r blocks of equal size s, whose
+character is read off the plethysm h_r[h_s].
 
-A CharVector is built in one pass over the classes and holds, for each
-class, its cycle type and the term (class size, sign, value).  Every
-count is one loop over these terms: the total T = sum of size * chi^l
-and its even-sign part E give o = T/n! orbits of S_n and o_K = 2E/n!
-orbits of A_n on l-tuples, and o_K - o = <sgn, chi^l> is the number of
-orbits that split, the regular-orbit count of the paper.  Both sums must
-divide by n! with no remainder and all three counts must be nonnegative;
-violations raise ConsistencyError -- they can only come from bugs, never
-from input.
+A CharVector holds terms (weight, sign, value): weight permutations of
+the given sign on which the character takes the given value.  For the
+partition action there is one term per conjugacy class, and the vector
+also keeps each class's cycle type.  The k-subset character depends only
+on the numbers c_1..c_k of cycles of length at most k, so that vector is
+collapsed: one group per vector (c_1..c_k), weighted by the number of
+ways to place the remaining points in cycles longer than k, split into
+its even and odd parts.  That is at most two terms per group: 725 at
+n = 40, k = 2 against p(40) = 37,338 classes.
+
+Every count is one loop over the terms: the total T = sum of weight *
+chi^l and its even-sign part E give o = T/n! orbits of S_n and
+o_K = 2E/n! orbits of A_n on l-tuples, and o_K - o = <sgn, chi^l> is the
+number of orbits that split, the regular-orbit count of the paper.  Both
+sums must divide by n! with no remainder and all three counts must be
+nonnegative; violations raise ConsistencyError -- they can only come
+from bugs, never from input.
 """
 
 from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import CapacityError, ConsistencyError, InputError
-from .partitions import class_size, enumerate_cycle_types, sign_of
+from .partitions import (DEFAULT_N_LIMIT, class_size, enumerate_cycle_types,
+                         sign_of)
 
 # Largest n for the uniform-partition action.  The closed form costs about
-# as much as p(n) classes, like basesize, so this is a bound on time only.
+# as much as p(n) classes, so this is a bound on time only.
 UNIFORM_CEILING = 36
 
 
@@ -32,64 +39,111 @@ UNIFORM_CEILING = 36
 class CharVector:
     """A permutation character of S_n as a weighted class sum.
 
-    One entry per conjugacy class, aligned with enumerate_cycle_types(n):
-    cycle_types[i] is the class and terms[i] its (class size, sign,
-    character value).  action is a tag like "subsets:2" or
-    "partitions:3x5"; domain_size is the number of points acted on (the
-    value at the identity class).
+    terms holds (weight, sign, value) triples whose weights sum to n!.
+    cycle_types is None for a collapsed sum; otherwise each term is one
+    conjugacy class, cycle_types[i] is the class of terms[i] and the
+    order is that of enumerate_cycle_types(n).  action is a tag like
+    "subsets:2" or "partitions:3x5"; domain_size is the number of points
+    acted on (the value at the identity).
     """
 
     n: int
     action: str
     domain_size: int
-    cycle_types: tuple
     terms: tuple
+    cycle_types: tuple | None = None
 
     @property
     def values(self):
-        """Character values, one per class."""
+        """Character values, one per term."""
         return tuple(value for _, _, value in self.terms)
 
 
-def _char_vector(n, action, domain_size, value_of):
-    # The one pass over the classes; value_of(ct, size) is the character
-    # value at a class of the given size.
-    cycle_types = tuple(enumerate_cycle_types(n))
-    terms = []
-    for ct in cycle_types:
-        size = class_size(ct)
-        terms.append((size, sign_of(ct), value_of(ct, size)))
-    return CharVector(n, action, domain_size, cycle_types, tuple(terms))
-
-
-def _subset_etas(k):
-    # The partitions of k as lists of (part length j, multiplicity b_j).
-    return [[(j, b) for j, b in enumerate(eta.counts, start=1) if b]
-            for eta in enumerate_cycle_types(k)]
-
-
-def _subset_value(ct, etas):
-    total = 0
-    for eta in etas:
-        prod = 1
-        for j, b in eta:
-            prod *= comb(ct.counts[j - 1], b)
-            if prod == 0:
-                break
-        total += prod
-    return total
+def _times_one_plus(poly, j):
+    # poly * (1 + x^j), truncated to the length of poly.
+    return poly[:j] + [a + b for a, b in zip(poly[j:], poly)]
 
 
 def chi_subsets(ct, k):
     """Number of k-subsets of [n] fixed by a permutation of cycle type ct.
 
-    Equal to the sum over partitions (1^b_1, ..., k^b_k) of k of the
-    product of binomials C(c_j, b_j): a fixed k-subset is a union of
-    whole cycles, chosen b_j at a time from the c_j cycles of length j.
+    A fixed k-subset is a union of whole cycles, so this is the
+    coefficient of x^k in the product over cycles of (1 + x^length).
     """
     if not 1 <= k <= ct.n:
         raise InputError(f"k must be in 1..{ct.n}, got {k}")
-    return _subset_value(ct, _subset_etas(k))
+    poly = [1] + [0] * k
+    for j in range(1, k + 1):
+        for _ in range(ct.counts[j - 1]):
+            poly = _times_one_plus(poly, j)
+    return poly[k]
+
+
+def _long_cycle_counts(n, k):
+    """Even and odd permutations of m points, m = 0..n, whose cycles are
+    all longer than k.
+
+    The unsigned count D(m) and the signed count S(m), in which a j-cycle
+    counts (-1)^(j-1), come from the cycle through the last point: it has
+    length j > k and (m-1)!/(m-j)! ways to fill it, so
+    D(m) = sum over j > k of (m-1)!/(m-j)! D(m-j), and S(m) alike with
+    each term signed (Flajolet and Sedgewick, Analytic Combinatorics,
+    II.4).  Returns the lists (D + S)/2 and (D - S)/2.
+    """
+    unsigned = [1] + [0] * n
+    signed = [1] + [0] * n
+    for m in range(k + 1, n + 1):
+        for j in range(k + 1, m + 1):
+            ways = factorial(m - 1) // factorial(m - j)
+            unsigned[m] += ways * unsigned[m - j]
+            signed[m] += (ways if j % 2 else -ways) * signed[m - j]
+    return ([(d + s) // 2 for d, s in zip(unsigned, signed)],
+            [(d - s) // 2 for d, s in zip(unsigned, signed)])
+
+
+def char_vector_subsets(n, k):
+    """Character of S_n on k-subsets, collapsed by (c_1..c_k).
+
+    The vector (c_1..c_k) leaves m = n - sum j c_j points, which must lie
+    in cycles longer than k, so m is 0 or above k.  Its group holds
+    n! / (prod j^c_j c_j! * m!) * D(m) permutations, D(m) from
+    _long_cycle_counts split by sign.  The k-subset and (n - k)-subset
+    characters are equal, so the smaller k is used.
+    """
+    if not 1 <= k <= n:
+        raise InputError(f"k must be in 1..{n}, got {k}")
+    if n > DEFAULT_N_LIMIT:
+        raise CapacityError(f"n = {n} exceeds the limit {DEFAULT_N_LIMIT}")
+    action, domain = f"subsets:{k}", comb(n, k)
+    k = min(k, n - k)
+    even, odd = _long_cycle_counts(n, k)
+    order = factorial(n)
+    terms = []
+
+    def place(j, used, denom, sign, poly):
+        # Choose c_j, c_(j-1), ..., c_1; poly[d] counts the fixed d-subsets
+        # made of the cycles chosen so far.
+        if j > 1:
+            for c in range((n - used) // j + 1):
+                place(j - 1, used + j * c, denom * j ** c * factorial(c),
+                      -sign if j % 2 == 0 and c % 2 else sign, poly)
+                poly = _times_one_plus(poly, j)
+            return
+        # c_1 leaves m = n - used - c_1 points, so c_1 < n - k - used or
+        # c_1 = n - used.  For k = 0 every cycle is long.
+        rest = n - used
+        for c in [*range(rest - k), rest] if k else [0]:
+            m = rest - c
+            value = sum(comb(c, i) * poly[k - i]
+                        for i in range(min(c, k) + 1))
+            weight = order // (denom * factorial(c) * factorial(m))
+            if even[m]:
+                terms.append((weight * even[m], sign, value))
+            if odd[m]:
+                terms.append((weight * odd[m], -sign, value))
+
+    place(k, 0, 1, 1, [1] + [0] * k)
+    return CharVector(n, action, domain, tuple(terms))
 
 
 def _uniform_partition_coefficients(r, s):
@@ -153,22 +207,18 @@ def chi_uniform_partitions(ct, r, s):
     return _uniform_partition_value(ct, class_size(ct), domain, coefficients)
 
 
-def char_vector_subsets(n, k):
-    """Character of S_n on k-subsets, all classes."""
-    if not 1 <= k <= n:
-        raise InputError(f"k must be in 1..{n}, got {k}")
-    etas = _subset_etas(k)
-    return _char_vector(n, f"subsets:{k}", comb(n, k),
-                        lambda ct, size: _subset_value(ct, etas))
-
-
 def char_vector_uniform_partitions(n, r, s):
-    """Character of S_n on uniform set partitions, all classes."""
+    """Character of S_n on uniform set partitions, one term per class."""
     domain, coefficients = _uniform_partition_setup(n, r, s)
-    return _char_vector(
-        n, f"partitions:{r}x{s}", domain,
-        lambda ct, size: _uniform_partition_value(ct, size, domain,
-                                                  coefficients))
+    cycle_types = tuple(enumerate_cycle_types(n))
+    terms = []
+    for ct in cycle_types:
+        size = class_size(ct)
+        terms.append((size, sign_of(ct),
+                      _uniform_partition_value(ct, size, domain,
+                                               coefficients)))
+    return CharVector(n, f"partitions:{r}x{s}", domain, tuple(terms),
+                      cycle_types)
 
 
 def _exact_quotient(total, order, what):
@@ -183,9 +233,9 @@ def _exact_quotient(total, order, what):
 def _class_sums(chi, l):
     """Yield (l, o, o_K) for the powers l, l + 1, ... of chi.
 
-    The one loop behind every count: T sums size * chi^l over all classes
+    The one loop behind every count: T sums weight * chi^l over all terms
     and E over the even ones, o = T/n! and o_K = 2E/n!.  Powers are
-    updated incrementally, one multiply per class per step.
+    updated incrementally, one multiply per term per step.
     """
     if l < 0:
         raise InputError(f"l must be nonnegative, got {l}")

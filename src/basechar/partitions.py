@@ -56,11 +56,21 @@ class CycleType:
             counts[p - 1] += 1
         return cls(n, tuple(counts))
 
+    @classmethod
+    def _unchecked(cls, n, counts):
+        # For multiplicity vectors that are valid by construction: skips
+        # the checks of __post_init__, which dominate an enumeration.
+        ct = object.__new__(cls)
+        object.__setattr__(ct, "n", n)
+        object.__setattr__(ct, "counts", counts)
+        return ct
+
     def parts(self):
         """Part lengths in descending order, e.g. [3, 1, 1]."""
         out = []
         for i in range(self.n, 0, -1):
-            out.extend([i] * self.counts[i - 1])
+            if self.counts[i - 1]:
+                out += [i] * self.counts[i - 1]
         return out
 
     @property
@@ -100,7 +110,7 @@ def enumerate_cycle_types(n, limit=DEFAULT_N_LIMIT):
         counts = [0] * n
         for p in parts:
             counts[p - 1] += 1
-        yield CycleType(n, tuple(counts))
+        yield CycleType._unchecked(n, tuple(counts))
 
 
 def class_size(ct):

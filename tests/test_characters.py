@@ -10,7 +10,8 @@ from basechar.characters import (char_vector_subsets,
                                  chi_uniform_partitions, inner_product,
                                  iter_inner_products, orbit_counts)
 from basechar.errors import CapacityError, ConsistencyError, InputError
-from basechar.partitions import CycleType, enumerate_cycle_types
+from basechar.partitions import (CycleType, class_size,
+                                 enumerate_cycle_types, sign_of)
 from reference_impls import (count_fixed_subsets, count_fixed_uniform,
                              perm_shortest_first, subsets_inner_product,
                              uniform_partitions_frozen)
@@ -98,20 +99,25 @@ def test_char_vector_identity_columns():
     for n, k in ((5, 2), (7, 3), (9, 4)):
         chi = char_vector_subsets(n, k)
         assert chi.domain_size == comb(n, k)
-        assert chi.values[-1] == comb(n, k)  # identity class comes last
+        assert max(chi.values) == comb(n, k)  # the identity's value
         assert chi.action == f"subsets:{k}"
-        assert len(chi.values) == len(list(enumerate_cycle_types(n)))
+        assert chi.cycle_types is None  # collapsed, not one term per class
+        assert sum(weight for weight, _, _ in chi.terms) == factorial(n)
     chi = char_vector_uniform_partitions(8, 4, 2)
     assert chi.domain_size == factorial(8) // (factorial(2) ** 4 * factorial(4))
-    assert chi.values[-1] == chi.domain_size
+    assert chi.values[-1] == chi.domain_size  # identity class comes last
+    assert len(chi.values) == len(list(enumerate_cycle_types(8)))
 
 
 def test_sign_vector_values():
-    chi = char_vector_subsets(4, 1)
+    chi = char_vector_uniform_partitions(4, 2, 2)
     parts = [tuple(ct.parts()) for ct in chi.cycle_types]
     assert parts == [tuple(ct.parts()) for ct in enumerate_cycle_types(4)]
     expect = {(4,): -1, (3, 1): 1, (2, 2): 1, (2, 1, 1): -1, (1, 1, 1, 1): 1}
     assert [sign for _, sign, _ in chi.terms] == [expect[p] for p in parts]
+    # The collapsed S_4 on points: the even weights make up A_4.
+    terms = char_vector_subsets(4, 1).terms
+    assert sum(weight for weight, sign, _ in terms if sign > 0) == 12
 
 
 def test_inner_product_hand_values():
@@ -170,12 +176,11 @@ def test_iter_matches_direct():
 
 
 def test_tampered_character_is_caught():
+    # S_5 on points: the 10 transpositions fix 3 points each.
     chi = char_vector_subsets(5, 1)
-    index = [tuple(ct.parts())
-             for ct in chi.cycle_types].index((2, 1, 1, 1))
     terms = list(chi.terms)
-    size, sign, value = terms[index]
-    terms[index] = (size, sign, value + 1)
+    index = terms.index((10, -1, 3))
+    terms[index] = (10, -1, 4)
     bad = replace(chi, terms=tuple(terms))
     with pytest.raises(ConsistencyError):
         inner_product(bad, 1)
@@ -206,7 +211,8 @@ def test_inner_product_input_errors():
 
 
 def test_one_class_pass_per_command(monkeypatch, capsys):
-    # Each formula command enumerates the classes of S_n exactly once.
+    # The subset commands sum collapsed terms and never enumerate the
+    # classes of S_n; partitions-action enumerates them exactly once.
     original = partitions.enumerate_cycle_types
     calls = []
 
@@ -219,13 +225,56 @@ def test_one_class_pass_per_command(monkeypatch, capsys):
             if value is original:
                 monkeypatch.setattr(module, attr, counted)
     commands = (
-        ("basesize", "--n", "9", "--k", "2"),
-        ("orbits", "--n", "9", "--k", "2", "--l", "3"),
-        ("wreath", "--n", "9", "--k", "2", "--r", "3"),
-        ("partitions-action", "--n", "8", "--r", "4", "--s", "2"),
+        (("basesize", "--n", "9", "--k", "2"), 0),
+        (("orbits", "--n", "9", "--k", "2", "--l", "3"), 0),
+        (("wreath", "--n", "9", "--k", "2", "--r", "3"), 0),
+        (("partitions-action", "--n", "8", "--r", "4", "--s", "2"), 1),
     )
-    for argv in commands:
+    for argv, expected in commands:
         calls.clear()
         assert cli.main(list(argv)) == 0
         capsys.readouterr()
-        assert calls.count(int(argv[2])) == 1, (argv, calls)
+        assert calls.count(int(argv[2])) == expected, (argv, calls)
+
+
+def test_collapsed_subsets_match_class_sum():
+    # The collapse against the plain sum over every class of S_n.
+    for n in range(1, 15):
+        order = factorial(n)
+        classes = [(class_size(ct), sign_of(ct), ct)
+                   for ct in enumerate_cycle_types(n)]
+        for k in range(1, n + 1):
+            chi = char_vector_subsets(n, k)
+            values = [(size, sign, chi_subsets(ct, k))
+                      for size, sign, ct in classes]
+            for l in range(7):
+                total = sum(size * value ** l for size, _, value in values)
+                even = sum(size * value ** l
+                           for size, sign, value in values if sign > 0)
+                assert orbit_counts(chi, l) == (total // order,
+                                                2 * even // order), (n, k, l)
+
+
+def test_halasi_two_subsets():
+    # Halasi (2012): S_n on 2-subsets has base size ceil(2(n-1)/3) for
+    # n >= 6; the natural action has base size n - 1.
+    for n in range(6, 65):
+        assert basecount.base_size_subsets(n, 2).base_size == \
+            -(-2 * (n - 1) // 3), n
+    for n in range(2, 65):
+        assert basecount.base_size_subsets(n, 1).base_size == n - 1, n
+
+
+def test_collapsed_term_counts():
+    # Hundreds of terms, not p(40) = 37,338 or p(36) = 17,977.
+    assert len(char_vector_subsets(40, 2).terms) == 725
+    assert len(char_vector_subsets(36, 3).terms) == 2231
+    # The k-subset and (n - k)-subset characters are the same.
+    assert char_vector_subsets(30, 20).terms == char_vector_subsets(30, 10).terms
+
+
+def test_subset_vector_n_limit():
+    with pytest.raises(CapacityError):
+        char_vector_subsets(65, 2)
+    with pytest.raises(InputError):
+        char_vector_subsets(65, 66)  # bad k is reported before the limit

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from basechar.characters import char_vector_subsets
+from basechar.characters import char_vector_uniform_partitions
 from basechar.errors import CapacityError, InputError
 from basechar.partitions import (CycleType, class_size,
                                  enumerate_cycle_types, sign_of)
@@ -102,8 +102,8 @@ def test_against_sympy():
 
 
 def test_class_data_bundles():
-    # A character's class-sum terms bundle each class's size and sign.
-    chi = char_vector_subsets(6, 2)
+    # A per-class character's terms bundle each class's size and sign.
+    chi = char_vector_uniform_partitions(6, 3, 2)
     assert len(chi.terms) == len(chi.cycle_types) == partition_count(6)
     pairs = list(zip(chi.cycle_types, chi.terms))
     assert all(size == class_size(ct) for ct, (size, _, _) in pairs)

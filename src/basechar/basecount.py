@@ -85,8 +85,6 @@ def base_size_subsets(n, k, max_l=None):
 def regular_orbit_count(n, k, l):
     """Number of regular orbits on l-tuples of k-subsets."""
     _validate_subsets(n, k)
-    if l < 0:
-        raise InputError("l must be nonnegative")
     return inner_product(char_vector_subsets(n, k), l)
 
 

@@ -54,8 +54,6 @@ def cmd_basesize(args):
 
 def cmd_orbits(args):
     started = time.perf_counter()
-    if args.l < 0:
-        raise InputError("l must be nonnegative")
     o, o_k = orbit_counts(char_vector_subsets(args.n, args.k), args.l)
     return _document("orbits", {"n": args.n, "k": args.k, "l": args.l},
                      {"regular": o_k - o, "o": o, "o_K": o_k},

@@ -1,8 +1,10 @@
 """Brute-force permutation-group engine used as ground truth.
 
-Groups are stored as full element lists (no stabilizer chains); induced
-actions carry one table row per parent element, so stabilizers are sets of
-element indices and labels stay well-defined even when the action is not
+Every group is its own natural action: an action table with one row per
+element, the rows in lexicographic order, and its {+1,-1} labels, when it
+has any, as an int8 array (no stabilizer chains). Induced actions carry
+one table row per parent element, so stabilizers are sets of element
+indices and labels stay well-defined even when the action is not
 faithful. One stabilizer-pruned depth-first walk over the group's rows
 gives the orbit and regular-orbit counts on l-tuples for every l up to a
 limit, and a second walk over the label kernel's rows gives its orbit
@@ -10,8 +12,9 @@ counts. Everything here is deliberately simple and slow; the fast formula
 code is validated against it, never the other way around.
 """
 
-from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from itertools import chain, combinations, permutations, product
 import math
 import random
 import re
@@ -48,24 +51,6 @@ def compose(p, q):
 def check_perm(p):
     if sorted(p) != list(range(len(p))):
         raise InputError(f"not a permutation: {p!r}")
-
-
-def perm_sign(p):
-    """Sign of a permutation: +1 even, -1 odd."""
-    seen = [False] * len(p)
-    sign = 1
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -112,23 +97,54 @@ def max_point_of_cycles(text):
 
 
 @dataclass
-class LabeledGroup:
-    """Full element list, optionally with a {+1,-1} label per element."""
+class InducedAction:
+    """Action table with one row per group element.
+
+    A group is its own natural action, rows in lexicographic order. Rows of
+    an induced action may repeat when it is not faithful; stabilizers are
+    sets of row indices, so parent labels carry over unchanged.
+    """
 
     degree: int
-    elements: tuple
-    labels: tuple | None = None
+    table: np.ndarray
+    labels: np.ndarray | None
+    point_names: tuple
+    description: str
 
     def __post_init__(self):
-        if self.labels is not None and len(self.labels) != len(self.elements):
-            raise InputError("labels and elements differ in length")
+        if self.labels is not None and len(self.labels) != len(self.table):
+            raise InputError("labels and table rows differ in length")
 
     @property
     def order(self):
-        return len(self.elements)
+        return self.table.shape[0]
 
-    def table(self):
-        return np.array(self.elements, dtype=np.int32)
+
+def _check_table_capacity(order, degree):
+    if degree > MAX_INDUCED_DEGREE:
+        raise CapacityError(
+            f"induced degree {degree} exceeds {MAX_INDUCED_DEGREE}")
+    if order * degree > MAX_TABLE_CELLS:
+        raise CapacityError("action table too large")
+
+
+def _natural(table, labels=None):
+    """The group whose elements are the rows of a lexicographically sorted
+    table, as its natural action."""
+    order, degree = table.shape
+    _check_table_capacity(order, degree)
+    names = tuple(str(i + 1) for i in range(degree))
+    return InducedAction(degree, table, labels, names,
+                         f"natural action on {degree} points")
+
+
+def _signs(table):
+    """Sign of every row, +1 even and -1 odd, from its inversion parity."""
+    inversions = np.zeros(table.shape[0], dtype=np.int64)
+    for i in range(table.shape[1] - 1):
+        inversions += np.count_nonzero(table[:, i + 1:] < table[:, i:i + 1],
+                                       axis=1)
+    return (1 - 2 * (inversions % 2)).astype(np.int8)
 
 
 def closure(generators, labels=None, degree=None, max_order=MAX_CLOSURE_ORDER):
@@ -173,34 +189,33 @@ def closure(generators, labels=None, degree=None, max_order=MAX_CLOSURE_ORDER):
                     raise InputError(
                         "generator labels do not define a homomorphism")
         frontier = nxt
-    elements = tuple(sorted(found))
-    out_labels = tuple(found[e] for e in elements) if labels else None
-    return LabeledGroup(degree, elements, out_labels)
+    elements = sorted(found)
+    out_labels = (np.array([found[e] for e in elements], np.int8)
+                  if labels else None)
+    return _natural(np.array(elements, dtype=np.int32), out_labels)
 
 
 def with_sign_labels(group):
     """Relabel every element with its permutation sign."""
-    return LabeledGroup(group.degree, group.elements,
-                        tuple(perm_sign(e) for e in group.elements))
+    return replace(group, labels=_signs(group.table))
 
 
-def symmetric_group(n, sign_labels=True):
+def symmetric_group(n):
+    """S_n labeled by sign."""
     if n < 1:
         raise InputError("degree must be positive")
     if math.factorial(n) > MAX_CLOSURE_ORDER:
         raise CapacityError(f"order {n}! exceeds {MAX_CLOSURE_ORDER}")
-    elements = tuple(permutations(range(n)))
-    labels = tuple(perm_sign(e) for e in elements) if sign_labels else None
-    return LabeledGroup(n, elements, labels)
+    # permutations() yields in lexicographic order
+    table = np.fromiter(chain.from_iterable(permutations(range(n))),
+                        np.int32, count=n * math.factorial(n)).reshape(-1, n)
+    return _natural(table, _signs(table))
 
 
 def alternating_group(n):
-    if n < 1:
-        raise InputError("degree must be positive")
-    if math.factorial(n) > MAX_CLOSURE_ORDER:
-        raise CapacityError(f"order {n}! exceeds {MAX_CLOSURE_ORDER}")
-    elements = tuple(e for e in permutations(range(n)) if perm_sign(e) == 1)
-    return LabeledGroup(n, elements, None)
+    """The even rows of S_n, unlabeled."""
+    group = symmetric_group(n)
+    return _natural(group.table[group.labels == 1])
 
 
 def _is_prime(q):
@@ -244,52 +259,13 @@ def pgl2(q):
         raise ConsistencyError(
             f"{len(found)} distinct maps from normalised matrices, "
             f"expected {q ** 3 - q}")
-    elements = tuple(sorted(found))
-    return LabeledGroup(q + 1, elements, tuple(found[e] for e in elements))
+    elements = sorted(found)
+    return _natural(np.array(elements, dtype=np.int32),
+                    np.array([found[e] for e in elements], np.int8))
 
 
 # ---------------------------------------------------------------------------
 # induced actions
-
-
-@dataclass
-class InducedAction:
-    """Action table with one row per parent element.
-
-    Rows may repeat when the action is not faithful; stabilizers are sets of
-    row indices, so parent labels carry over unchanged.
-    """
-
-    degree: int
-    table: np.ndarray
-    labels: np.ndarray | None
-    point_names: tuple
-    description: str
-
-    @property
-    def order(self):
-        return self.table.shape[0]
-
-
-def _check_table_capacity(order, degree):
-    if degree > MAX_INDUCED_DEGREE:
-        raise CapacityError(
-            f"induced degree {degree} exceeds {MAX_INDUCED_DEGREE}")
-    if order * degree > MAX_TABLE_CELLS:
-        raise CapacityError("action table too large")
-
-
-def _label_array(group):
-    if group.labels is None:
-        return None
-    return np.array(group.labels, dtype=np.int8)
-
-
-def natural_action(group):
-    _check_table_capacity(group.order, group.degree)
-    names = tuple(str(i + 1) for i in range(group.degree))
-    return InducedAction(group.degree, group.table(), _label_array(group),
-                         names, f"natural action on {group.degree} points")
 
 
 def act_on_subsets(group, k):
@@ -300,11 +276,11 @@ def act_on_subsets(group, k):
     _check_table_capacity(group.order, len(points))
     index = {s: i for i, s in enumerate(points)}
     table = np.empty((group.order, len(points)), dtype=np.int32)
-    for ei, element in enumerate(group.elements):
+    for ei, element in enumerate(group.table.tolist()):
         for pi, subset in enumerate(points):
             table[ei, pi] = index[tuple(sorted(element[x] for x in subset))]
     names = tuple("{" + ",".join(str(x + 1) for x in s) + "}" for s in points)
-    return InducedAction(len(points), table, _label_array(group), names,
+    return InducedAction(len(points), table, group.labels, names,
                          f"action on {k}-subsets")
 
 
@@ -332,14 +308,14 @@ def act_on_uniform_partitions(group, r, s):
     _check_table_capacity(group.order, len(points))
     index = {p: i for i, p in enumerate(points)}
     table = np.empty((group.order, len(points)), dtype=np.int32)
-    for ei, element in enumerate(group.elements):
+    for ei, element in enumerate(group.table.tolist()):
         for pi, part in enumerate(points):
             image = sorted(tuple(sorted(element[x] for x in block))
                            for block in part)
             table[ei, pi] = index[tuple(image)]
     names = tuple("|".join("".join(str(x + 1) for x in block)
                            for block in part) for part in points)
-    return InducedAction(len(points), table, _label_array(group), names,
+    return InducedAction(len(points), table, group.labels, names,
                          f"action on uniform ({r}x{s})-partitions")
 
 
@@ -351,14 +327,12 @@ def product_action_wreath(base, r, top_generators=None):
     g_{sigma^-1(i)} image of coordinate sigma^-1(i). Base labels, when
     present, carry over as the product of the per-coordinate labels.
     """
-    if isinstance(base, LabeledGroup):
-        base = natural_action(base)
     if r < 1:
         raise InputError("r must be positive")
     if top_generators is None:
         top = list(permutations(range(r)))
     else:
-        top = list(closure(top_generators, degree=r).elements)
+        top = closure(top_generators, degree=r).table.tolist()
     degree = base.degree ** r
     order = base.order ** r * len(top)
     if order > MAX_CLOSURE_ORDER:
@@ -584,7 +558,7 @@ def distinguishing_number(group, max_points=MAX_DISTINGUISHING_POINTS):
     m = group.degree
     if m > max_points:
         raise CapacityError(f"degree {m} exceeds {max_points}")
-    table = group.table()
+    table = group.table
     if group.order == 1:
         return 1
 
@@ -622,19 +596,24 @@ def distinguishing_number(group, max_points=MAX_DISTINGUISHING_POINTS):
 def label_homomorphism_spot_check(group, samples=50, seed=0):
     """Check label multiplicativity on random element pairs.
 
-    Failure raises ConsistencyError: labels produced by the constructors in
-    this module are homomorphisms by construction, so a violation is a bug.
+    The group's rows must be in lexicographic order, as every constructor
+    here returns them; each product is found by bisecting the rows. Failure
+    raises ConsistencyError: the constructors in this module give groups
+    closed under products with labels that are homomorphisms, so a
+    violation is a bug.
     """
     if group.labels is None:
         raise InputError("group carries no labels")
     rng = random.Random(seed)
-    index = {element: i for i, element in enumerate(group.elements)}
+    rows = group.table
     for _ in range(samples):
         i = rng.randrange(group.order)
         j = rng.randrange(group.order)
-        prod_label = group.labels[index[compose(group.elements[i],
-                                                group.elements[j])]]
-        if prod_label != group.labels[i] * group.labels[j]:
+        product = tuple(rows[j][rows[i]].tolist())  # rows[i], then rows[j]
+        k = bisect_left(rows, product, key=tuple)
+        if k == group.order or tuple(rows[k].tolist()) != product:
+            raise ConsistencyError("product of two elements is not a row")
+        if group.labels[k] != group.labels[i] * group.labels[j]:
             raise ConsistencyError("labels are not multiplicative")
     return samples
 
@@ -655,13 +634,13 @@ class ParsedGroup:
     base_kind: str
     base_param: int | None
     action_tags: tuple
-    base_group: LabeledGroup = None
+    base_group: InducedAction
 
 
 def _parse_base(token, labels_mode):
     if token.startswith("sn:"):
         n = _parse_int(token[3:], "sn degree")
-        return symmetric_group(n, sign_labels=True), "sn", n
+        return symmetric_group(n), "sn", n
     if token.startswith("an:"):
         n = _parse_int(token[3:], "an degree")
         group = alternating_group(n)
@@ -750,5 +729,5 @@ def parse_group_spec(spec, labels_mode="auto"):
         else:
             raise InputError(f"unknown action suffix: {suffix!r}")
     if action is None:
-        action = natural_action(group)
+        action = group
     return ParsedGroup(action, kind, param, tuple(tags), group)

@@ -62,6 +62,24 @@ def perm_shortest_first(parts, n):
     return images
 
 
+def perm_sign(p):
+    """Sign of a permutation, +1 even and -1 odd, by walking its cycles."""
+    seen = [False] * len(p)
+    sign = 1
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
 def count_fixed_subsets(perm, k):
     n = len(perm)
     return sum(1 for subset in combinations(range(n), k)

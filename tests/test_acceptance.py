@@ -132,7 +132,7 @@ def test_04_fifteen_point_partition_action(capsys):
 
 def test_05_projective_group_example(capsys):
     started = perf_counter()
-    action = oracle.natural_action(oracle.pgl2(7))
+    action = oracle.pgl2(7)
     controlling = oracle.is_base_controlling(action).controlling
     base = oracle.base_size_bruteforce(action)
     regular = [count for _, _, _, count in

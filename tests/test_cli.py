@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -350,3 +351,20 @@ def test_hostile_inputs(capsys, argv, expected):
         assert captured.out == ""
         assert captured.err.startswith(("error:", "capacity error:"))
     assert "Traceback" not in captured.err
+
+
+# Every case the benchmark can draw, with the output recorded for it. The
+# verify cases were recorded with --seed 0; only the timing may differ.
+GOLDENS = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                      / "goldens.json").read_text())["cases"]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDENS))
+def test_golden_replay(capsys, key):
+    argv = key.split()
+    if argv[0] == "verify":
+        argv += ["--seed", "0"]
+    code, doc, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    del doc["timing_seconds"]
+    assert doc == GOLDENS[key]

@@ -1,20 +1,25 @@
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from basechar import oracle
 from basechar.errors import CapacityError, ConsistencyError, InputError
 from basechar.oracle import (MAX_TUPLE_LENGTH, InducedAction, act_on_subsets,
                              act_on_uniform_partitions, alternating_group,
                              base_size_bruteforce, closure, compose,
                              distinguishing_number, identity_perm,
                              is_base_controlling, kernel_order,
-                             label_homomorphism_spot_check, natural_action,
-                             parse_cycles, parse_group_spec, perm_sign, pgl2,
-                             product_action_wreath, symmetric_group,
-                             tuple_orbit_counts, with_sign_labels)
-from reference_impls import blind_orbit_data
+                             label_homomorphism_spot_check, parse_cycles,
+                             parse_group_spec, pgl2, product_action_wreath,
+                             symmetric_group, tuple_orbit_counts,
+                             with_sign_labels)
+from reference_impls import blind_orbit_data, perm_sign
+
+
+def elements(group):
+    """The group's rows as tuples of images, in table order."""
+    return [tuple(row) for row in group.table.tolist()]
 
 
 def test_perm_primitives():
@@ -39,7 +44,7 @@ def test_closure_labeled_s4():
     group = closure([transposition, four_cycle], labels=[-1, -1])
     assert group.order == 24
     assert sum(1 for x in group.labels if x == 1) == 12
-    assert set(group.elements) == set(permutations(range(4)))
+    assert set(elements(group)) == set(permutations(range(4)))
 
 
 def test_closure_trivial_and_errors():
@@ -67,15 +72,40 @@ def test_closure_inconsistent_labels():
 def test_symmetric_and_alternating():
     s4 = symmetric_group(4)
     assert s4.order == 24
-    assert s4.labels == tuple(perm_sign(e) for e in s4.elements)
+    assert s4.labels.tolist() == [perm_sign(e) for e in elements(s4)]
     a4 = alternating_group(4)
     assert a4.order == 12
     assert a4.labels is None
-    assert all(perm_sign(e) == 1 for e in a4.elements)
+    assert all(perm_sign(e) == 1 for e in elements(a4))
     with pytest.raises(CapacityError):
         symmetric_group(11)  # 11! is past the order bound
     with pytest.raises(InputError):
         symmetric_group(0)
+
+
+def test_vectorised_signs_match_perm_sign():
+    gens = [parse_cycles("(1,2,3,4,5,6)", 6), parse_cycles("(1,2)(3,5)", 6)]
+    for group in (symmetric_group(5), with_sign_labels(alternating_group(5)),
+                  with_sign_labels(pgl2(7)), with_sign_labels(closure(gens))):
+        assert group.labels.dtype == np.int8
+        assert group.labels.tolist() == [perm_sign(e) for e in elements(group)]
+
+
+def test_rows_in_strict_lexicographic_order():
+    gens = [parse_cycles("(1,3)(2,4)", 4), parse_cycles("(1,2,3)", 4)]
+    for group in (closure(gens), closure([], degree=3), symmetric_group(4),
+                  alternating_group(5), pgl2(5), pgl2(7),
+                  with_sign_labels(closure(gens))):
+        rows = elements(group)
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+
+
+def test_labels_must_match_rows():
+    s3 = symmetric_group(3)
+    with pytest.raises(InputError):
+        InducedAction(3, s3.table, s3.labels[:5], s3.point_names, "short")
+    with pytest.raises(InputError):
+        replace(s3, table=s3.table[1:])
 
 
 def test_index_two_kernel_of_sign_labels():
@@ -88,12 +118,12 @@ def test_pgl2_examples():
     assert g7.degree == 8
     assert g7.order == 336
     assert sum(1 for x in g7.labels if x == 1) == 168  # PSL_2(7)
-    ident_index = g7.elements.index(identity_perm(8))
+    ident_index = elements(g7).index(identity_perm(8))
     assert g7.labels[ident_index] == 1
     g3 = pgl2(3)
     assert g3.degree == 4
     assert g3.order == 24
-    assert set(g3.elements) == set(symmetric_group(4).elements)
+    assert set(elements(g3)) == set(elements(symmetric_group(4)))
     label_homomorphism_spot_check(g7, samples=100, seed=1)
     for q in (2, 9, 37):
         with pytest.raises(InputError):
@@ -114,19 +144,29 @@ def test_pgl2_equals_generated_closure():
         generated = closure([shift, scale, flip], labels=[1, -1, 1])
         group = pgl2(q)
         assert group.order == q ** 3 - q
-        assert group.elements == generated.elements
-        assert group.labels == generated.labels
+        assert np.array_equal(group.table, generated.table)
+        assert np.array_equal(group.labels, generated.labels)
 
 
 def test_spot_check_catches_tampered_labels():
     s4 = symmetric_group(4)
-    labels = list(s4.labels)
+    labels = s4.labels.copy()
     labels[5] = -labels[5]
-    broken = oracle.LabeledGroup(4, s4.elements, tuple(labels))
+    broken = replace(s4, labels=labels)
     with pytest.raises(ConsistencyError):
         label_homomorphism_spot_check(broken, samples=200, seed=0)
     with pytest.raises(InputError):
         label_homomorphism_spot_check(alternating_group(4))
+
+
+def test_spot_check_catches_missing_products():
+    s4 = symmetric_group(4)
+    # drop an inner row, and the last row (a product past every row)
+    for dropped in (5, 23):
+        keep = np.arange(24) != dropped
+        holed = replace(s4, table=s4.table[keep], labels=s4.labels[keep])
+        with pytest.raises(ConsistencyError, match="not a row"):
+            label_homomorphism_spot_check(holed, samples=200, seed=0)
 
 
 def test_act_on_subsets():
@@ -146,7 +186,7 @@ def test_act_on_uniform_partitions():
     small = act_on_uniform_partitions(symmetric_group(4), 2, 2)
     assert small.degree == 3
     assert small.point_names == ("12|34", "13|24", "14|23")
-    swap = small.table[symmetric_group(4).elements.index((1, 0, 2, 3))]
+    swap = small.table[elements(symmetric_group(4)).index((1, 0, 2, 3))]
     assert swap.tolist() == [0, 2, 1]  # (1 2) swaps 13|24 and 14|23
     assert kernel_order(small) == 4  # the double transpositions act trivially
     with pytest.raises(InputError):
@@ -185,9 +225,9 @@ def test_capacity_errors_on_induced_actions():
 
 
 def test_regular_orbits_examples():
-    s3 = natural_action(symmetric_group(3))
+    s3 = symmetric_group(3)
     assert tuple_orbit_counts(s3, 2)[2] == (2, 2, 3, 1)
-    g7 = natural_action(pgl2(7))
+    g7 = pgl2(7)
     assert [regular for _, _, _, regular in tuple_orbit_counts(g7, 3)] \
         == [0, 0, 0, 1]
     with pytest.raises(InputError):
@@ -197,9 +237,9 @@ def test_regular_orbits_examples():
 
 
 def test_base_size_examples():
-    assert base_size_bruteforce(natural_action(symmetric_group(4))) == 3
-    assert base_size_bruteforce(natural_action(pgl2(7))) == 3
-    assert base_size_bruteforce(natural_action(alternating_group(5))) == 3
+    assert base_size_bruteforce(symmetric_group(4)) == 3
+    assert base_size_bruteforce(pgl2(7)) == 3
+    assert base_size_bruteforce(alternating_group(5)) == 3
     assert base_size_bruteforce(
         act_on_uniform_partitions(symmetric_group(6), 3, 2)) == 4
     with pytest.raises(InputError):
@@ -220,26 +260,26 @@ def test_base_size_invariant_under_point_relabeling():
 
 
 def test_orbit_counts_examples():
-    s3 = natural_action(symmetric_group(3))
+    s3 = symmetric_group(3)
     assert [(o, o_k) for _, o, o_k, _ in tuple_orbit_counts(s3, 2)] \
         == [(1, 1), (1, 1), (2, 3)]
-    a4 = natural_action(alternating_group(4))
+    a4 = alternating_group(4)
     assert tuple_orbit_counts(a4, 1) == [(0, 1, None, 0), (1, 1, None, 0)]
 
 
 def test_orbit_counts_sandwich():
     # each full-group orbit is one or two kernel orbits
-    for action in (natural_action(symmetric_group(4)),
+    for action in (symmetric_group(4),
                    act_on_subsets(symmetric_group(5), 2),
-                   natural_action(pgl2(5))):
+                   pgl2(5)):
         for _, o, o_k, _ in tuple_orbit_counts(action, 3):
             assert o <= o_k <= 2 * o
 
 
 def test_pruned_search_equals_blind_enumeration():
-    actions = (natural_action(symmetric_group(3)),
-               natural_action(symmetric_group(4)),
-               natural_action(alternating_group(4)),
+    actions = (symmetric_group(3),
+               symmetric_group(4),
+               alternating_group(4),
                act_on_uniform_partitions(symmetric_group(4), 2, 2))
     for action in actions:
         for l, o, o_k, regular in tuple_orbit_counts(action, 3):
@@ -264,8 +304,8 @@ def test_is_base_controlling_subsets():
 
 
 def test_is_base_controlling_pgl2_and_wreath():
-    assert is_base_controlling(natural_action(pgl2(7))).controlling
-    assert is_base_controlling(natural_action(pgl2(5))).controlling
+    assert is_base_controlling(pgl2(7)).controlling
+    assert is_base_controlling(pgl2(5)).controlling
     wreath = product_action_wreath(symmetric_group(3), 2)
     verdict = is_base_controlling(wreath)
     # (g_1, g_2; sigma) labels ignore sigma, so the coordinate swap is an
@@ -286,14 +326,14 @@ def test_is_base_controlling_counterexample_shape():
 
 def test_is_base_controlling_degenerate_inputs():
     s4 = symmetric_group(4)
-    all_plus = InducedAction(4, s4.table(),
+    all_plus = InducedAction(4, s4.table,
                              np.ones(24, dtype=np.int8),
                              tuple("1234"), "all-plus labels")
     with pytest.raises(InputError):
         is_base_controlling(all_plus)
     with pytest.raises(InputError):
-        is_base_controlling(natural_action(alternating_group(4)))
-    lopsided = InducedAction(4, s4.table(),
+        is_base_controlling(alternating_group(4))
+    lopsided = InducedAction(4, s4.table,
                              np.array([1] * 23 + [-1], dtype=np.int8),
                              tuple("1234"), "non-homomorphism labels")
     with pytest.raises(InputError):
@@ -312,7 +352,7 @@ def test_distinguishing_numbers():
 
 
 def test_kernel_order():
-    assert kernel_order(natural_action(symmetric_group(3))) == 1
+    assert kernel_order(symmetric_group(3)) == 1
     assert kernel_order(
         act_on_uniform_partitions(symmetric_group(4), 2, 2)) == 4
 
@@ -351,7 +391,7 @@ def test_parse_group_spec_gens():
     signed = parse_group_spec("gens:!(1,2);(1,2,3)")
     assert signed.action.order == 6
     group = signed.base_group
-    assert group.labels == tuple(perm_sign(e) for e in group.elements)
+    assert group.labels.tolist() == [perm_sign(e) for e in elements(group)]
 
 
 def test_parse_group_spec_errors():

@@ -12,7 +12,7 @@ import json
 import sys
 import time
 
-from . import basecount, oracle
+from . import basecount
 from .characters import char_vector_subsets, orbit_counts
 from .errors import CapacityError, ConsistencyError, InputError
 
@@ -135,6 +135,10 @@ def _formula_comparison(parsed, oracle_base, warnings):
 
 
 def cmd_verify(args):
+    # The oracle needs numpy; importing it here keeps it out of the
+    # start-up of every formula command.
+    from . import oracle
+
     started = time.perf_counter()
     basecount.validate_l_limit(args.l_max)
     if args.l_max is not None:

@@ -330,14 +330,25 @@ def product_action_wreath(base, r, top_generators=None):
     if r < 1:
         raise InputError("r must be positive")
     if top_generators is None:
-        top = list(permutations(range(r)))
+        # r! factor by factor, refused once it passes the bound (from
+        # r = 10 on): a large r never computes a huge factorial or power,
+        # nor lists the r! permutations.
+        top_order = 1
+        for factor in range(2, r + 1):
+            top_order *= factor
+            if top_order > MAX_CLOSURE_ORDER:
+                raise CapacityError(f"wreath order exceeds {MAX_CLOSURE_ORDER}:"
+                                    f" the top group S_{r} alone has order {r}!")
     else:
         top = closure(top_generators, degree=r).table.tolist()
+        top_order = len(top)
     degree = base.degree ** r
-    order = base.order ** r * len(top)
+    order = base.order ** r * top_order
     if order > MAX_CLOSURE_ORDER:
         raise CapacityError(f"wreath order {order} exceeds {MAX_CLOSURE_ORDER}")
     _check_table_capacity(order, degree)
+    if top_generators is None:
+        top = list(permutations(range(r)))
 
     weights = [base.degree ** (r - 1 - i) for i in range(r)]
     digits = np.empty((degree, r), dtype=np.int64)

@@ -1,5 +1,8 @@
 import json
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -317,6 +320,24 @@ def test_verify_walks_each_row_set_once(capsys, monkeypatch):
         assert calls == [l_max] * walks, (spec, calls)
 
 
+def test_wreath_order_checked_before_listing_top_group(capsys, monkeypatch):
+    # S_10 alone passes the order bound, so the 10! permutations of the
+    # top group must never be listed; S_1, the base group, still is.
+    original = oracle.permutations
+
+    def no_top_listing(items, *args):
+        items = list(items)
+        if len(items) == 10:
+            raise AssertionError("top group listed")
+        return original(items, *args)
+
+    monkeypatch.setattr(oracle, "permutations", no_top_listing)
+    code, doc, err = run_cli(capsys, "verify", "--group", "sn:1/wreath:10")
+    assert code == 3
+    assert doc is None
+    assert str(oracle.MAX_CLOSURE_ORDER) in err
+
+
 HOSTILE_INPUTS = (
     (("verify", "--group", "gens:"), 2),
     (("verify", "--group", "gens:!()"), 2),
@@ -329,6 +350,8 @@ HOSTILE_INPUTS = (
     (("verify", "--group", "sn:4/partitions:2x2"), 0),
     (("verify", "--group", "gens:(1,2,3)"), 0),
     (("verify", "--group", "sn:3", "--l-max", "3000"), 3),
+    (("verify", "--group", "sn:1/wreath:10"), 3),
+    (("verify", "--group", "sn:1/wreath:100000"), 3),
     (("wreath", "--n", "5", "--k", "2", "--dist", "0"), 2),
     (("orbits", "--n", "0", "--k", "1", "--l", "1"), 2),
     (("orbits", "--n", "70", "--k", "1", "--l", "1"), 3),
@@ -368,3 +391,40 @@ def test_golden_replay(capsys, key):
     assert code == 0, err
     del doc["timing_seconds"]
     assert doc == GOLDENS[key]
+
+
+FORMULA_RUNS = (
+    ("basesize", "--n", "6", "--k", "2"),
+    ("orbits", "--n", "6", "--k", "2", "--l", "2"),
+    ("wreath", "--n", "6", "--k", "2", "--r", "2"),
+    ("bounds", "--m", "6", "--k", "2", "--r", "2"),
+    ("partitions-action", "--n", "6", "--r", "3", "--s", "2"),
+)
+
+
+def test_only_verify_loads_the_oracle():
+    # numpy and the oracle stay out of the start-up and the run of every
+    # formula command; verify loads both. A fresh interpreter, since this
+    # test process has imported them already.
+    script = f"""
+import contextlib, io, sys
+from basechar import cli
+HEAVY = ("numpy", "basechar.oracle")
+
+def loaded():
+    return [name for name in HEAVY if name in sys.modules]
+
+assert loaded() == [], ("import", loaded())
+for argv in {FORMULA_RUNS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+    assert loaded() == [], (argv, loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--group", "sn:3"]) == 0
+assert loaded() == list(HEAVY), ("verify", loaded())
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr

@@ -36,10 +36,8 @@ class BaseSizeReport:
     the action has no base (nontrivial kernel).
     """
 
-    action: str
     base_size: int | None
     witness_l_values: tuple
-    method: str
     caveat: str | None = None
     known_base_size: int | None = None
     character: CharVector | None = None
@@ -79,7 +77,7 @@ def base_size_subsets(n, k, max_l=None):
     chi = char_vector_subsets(n, k)
     cap = math.comb(n, k) if max_l is None else max_l
     base, trace = _min_l_search(chi, 1, cap)
-    return BaseSizeReport(f"{k}-subsets of [{n}]", base, trace, "formula")
+    return BaseSizeReport(base, trace)
 
 
 def regular_orbit_count(n, k, l):
@@ -96,7 +94,7 @@ def base_size_wreath_subsets(n, k, distinguishing):
         raise InputError("distinguishing number must be positive")
     chi = char_vector_subsets(n, k)
     base, trace = _min_l_search(chi, distinguishing, math.comb(n, k))
-    return BaseSizeReport(f"{k}-subsets of [{n}]", base, trace, "formula")
+    return BaseSizeReport(base, trace)
 
 
 def large_base_bounds(m, k, r):
@@ -122,15 +120,13 @@ def base_size_partitions_action(n, r, s, max_l=None):
     The report carries the character it was computed from."""
     validate_l_limit(max_l)
     chi = char_vector_uniform_partitions(n, r, s)
-    action = f"partitions of [{n}] into {r} blocks of size {s}"
     known = KNOWN_PARTITION_BASE_SIZES.get((n, r, s))
     # a class value equal to the domain size means the class acts trivially
     trivial_classes = sum(1 for value in chi.values
                           if value == chi.domain_size)
     if trivial_classes > 1:
         return BaseSizeReport(
-            action, None, (), "formula",
-            caveat="the action is not faithful, no base exists",
+            None, (), caveat="the action is not faithful, no base exists",
             known_base_size=known, character=chi)
     cap = chi.domain_size if max_l is None else max_l
     base, trace = _min_l_search(chi, 1, cap)
@@ -139,5 +135,5 @@ def base_size_partitions_action(n, r, s, max_l=None):
         relation = "agrees with" if base == known else "differs from"
         caveat += (f"; the reported value {base} {relation} the published "
                    f"base size {known}")
-    return BaseSizeReport(action, base, trace, "formula", caveat=caveat,
+    return BaseSizeReport(base, trace, caveat=caveat,
                           known_base_size=known, character=chi)

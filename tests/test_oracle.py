@@ -1,5 +1,5 @@
 from dataclasses import replace
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from basechar.errors import CapacityError, ConsistencyError, InputError
 from basechar.oracle import (MAX_TUPLE_LENGTH, InducedAction, act_on_subsets,
                              act_on_uniform_partitions, alternating_group,
-                             base_size_bruteforce, closure, compose,
+                             closure, compose,
                              distinguishing_number, identity_perm,
                              is_base_controlling, kernel_order,
                              label_homomorphism_spot_check, parse_cycles,
@@ -20,6 +20,14 @@ from reference_impls import blind_orbit_data, perm_sign
 def elements(group):
     """The group's rows as tuples of images, in table order."""
     return [tuple(row) for row in group.table.tolist()]
+
+
+def base_size(action):
+    return tuple_orbit_counts(action)[0]
+
+
+def orbit_rows(action, l_max):
+    return tuple_orbit_counts(action, l_max)[1]
 
 
 def test_perm_primitives():
@@ -215,6 +223,30 @@ def test_wreath_rows_are_permutations():
     assert len({tuple(row.tolist()) for row in wreath.table}) == 72
 
 
+def test_wreath_rows_match_definition():
+    # Row b * |top| + s is (g_1, g_2; sigma) with (g_1, g_2) the b-th pair
+    # of S_3 rows in product order and sigma the s-th top element; it maps
+    # point (x_1, x_2) to the tuple whose coordinate i is the image of
+    # x_{sigma^-1(i)} under g_{sigma^-1(i)}, and is labeled sgn(g_1)sgn(g_2).
+    s3 = symmetric_group(3)
+    g = elements(s3)
+    points = list(product(range(3), repeat=2))
+    for top, top_generators in ((list(permutations(range(2))), None),
+                                ([(0, 1)], [identity_perm(2)])):
+        wreath = product_action_wreath(s3, 2, top_generators=top_generators)
+        rows = iter(zip(wreath.table.tolist(), wreath.labels.tolist()))
+        for bottom in product(range(6), repeat=2):
+            for sigma in top:
+                row, label = next(rows)
+                src = [sigma.index(i) for i in range(2)]
+                for x, image in zip(points, row):
+                    assert points[image] == tuple(
+                        g[bottom[j]][x[j]] for j in src)
+                assert label == perm_sign(g[bottom[0]]) * perm_sign(
+                    g[bottom[1]])
+        assert next(rows, None) is None
+
+
 def test_capacity_errors_on_induced_actions():
     with pytest.raises(CapacityError):
         product_action_wreath(symmetric_group(5), 3)  # order 120^3 * 6
@@ -226,9 +258,9 @@ def test_capacity_errors_on_induced_actions():
 
 def test_regular_orbits_examples():
     s3 = symmetric_group(3)
-    assert tuple_orbit_counts(s3, 2)[2] == (2, 2, 3, 1)
+    assert orbit_rows(s3, 2)[2] == (2, 2, 3, 1)
     g7 = pgl2(7)
-    assert [regular for _, _, _, regular in tuple_orbit_counts(g7, 3)] \
+    assert [regular for _, _, _, regular in orbit_rows(g7, 3)] \
         == [0, 0, 0, 1]
     with pytest.raises(InputError):
         tuple_orbit_counts(s3, -1)
@@ -237,13 +269,14 @@ def test_regular_orbits_examples():
 
 
 def test_base_size_examples():
-    assert base_size_bruteforce(symmetric_group(4)) == 3
-    assert base_size_bruteforce(pgl2(7)) == 3
-    assert base_size_bruteforce(alternating_group(5)) == 3
-    assert base_size_bruteforce(
+    assert base_size(symmetric_group(4)) == 3
+    assert base_size(pgl2(7)) == 3
+    assert base_size(alternating_group(5)) == 3
+    assert base_size(
         act_on_uniform_partitions(symmetric_group(6), 3, 2)) == 4
-    with pytest.raises(InputError):
-        base_size_bruteforce(act_on_uniform_partitions(symmetric_group(4), 2, 2))
+    # not faithful: no base
+    assert base_size(act_on_uniform_partitions(symmetric_group(4), 2, 2)) \
+        is None
 
 
 def test_base_size_invariant_under_point_relabeling():
@@ -256,15 +289,20 @@ def test_base_size_invariant_under_point_relabeling():
                              tuple(action.point_names[i]
                                    for i in np.argsort(relabel)),
                              action.description)
-    assert base_size_bruteforce(shuffled) == base_size_bruteforce(action)
+    assert base_size(shuffled) == base_size(action)
 
 
 def test_orbit_counts_examples():
     s3 = symmetric_group(3)
-    assert [(o, o_k) for _, o, o_k, _ in tuple_orbit_counts(s3, 2)] \
+    assert [(o, o_k) for _, o, o_k, _ in orbit_rows(s3, 2)] \
         == [(1, 1), (1, 1), (2, 3)]
     a4 = alternating_group(4)
-    assert tuple_orbit_counts(a4, 1) == [(0, 1, None, 0), (1, 1, None, 0)]
+    assert orbit_rows(a4, 1) == [(0, 1, None, 0), (1, 1, None, 0)]
+    # o_K is read off the stabilizers only for an index-2 label kernel
+    s4 = symmetric_group(4)
+    lopsided = replace(s4, labels=np.array([1] * 23 + [-1], dtype=np.int8))
+    with pytest.raises(ConsistencyError):
+        tuple_orbit_counts(lopsided)
 
 
 def test_orbit_counts_sandwich():
@@ -272,17 +310,22 @@ def test_orbit_counts_sandwich():
     for action in (symmetric_group(4),
                    act_on_subsets(symmetric_group(5), 2),
                    pgl2(5)):
-        for _, o, o_k, _ in tuple_orbit_counts(action, 3):
+        for _, o, o_k, _ in orbit_rows(action, 3):
             assert o <= o_k <= 2 * o
 
 
 def test_pruned_search_equals_blind_enumeration():
+    # pgl2(5) is labeled by determinant class, the wreath square by the
+    # product of coordinate signs: o_K read off the stabilizers is checked
+    # against the kernel rows for labels other than the sign
     actions = (symmetric_group(3),
                symmetric_group(4),
                alternating_group(4),
-               act_on_uniform_partitions(symmetric_group(4), 2, 2))
+               act_on_uniform_partitions(symmetric_group(4), 2, 2),
+               pgl2(5),
+               product_action_wreath(symmetric_group(3), 2))
     for action in actions:
-        for l, o, o_k, regular in tuple_orbit_counts(action, 3):
+        for l, o, o_k, regular in orbit_rows(action, 3):
             data = blind_orbit_data(action.table, l)
             assert o == len(data)
             assert regular == sum(1 for _, stab in data if stab == 1)

@@ -5,16 +5,17 @@ element, the rows in lexicographic order, and its {+1,-1} labels, when it
 has any, as an int8 array (no stabilizer chains). Induced actions carry
 one table row per parent element, so stabilizers are sets of element
 indices and labels stay well-defined even when the action is not
-faithful. One level-order walk over the orbits on l-tuples gives the base
-size, the orbit counts o and o_K of the group and of its label kernel, and
-the regular-orbit counts, for every l up to a limit. Everything here is
-deliberately simple and slow; the fast formula code is validated against
-it, never the other way around.
+faithful. One level-order walk over the orbits on l-tuples, merged by
+stabilizer, gives the base size, the orbit counts o and o_K of the group
+and of its label kernel, and the regular-orbit counts, for every l up to a
+limit. Everything here is deliberately simple and slow; the fast formula
+code is validated against it, never the other way around.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import chain, combinations, permutations
+from functools import cached_property
+from itertools import combinations, permutations
 import math
 import random
 import re
@@ -119,6 +120,13 @@ class InducedAction:
     def order(self):
         return self.table.shape[0]
 
+    @cached_property
+    def kernel(self):
+        """(kernel order, mask of the points every row fixes), both read off
+        one comparison of the table with the identity row."""
+        fixed = self.table == np.arange(self.degree)
+        return int(np.count_nonzero(fixed.all(axis=1))), fixed.all(axis=0)
+
 
 def _check_table_capacity(order, degree):
     if degree > MAX_INDUCED_DEGREE:
@@ -201,15 +209,29 @@ def with_sign_labels(group):
 
 
 def symmetric_group(n):
-    """S_n labeled by sign."""
+    """S_n labeled by sign, table and signs built together.
+
+    In lexicographic order the rows of S_m are, for each first image i in
+    turn, i followed by a row of S_(m-1) with every entry >= i shifted up
+    by one. The first entry adds i inversions and the shift keeps the
+    relative order of the rest, so the row's sign is (-1)^i times the sign
+    of the S_(m-1) row.
+    """
     if n < 1:
         raise InputError("degree must be positive")
     if math.factorial(n) > MAX_CLOSURE_ORDER:
         raise CapacityError(f"order {n}! exceeds {MAX_CLOSURE_ORDER}")
-    # permutations() yields in lexicographic order
-    table = np.fromiter(chain.from_iterable(permutations(range(n))),
-                        np.int32, count=n * math.factorial(n)).reshape(-1, n)
-    return _natural(table, _signs(table))
+    table = np.zeros((1, 0), dtype=np.int32)
+    signs = np.ones(1, dtype=np.int8)
+    for m in range(1, n + 1):
+        firsts = np.arange(m, dtype=np.int32)[:, None, None]
+        rest = table[None] + (table[None] >= firsts)
+        table = np.concatenate(
+            [np.broadcast_to(firsts, (m, len(table), 1)), rest],
+            axis=2).reshape(-1, m)
+        signs = (np.where(firsts[:, 0] % 2, -1, 1) * signs).astype(
+            np.int8).ravel()
+    return _natural(table, signs)
 
 
 def alternating_group(n):
@@ -388,9 +410,7 @@ def product_action_wreath(base, r, top_generators=None):
 
 def kernel_order(action):
     """Number of elements acting trivially; 1 means the action is faithful."""
-    table = action.table
-    return int(np.count_nonzero(
-        (table == np.arange(table.shape[1])).all(axis=1)))
+    return action.kernel[0]
 
 
 def check_tuple_length(l_max):
@@ -406,11 +426,18 @@ def tuple_orbit_counts(action, l_max=None):
     """(base_size, rows) from one level-order walk over the orbits on tuples.
 
     Orbits of tuples extending a partial tuple t correspond to orbits of the
-    stabilizer of t on points, so each node at level l is one orbit on
-    l-tuples, kept as its stabilizer's row indices. A node with trivial
-    stabilizer is walked no further: it is degree^(m-l) regular orbits at
-    every level m >= l. The base size is the first level with a regular
-    orbit, None when the action is not faithful.
+    stabilizer of t on points. That stabilizer is the pointwise stabilizer
+    G_S of the entry set S of t, and G_S is also the pointwise stabilizer of
+    its own fixed-point set F: it fixes F, and S lies in F. So a stabilizer
+    is determined by F, and each node at level l is one stabilizer, keyed
+    by F as the bytes of a mask over the points, with its row indices and
+    the number of orbits on l-tuples that have it. This holds for
+    non-faithful actions too, whose stabilizers are sets of row indices.
+    Each key is expanded into its orbits on points once per call, and the
+    expansion serves every level and every orbit with that stabilizer. A
+    point whose stabilizer is trivial ends its branch: it is degree^(m-l)
+    regular orbits at every level m >= l. The base size is the first level
+    with a regular orbit, None when the action is not faithful.
 
     rows holds (l, o, o_K, regular) for l = 0..l_max: the orbits of the
     group, of its label kernel K, and those with trivial stabilizer. When
@@ -432,8 +459,35 @@ def tuple_orbit_counts(action, l_max=None):
             raise ConsistencyError(
                 "labels with a -1 must put exactly half the rows at +1")
         odd = labels == -1
-    faithful = kernel_order(action) == 1
+    kernel, root = action.kernel
+    faithful = kernel == 1
     base = 0 if action.order == 1 else None
+    points = np.arange(degree)
+    expansions = {}
+
+    def expand(stab):
+        """(non-regular orbits on points, those whose stabilizer lies in K,
+        regular ones, {child key: [child rows, orbits]}) of a stabilizer."""
+        sub = table[stab]
+        stab_odd = None if odd is None else odd[stab]
+        seen = np.zeros(degree, dtype=bool)
+        nonregular = inside = fresh = 0
+        children = {}
+        for point in range(degree):
+            if seen[point]:
+                continue
+            column = sub[:, point]
+            seen[column] = True
+            fixed = column == point
+            if np.count_nonzero(fixed) == 1:
+                fresh += 1
+                continue
+            nonregular += 1
+            if stab_odd is not None and not stab_odd[fixed].any():
+                inside += 1
+            key = (sub[fixed] == points).all(axis=0).tobytes()
+            children.setdefault(key, [stab[fixed], 0])[1] += 1
+        return nonregular, inside, fresh, children
 
     def last_level():
         """The last level to walk; None while it waits for the base."""
@@ -444,36 +498,30 @@ def tuple_orbit_counts(action, l_max=None):
         return 2 if base is None else base + 1
 
     # per level: (non-regular orbits, those whose stabilizer lies in K,
-    # nodes with trivial stabilizer first reached there); level 0 is the
+    # orbits with trivial stabilizer first reached there); level 0 is the
     # one orbit of the empty tuple
     levels = [(0, 0, 1) if base == 0 else (1, 0, 0)]
-    frontier = [] if base == 0 else [np.arange(action.order)]
+    frontier = ({} if base == 0
+                else {root.tobytes(): [np.arange(action.order), 1]})
     while last_level() is None or len(levels) <= last_level():
         store = last_level() != len(levels)
         nonregular = inside = fresh = 0
-        children = []
-        for stab in frontier:
-            sub = table[stab]
-            stab_odd = None if odd is None else odd[stab]
-            seen = np.zeros(degree, dtype=bool)
-            for point in range(degree):
-                if seen[point]:
-                    continue
-                column = sub[:, point]
-                seen[column] = True
-                fixed = column == point
-                if np.count_nonzero(fixed) == 1:
-                    fresh += 1
-                    continue
-                nonregular += 1
-                if stab_odd is not None and not stab_odd[fixed].any():
-                    inside += 1
-                if store:
-                    children.append(stab[fixed])
+        nxt = {}
+        for key, (stab, count) in frontier.items():
+            if key not in expansions:
+                expansions[key] = expand(stab)
+            node_nonregular, node_inside, node_fresh, children = \
+                expansions[key]
+            nonregular += count * node_nonregular
+            inside += count * node_inside
+            fresh += count * node_fresh
+            if store:
+                for child, (rows, orbits) in children.items():
+                    nxt.setdefault(child, [rows, 0])[1] += count * orbits
         if fresh and base is None:
             base = len(levels)
         levels.append((nonregular, inside, fresh))
-        frontier = children
+        frontier = nxt
 
     rows = []
     regular = 0

@@ -2,15 +2,17 @@
 
 Nothing here imports the package's combinatorics: partition counting uses the
 pentagonal-number recurrence, class data comes from sympy, fixed-point counts
-are plain itertools enumeration, and representatives lay cycles out shortest
-first (the package uses longest first, so agreement also exercises class
-invariance).
+are plain itertools enumeration, orbit counts on tuples come from Burnside's
+lemma, and representatives lay cycles out shortest first (the package uses
+longest first, so agreement also exercises class invariance).
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial
+
+import numpy as np
 
 from sympy.utilities.iterables import partitions as sympy_partitions
 
@@ -148,3 +150,16 @@ def blind_orbit_data(table, l):
         seen.update(orbit)
         out.append((len(orbit), stab))
     return out
+
+
+def burnside_orbit_count(table, l):
+    """Orbits on l-tuples by Burnside's lemma: |G|^-1 sum over g of fix(g)^l.
+
+    One row per group element, repeated rows allowed; the sum is taken in
+    exact integers and must divide by the order.
+    """
+    order, degree = table.shape
+    fixes = np.bincount(np.count_nonzero(table == np.arange(degree), axis=1))
+    total = sum(int(count) * fix ** l for fix, count in enumerate(fixes))
+    assert total % order == 0, (total, order)
+    return total // order

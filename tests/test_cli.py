@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from basechar import cli, oracle
+from reference_impls import burnside_orbit_count
 
 
 def run_cli(capsys, *argv):
@@ -325,9 +326,25 @@ def test_verify_walks_each_row_set_once(capsys, monkeypatch):
         assert len(doc["outputs"]["regular_orbits"]) == l_max, spec
 
 
+def test_verify_deep_l_max_without_base(capsys):
+    # No tuple has a trivial stabilizer in a non-faithful action, so every
+    # level up to --l-max is walked; the stabilizers stop changing after a
+    # few levels, and each count is checked against Burnside's lemma.
+    code, doc, _ = run_cli(capsys, "verify", "--group",
+                           "sn:4/partitions:2x2", "--l-max", "64")
+    assert code == 0
+    action = oracle.parse_group_spec("sn:4/partitions:2x2").action
+    kernel = action.table[action.labels == 1]
+    rows = doc["outputs"]["orbit_counts"]
+    assert [int(l) for l, _, _ in rows] == list(range(1, 65))
+    for l, o, o_k in rows:
+        assert int(o) == burnside_orbit_count(action.table, int(l))
+        assert int(o_k) == burnside_orbit_count(kernel, int(l))
+
+
 def test_wreath_order_checked_before_listing_top_group(capsys, monkeypatch):
     # S_10 alone passes the order bound, so the 10! permutations of the
-    # top group must never be listed; S_1, the base group, still is.
+    # top group must never be listed.
     original = oracle.permutations
 
     def no_top_listing(items, *args):

@@ -14,7 +14,8 @@ from basechar.oracle import (MAX_TUPLE_LENGTH, InducedAction, act_on_subsets,
                              parse_group_spec, pgl2, product_action_wreath,
                              symmetric_group, tuple_orbit_counts,
                              with_sign_labels)
-from reference_impls import blind_orbit_data, perm_sign
+from reference_impls import (blind_orbit_data, burnside_orbit_count,
+                             perm_sign)
 
 
 def elements(group):
@@ -78,9 +79,12 @@ def test_closure_inconsistent_labels():
 
 
 def test_symmetric_and_alternating():
-    s4 = symmetric_group(4)
-    assert s4.order == 24
-    assert s4.labels.tolist() == [perm_sign(e) for e in elements(s4)]
+    for n in range(1, 9):
+        sn = symmetric_group(n)
+        assert sn.table.dtype == np.int32
+        assert elements(sn) == list(permutations(range(n)))
+        assert sn.labels.dtype == np.int8
+        assert sn.labels.tolist() == [perm_sign(e) for e in elements(sn)]
     a4 = alternating_group(4)
     assert a4.order == 12
     assert a4.labels is None
@@ -93,7 +97,7 @@ def test_symmetric_and_alternating():
 
 def test_vectorised_signs_match_perm_sign():
     gens = [parse_cycles("(1,2,3,4,5,6)", 6), parse_cycles("(1,2)(3,5)", 6)]
-    for group in (symmetric_group(5), with_sign_labels(alternating_group(5)),
+    for group in (with_sign_labels(alternating_group(5)),
                   with_sign_labels(pgl2(7)), with_sign_labels(closure(gens))):
         assert group.labels.dtype == np.int8
         assert group.labels.tolist() == [perm_sign(e) for e in elements(group)]
@@ -334,6 +338,26 @@ def test_pruned_search_equals_blind_enumeration():
             else:
                 kernel = action.table[np.asarray(action.labels) == 1]
                 assert o_k == len(blind_orbit_data(kernel, l))
+
+
+def test_merged_walk_matches_burnside_at_depth():
+    # Past l = 3 many tuple orbits share one stabilizer, so this checks the
+    # merge by fixed-point set against |G|^-1 sum fix(g)^l, for the group
+    # and for its +1 rows. pgl2:7 is labelled by determinant class, the
+    # wreath squares by the product of coordinate signs, an:5/subsets:2 not
+    # at all, and the 5-cycle's sign labels are all +1.
+    specs = (("sn:9", 10), ("pgl2:7", 12), ("an:5/subsets:2", 10),
+             ("sn:4/wreath:2", 8), ("sn:3/wreath:2", 12),
+             ("sn:6/partitions:3x2", 10), ("gens:(1,2,3,4,5)", 12))
+    for spec, l_max in specs:
+        action = parse_group_spec(spec).action
+        kernel = (None if action.labels is None
+                  else action.table[action.labels == 1])
+        for l, o, o_k, _ in orbit_rows(action, l_max):
+            assert o == burnside_orbit_count(action.table, l), (spec, l)
+            expected = None if kernel is None else \
+                burnside_orbit_count(kernel, l)
+            assert o_k == expected, (spec, l)
 
 
 def test_is_base_controlling_subsets():

@@ -5,11 +5,11 @@ element, the rows in lexicographic order, and its {+1,-1} labels, when it
 has any, as an int8 array (no stabilizer chains). Induced actions carry
 one table row per parent element, so stabilizers are sets of element
 indices and labels stay well-defined even when the action is not
-faithful. One level-order walk over the orbits on l-tuples, merged by
-stabilizer, gives the base size, the orbit counts o and o_K of the group
-and of its label kernel, and the regular-orbit counts, for every l up to a
-limit. Everything here is deliberately simple and slow; the fast formula
-code is validated against it, never the other way around.
+faithful. The lattice of tuple stabilizers, each expanded once, gives the
+base size, the orbit counts o and o_K of the group and of its label
+kernel, the regular-orbit counts for every l, and whether the labels are
+base-controlling. Everything here is deliberately simple and slow; the
+fast formula code is validated against it, never the other way around.
 """
 
 from bisect import bisect_left
@@ -27,7 +27,8 @@ from .errors import CapacityError, ConsistencyError, InputError
 MAX_CLOSURE_ORDER = 10 ** 6
 MAX_INDUCED_DEGREE = 10 ** 4
 MAX_TABLE_CELLS = 5 * 10 ** 7
-MAX_CONTROLLING_DEGREE = 24
+MAX_GATHER_CELLS = 1 << 18
+MAX_CONTROLLING_DEGREE = 24  # bounds only the counterexample search
 MAX_DISTINGUISHING_POINTS = 12
 # The longest tuple the orbit walk accepts as an explicit limit. A faithful
 # action of a group of order at most MAX_CLOSURE_ORDER has a base of at
@@ -126,6 +127,11 @@ class InducedAction:
         one comparison of the table with the identity row."""
         fixed = self.table == np.arange(self.degree)
         return int(np.count_nonzero(fixed.all(axis=1))), fixed.all(axis=0)
+
+    @cached_property
+    def lattice(self):
+        """The stabilizer lattice, read by the orbit walk and the verdict."""
+        return _stabilizer_lattice(self)
 
 
 def _check_table_capacity(order, degree):
@@ -253,88 +259,92 @@ def pgl2(q):
     """PGL_2(q) as Moebius maps on the projective line over F_q.
 
     Points 0..q-1 are field elements, point q is infinity. Each element is
-    built once, from the matrix scaled to bottom row (0, 1) or (1, d). It
-    is labeled +1 iff its determinant is a nonzero square mod q (scaling
-    multiplies the determinant by a square); the kernel of that labeling is
-    PSL_2(q).
+    built once, in one array pass, from the matrix (a b; c d) scaled to
+    bottom row (0, 1) or (1, d). It is labeled +1 iff its determinant is a
+    nonzero square mod q (scaling multiplies the determinant by a square);
+    the kernel of that labeling is PSL_2(q).
     """
     if not _is_prime(q) or q % 2 == 0 or q > 31:
         raise InputError("q must be an odd prime at most 31")
-    squares = {(x * x) % q for x in range(1, q)}
-    inverses = [0] + [pow(x, q - 2, q) for x in range(1, q)]
-    infinity = q
-    found = {}
-    for c, d in [(0, 1)] + [(1, d) for d in range(q)]:
-        for a in range(q):
-            for b in range(q):
-                det = (a * d - b * c) % q
-                if det == 0:
-                    continue
-                images = []
-                for x in range(q):
-                    den = (c * x + d) % q
-                    images.append(
-                        (a * x + b) * inverses[den] % q if den else infinity)
-                images.append(a if c else infinity)  # c is 0 or 1
-                found[tuple(images)] = 1 if det in squares else -1
-    if len(found) != q ** 3 - q:
-        raise ConsistencyError(
-            f"{len(found)} distinct maps from normalised matrices, "
-            f"expected {q ** 3 - q}")
-    elements = sorted(found)
-    return _natural(np.array(elements, dtype=np.int32),
-                    np.array([found[e] for e in elements], np.int8))
+    x = np.arange(q)
+    a, b, bottom = (v.ravel() for v in np.meshgrid(x, x, np.arange(q + 1)))
+    c, d = np.minimum(bottom, 1), np.where(bottom, bottom - 1, 1)
+    det = (a * d - b * c) % q
+    a, b, c, d, det = (v[det != 0] for v in (a, b, c, d, det))
+    den = (c[:, None] * x + d[:, None]) % q
+    inverses = np.array([0] + [pow(int(v), q - 2, q) for v in x[1:]])
+    finite = np.where(den, (a[:, None] * x + b[:, None]) * inverses[den] % q, q)
+    table = np.column_stack([finite, np.where(c, a, q)]).astype(np.int32)
+    order = np.lexsort(table.T[::-1])
+    table = table[order]
+    if (table[1:] == table[:-1]).all(axis=1).any():
+        raise ConsistencyError("two normalised matrices give one map")
+    square = np.isin(det[order], x * x % q)
+    return _natural(table, np.where(square, 1, -1).astype(np.int8))
 
 
 # ---------------------------------------------------------------------------
 # induced actions
 
 
+def _sets_table(table, *levels):
+    """Action table on sets (of sets), a chunk of rows at a time.
+
+    Each level's points are sorted tuples of indices into the level before
+    (the first indexes the domain), of one length, in lexicographic order.
+    A level maps its tuples through the rows, sorts each image and looks it
+    up among its points, each tuple one big-endian bytes scalar, so bytes
+    compare in lexicographic order and no entry is packed into a wider int.
+    """
+    levels = [np.array(points, dtype=">i4") for points in levels]
+    out = np.empty((len(table), len(levels[-1])), dtype=np.int32)
+    step = max(1, MAX_GATHER_CELLS // max(points.size for points in levels))
+    for start in range(0, len(table), step):
+        images = table[start:start + step]
+        for points in levels:
+            key = f"V{points.itemsize * points.shape[1]}"
+            mapped = np.sort(images[:, points]).astype(">i4", order="C")
+            images = np.searchsorted(points.view(key)[:, 0],
+                                     mapped.view(key)[..., 0])
+        out[start:start + step] = images
+    return out
+
+
 def act_on_subsets(group, k):
     """Induced action on the k-element subsets of the domain."""
     if not 1 <= k <= group.degree:
         raise InputError("k out of range")
+    _check_table_capacity(group.order, math.comb(group.degree, k))
     points = list(combinations(range(group.degree), k))
-    _check_table_capacity(group.order, len(points))
-    index = {s: i for i, s in enumerate(points)}
-    table = np.empty((group.order, len(points)), dtype=np.int32)
-    for ei, element in enumerate(group.table.tolist()):
-        for pi, subset in enumerate(points):
-            table[ei, pi] = index[tuple(sorted(element[x] for x in subset))]
     names = tuple("{" + ",".join(str(x + 1) for x in s) + "}" for s in points)
-    return InducedAction(len(points), table, group.labels, names,
-                         f"action on {k}-subsets")
+    return InducedAction(len(points), _sets_table(group.table, points),
+                         group.labels, names, f"action on {k}-subsets")
 
 
-def _uniform_partitions(n, r, s):
-    # blocks as sorted tuples; partition as the block list sorted by minimum
-    def extend(free):
-        if not free:
-            yield ()
-            return
-        first = free[0]
-        rest = free[1:]
-        for others in combinations(rest, s - 1):
-            block = (first,) + others
-            remaining = [p for p in rest if p not in others]
-            for tail in extend(remaining):
-                yield (block,) + tail
-    return list(extend(tuple(range(n))))
+def _uniform_partitions(free, s):
+    """Partitions of the sorted tuple free into blocks of size s, each the
+    block list sorted by minimum, in lexicographic order."""
+    if not free:
+        return [()]
+    return [((free[0],) + others,) + tail
+            for others in combinations(free[1:], s - 1)
+            for tail in _uniform_partitions(
+                tuple(p for p in free[1:] if p not in others), s)]
 
 
 def act_on_uniform_partitions(group, r, s):
-    """Induced action on partitions of the domain into r blocks of size s."""
-    if r < 1 or s < 1 or r * s != group.degree:
+    """Induced action on partitions of the domain into r blocks of size s,
+    each the sorted tuple of its blocks' indices among the s-subsets."""
+    n = group.degree
+    if r < 1 or s < 1 or r * s != n:
         raise InputError("need degree = r*s with positive r, s")
-    points = _uniform_partitions(group.degree, r, s)
-    _check_table_capacity(group.order, len(points))
-    index = {p: i for i, p in enumerate(points)}
-    table = np.empty((group.order, len(points)), dtype=np.int32)
-    for ei, element in enumerate(group.table.tolist()):
-        for pi, part in enumerate(points):
-            image = sorted(tuple(sorted(element[x] for x in block))
-                           for block in part)
-            table[ei, pi] = index[tuple(image)]
+    _check_table_capacity(group.order, math.factorial(n) // (
+        math.factorial(s) ** r * math.factorial(r)))
+    points = _uniform_partitions(tuple(range(n)), s)
+    blocks = list(combinations(range(n), s))
+    index = {block: i for i, block in enumerate(blocks)}
+    table = _sets_table(group.table, blocks,
+                        [[index[block] for block in part] for part in points])
     names = tuple("|".join("".join(str(x + 1) for x in block)
                            for block in part) for part in points)
     return InducedAction(len(points), table, group.labels, names,
@@ -422,118 +432,105 @@ def check_tuple_length(l_max):
             f"tuple length {l_max} exceeds {MAX_TUPLE_LENGTH}")
 
 
-def tuple_orbit_counts(action, l_max=None):
-    """(base_size, rows) from one level-order walk over the orbits on tuples.
+def _stabilizer_lattice(action):
+    """{key: (rows, depth, regular orbits on points, {child key: orbits})}
+    for every tuple stabilizer, expanded once each, breadth first from the
+    whole group: depth is the shortest tuple with that stabilizer.
 
-    Orbits of tuples extending a partial tuple t correspond to orbits of the
-    stabilizer of t on points. That stabilizer is the pointwise stabilizer
-    G_S of the entry set S of t, and G_S is also the pointwise stabilizer of
-    its own fixed-point set F: it fixes F, and S lies in F. So a stabilizer
-    is determined by F, and each node at level l is one stabilizer, keyed
-    by F as the bytes of a mask over the points, with its row indices and
-    the number of orbits on l-tuples that have it. This holds for
-    non-faithful actions too, whose stabilizers are sets of row indices.
-    Each key is expanded into its orbits on points once per call, and the
-    expansion serves every level and every orbit with that stabilizer. A
-    point whose stabilizer is trivial ends its branch: it is degree^(m-l)
-    regular orbits at every level m >= l. The base size is the first level
-    with a regular orbit, None when the action is not faithful.
-
-    rows holds (l, o, o_K, regular) for l = 0..l_max: the orbits of the
-    group, of its label kernel K, and those with trivial stabilizer. When
-    some label is -1, K has index 2 and an orbit splits into two K-orbits
-    exactly when its stabilizer lies in K, so o_K is o plus the non-regular
-    orbits whose stabilizer carries only +1 labels plus the regular ones.
-    o_K is o when every label is +1 and None without labels.
-
-    l_max defaults to base size + 1, or 2 without a base; the walk goes on
-    to the base level when l_max stops short of it. The last level's
-    stabilizers are counted, never stored.
+    A tuple's stabilizer G_S is also the pointwise stabilizer of its own
+    fixed-point set F (it fixes F, and S lies in F), so F, as the bytes of a
+    mask over the points, is its key; stabilizers are sets of row indices,
+    so this holds for non-faithful actions too. Each non-regular orbit on
+    points leads to the key of its point stabilizer.
     """
-    if l_max is not None:
-        check_tuple_length(l_max)
-    table, labels, degree = action.table, action.labels, action.degree
-    odd = None
-    if labels is not None and (labels == -1).any():
-        if 2 * int(np.count_nonzero(labels == 1)) != action.order:
-            raise ConsistencyError(
-                "labels with a -1 must put exactly half the rows at +1")
-        odd = labels == -1
-    kernel, root = action.kernel
-    faithful = kernel == 1
-    base = 0 if action.order == 1 else None
-    points = np.arange(degree)
-    expansions = {}
-
-    def expand(stab):
-        """(non-regular orbits on points, those whose stabilizer lies in K,
-        regular ones, {child key: [child rows, orbits]}) of a stabilizer."""
+    table, points = action.table, np.arange(action.degree)
+    root = action.kernel[1].tobytes()
+    found = {root: (np.arange(action.order), 0)}
+    lattice = {}
+    queue = [root]
+    for key in queue:
+        stab, depth = found[key]
         sub = table[stab]
-        stab_odd = None if odd is None else odd[stab]
-        seen = np.zeros(degree, dtype=bool)
-        nonregular = inside = fresh = 0
+        seen = np.zeros(len(points), dtype=bool)
+        regular = 0
         children = {}
-        for point in range(degree):
+        for point in range(len(points)):
             if seen[point]:
                 continue
             column = sub[:, point]
             seen[column] = True
             fixed = column == point
             if np.count_nonzero(fixed) == 1:
-                fresh += 1
+                regular += 1
                 continue
-            nonregular += 1
-            if stab_odd is not None and not stab_odd[fixed].any():
-                inside += 1
-            key = (sub[fixed] == points).all(axis=0).tobytes()
-            children.setdefault(key, [stab[fixed], 0])[1] += 1
-        return nonregular, inside, fresh, children
+            child = (sub[fixed] == points).all(axis=0).tobytes()
+            children[child] = children.get(child, 0) + 1
+            if child not in found:
+                found[child] = (stab[fixed], depth + 1)
+                queue.append(child)
+        lattice[key] = (stab, depth, regular, children)
+    return lattice
 
-    def last_level():
-        """The last level to walk; None while it waits for the base."""
-        if faithful and base is None:
-            return None
-        if l_max is not None:
-            return l_max if base is None else max(l_max, base)
-        return 2 if base is None else base + 1
 
-    # per level: (non-regular orbits, those whose stabilizer lies in K,
-    # orbits with trivial stabilizer first reached there); level 0 is the
-    # one orbit of the empty tuple
-    levels = [(0, 0, 1) if base == 0 else (1, 0, 0)]
-    frontier = ({} if base == 0
-                else {root.tobytes(): [np.arange(action.order), 1]})
-    while last_level() is None or len(levels) <= last_level():
-        store = last_level() != len(levels)
-        nonregular = inside = fresh = 0
-        nxt = {}
-        for key, (stab, count) in frontier.items():
-            if key not in expansions:
-                expansions[key] = expand(stab)
-            node_nonregular, node_inside, node_fresh, children = \
-                expansions[key]
-            nonregular += count * node_nonregular
-            inside += count * node_inside
-            fresh += count * node_fresh
-            if store:
-                for child, (rows, orbits) in children.items():
-                    nxt.setdefault(child, [rows, 0])[1] += count * orbits
-        if fresh and base is None:
-            base = len(levels)
-        levels.append((nonregular, inside, fresh))
-        frontier = nxt
+def tuple_orbit_counts(action, l_max=None):
+    """(base_size, rows) by pushing orbit counts down the stabilizer
+    lattice, one level per tuple length.
 
+    Orbits of tuples extending t match orbits of t's stabilizer on points,
+    so a level counts the orbits on l-tuples per key. A key below the root
+    fixes a point, so it stays on every level past its depth, and a regular
+    orbit on points is degree^(m-l) regular orbits at every level m >= l:
+    the base size is one more than the least depth of a key with a regular
+    orbit (0 for the trivial group, None for a non-faithful action).
+
+    rows holds (l, o, o_K, regular) for l = 0..l_max (by default base size
+    + 1, or 2 without a base): the orbits of the group, of its label kernel
+    K, and those with trivial stabilizer. When some label is -1, K has
+    index 2 and an orbit splits in two K-orbits exactly when its stabilizer
+    lies in K, so o_K is o plus the non-regular orbits whose stabilizer
+    carries only +1 labels plus the regular ones. o_K is o when every label
+    is +1 and None without labels.
+    """
+    if l_max is not None:
+        check_tuple_length(l_max)
+    labels, degree, lattice = action.labels, action.degree, action.lattice
+    odd = None
+    if labels is not None and (labels == -1).any():
+        if 2 * int(np.count_nonzero(labels == 1)) != action.order:
+            raise ConsistencyError(
+                "labels with a -1 must put exactly half the rows at +1")
+        odd = labels == -1
+    inside_k = {key: odd is not None and not odd[node[0]].any()
+                for key, node in lattice.items()}
+    kernel, root = action.kernel
+    base = (0 if action.order == 1 else None if kernel > 1 else 1 + min(
+        depth for _, depth, regular, _ in lattice.values() if regular))
+    if l_max is None:
+        l_max = 2 if base is None else base + 1
+
+    # at each level: the non-regular orbits, those whose stabilizer lies in
+    # K, and the regular orbits first reached there; level 0 is the one
+    # orbit of the empty tuple
+    nonregular, inside, fresh = (0, 0, 1) if base == 0 else (1, 0, 0)
+    frontier = {} if base == 0 else {root.tobytes(): 1}
     rows = []
     regular = 0
-    for l, (nonregular, inside, fresh) in enumerate(
-            levels[:(last_level() if l_max is None else l_max) + 1]):
+    for l in range(l_max + 1):
         regular = regular * degree + fresh
         o = nonregular + regular
-        if labels is None:
-            o_k = None
-        else:
-            o_k = o if odd is None else o + inside + regular
+        o_k = (None if labels is None else o if odd is None
+               else o + inside + regular)
         rows.append((l, o, o_k, regular))
+        nonregular = inside = fresh = 0
+        nxt = {}
+        for key, count in frontier.items():
+            _, _, key_regular, children = lattice[key]
+            fresh += count * key_regular
+            for child, orbits in children.items():
+                nonregular += count * orbits
+                inside += count * orbits * inside_k[child]
+                nxt[child] = nxt.get(child, 0) + count * orbits
+        frontier = nxt
     return base, rows
 
 
@@ -559,42 +556,45 @@ class ControllingVerdict:
 def is_base_controlling(action, max_degree=MAX_CONTROLLING_DEGREE):
     """Check: every point set has trivial stabilizer iff its labels are all +1.
 
-    The stabilizer of a tuple equals the stabilizer of its entry set, so
-    subsets of points cover every tuple. Subsets whose stabilizer is already
-    trivial are pruned (all supersets stay consistent), and points fixed by
-    the current stabilizer are skipped (they cannot change it).
+    Conjugate stabilizers have the same label image, so the verdict is read
+    off the lattice keys, one per stabilizer up to conjugacy. Only a
+    violation runs the depth-first subset search, bounded by max_degree,
+    that names the first one.
     """
     if action.labels is None:
         raise InputError("labels required")
-    if action.degree > max_degree:
-        raise CapacityError(
-            f"degree {action.degree} exceeds {max_degree} for subset search")
     labels = np.asarray(action.labels)
     if not (labels == -1).any():
         raise InputError(
             "labels are all +1: degenerate, controls only the trivial group")
     if int((labels == 1).sum()) * 2 != action.order:
         raise InputError("labels are not a homomorphism onto {1,-1}")
-    table = action.table
-    degree = action.degree
+    if all((labels[node[0]] == -1).any() for node in action.lattice.values()):
+        return ControllingVerdict(True)
+    if action.degree > max_degree:
+        raise CapacityError(
+            f"not controlling: a stabilizer carries only +1 labels, but the "
+            f"counterexample search is refused at degree {action.degree} "
+            f"(over {max_degree})")
 
     def walk(stab, start, chosen):
         if not (labels[stab] == -1).any():
             return ControllingVerdict(
                 False, tuple(action.point_names[i] for i in chosen),
                 int(stab.shape[0]), (1,))
-        sub = table[stab]
-        for point in range(start, degree):
-            column = sub[:, point]
-            child = stab[column == point]
+        sub = action.table[stab]
+        for point in range(start, action.degree):
+            child = stab[sub[:, point] == point]
             if child.shape[0] == 1 or child.shape[0] == stab.shape[0]:
                 continue
             verdict = walk(child, point + 1, chosen + (point,))
-            if not verdict.controlling:
+            if verdict is not None:
                 return verdict
-        return ControllingVerdict(True)
 
-    return walk(np.arange(action.order), 0, ())
+    verdict = walk(np.arange(action.order), 0, ())
+    if verdict is None:
+        raise ConsistencyError("subset search missed the lattice violation")
+    return verdict
 
 
 # ---------------------------------------------------------------------------

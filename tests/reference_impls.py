@@ -3,8 +3,10 @@
 Nothing here imports the package's combinatorics: partition counting uses the
 pentagonal-number recurrence, class data comes from sympy, fixed-point counts
 are plain itertools enumeration, orbit counts on tuples come from Burnside's
-lemma, and representatives lay cycles out shortest first (the package uses
-longest first, so agreement also exercises class invariance).
+lemma, representatives lay cycles out shortest first (the package uses
+longest first, so agreement also exercises class invariance), induced
+tables are built one element and one point at a time, and the
+base-controlling verdict tries every set of points.
 """
 
 from fractions import Fraction
@@ -163,3 +165,44 @@ def burnside_orbit_count(table, l):
     total = sum(int(count) * fix ** l for fix, count in enumerate(fixes))
     assert total % order == 0, (total, order)
     return total // order
+
+
+def _block_table(rows, points):
+    """Table of the rows acting on points that are tuples of blocks: the
+    image of a point maps each block, sorts it, and sorts the blocks."""
+    index = {point: i for i, point in enumerate(points)}
+    return np.array([[index[tuple(sorted(tuple(sorted(row[x] for x in block))
+                                         for block in point))]
+                      for point in points] for row in rows], dtype=np.int32)
+
+
+def subsets_action_table(rows, n, k):
+    """(table, point names) of the action on k-subsets of range(n), the
+    subsets in lexicographic order."""
+    points = [(subset,) for subset in combinations(range(n), k)]
+    names = tuple("{" + ",".join(str(x + 1) for x in block) + "}"
+                  for (block,) in points)
+    return _block_table(rows, points), names
+
+
+def partitions_action_table(rows, n, r, s):
+    """(table, point names) of the action on partitions of range(n) into r
+    blocks of size s, each partition its sorted list of sorted blocks and
+    the partitions in lexicographic order."""
+    points = sorted(tuple(sorted(tuple(sorted(block)) for block in part))
+                    for part in uniform_partitions_frozen(n, r, s))
+    names = tuple("|".join("".join(str(x + 1) for x in block)
+                           for block in point) for point in points)
+    return _block_table(rows, points), names
+
+
+def has_all_plus_stabilizer(table, labels):
+    """Whether some set of points has a pointwise stabilizer of more than
+    one row whose labels are all +1, trying every subset of the points."""
+    fixed = table == np.arange(table.shape[1])
+    for size in range(table.shape[1] + 1):
+        for subset in combinations(range(table.shape[1]), size):
+            stab = fixed[:, list(subset)].all(axis=1)
+            if stab.sum() > 1 and (labels[stab] == 1).all():
+                return True
+    return False

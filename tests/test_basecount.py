@@ -116,6 +116,27 @@ def test_partitions_action_six_points():
     assert oracle.is_base_controlling(action).controlling
 
 
+def test_partitions_candidate_never_overshoots_oracle():
+    # README, "Caveat on partition actions": every regular orbit splits over
+    # the even kernel, so the candidate is at most the base size. It falls
+    # short exactly where the sign is not base-controlling: 2x4 and 4x2
+    # have all-even stabilizers (degrees 35 and 105 are past the search
+    # that would name one).
+    expected = {(3, 2): (4, 4, True), (2, 3): (4, 4, True),
+                (2, 4): (3, 5, False), (4, 2): (2, 3, False)}
+    groups = {n: oracle.symmetric_group(n) for n in (6, 8)}
+    for (r, s), (candidate, base, controlling) in expected.items():
+        report = base_size_partitions_action(r * s, r, s)
+        action = oracle.act_on_uniform_partitions(groups[r * s], r, s)
+        assert report.base_size <= oracle_base(action), (r, s)
+        assert (report.base_size, oracle_base(action)) == (candidate, base)
+        if controlling:
+            assert oracle.is_base_controlling(action).controlling
+        else:
+            with pytest.raises(CapacityError, match="not controlling"):
+                oracle.is_base_controlling(action)
+
+
 def test_partitions_action_known_value_comparison(monkeypatch):
     monkeypatch.setitem(basecount.KNOWN_PARTITION_BASE_SIZES, (6, 3, 2), 4)
     agree = base_size_partitions_action(6, 3, 2)

@@ -306,21 +306,32 @@ def test_verify_l_max_above_cap(capsys, monkeypatch):
 
 def test_verify_walks_each_row_set_once(capsys, monkeypatch):
     # One walk gives the base size, o, o_K and the regular orbits, labeled
-    # or not; it reads l up to base size + 1 by default.
+    # or not; it reads l up to base size + 1 by default. The walk and the
+    # base-controlling verdict share one stabilizer lattice, which expands
+    # each key once.
     original = oracle.tuple_orbit_counts
+    original_lattice = oracle._stabilizer_lattice
     calls = []
+    lattices = []
 
     def counted(action, l_max=None):
         calls.append(l_max)
         return original(action, l_max)
 
+    def counted_lattice(action):
+        lattices.append(action)
+        return original_lattice(action)
+
     monkeypatch.setattr(oracle, "tuple_orbit_counts", counted)
+    monkeypatch.setattr(oracle, "_stabilizer_lattice", counted_lattice)
     for spec in ("pgl2:7", "sn:5/subsets:2", "an:5",
                  "sn:4/partitions:2x2"):
         calls.clear()
+        lattices.clear()
         code, doc, _ = run_cli(capsys, "verify", "--group", spec)
         assert code == 0
         assert calls == [None], (spec, calls)
+        assert len(lattices) == 1, spec
         base = doc["outputs"]["base_size"]
         l_max = 2 if base is None else int(base) + 1
         assert len(doc["outputs"]["regular_orbits"]) == l_max, spec
@@ -340,6 +351,25 @@ def test_verify_deep_l_max_without_base(capsys):
     for l, o, o_k in rows:
         assert int(o) == burnside_orbit_count(action.table, int(l))
         assert int(o_k) == burnside_orbit_count(kernel, int(l))
+
+
+def test_verify_reads_the_verdict_past_the_search_bound(capsys):
+    # Degree 56 is past MAX_CONTROLLING_DEGREE, which bounds only the
+    # search that names a counterexample; this action has none.
+    code, doc, _ = run_cli(capsys, "verify", "--group", "sn:8/subsets:3")
+    assert code == 0
+    assert doc["outputs"]["degree"] == "56"
+    assert doc["outputs"]["base_controlling"] == {"controlling": True}
+    assert doc["outputs"]["base_size"] == "4"
+    assert doc["outputs"]["formula"] == {"base_size": "4",
+                                         "relation": "equal"}
+    # Degree 100: the lattice finds an all-even stabilizer, and naming one
+    # by the subset search is refused.
+    code, doc, err = run_cli(capsys, "verify", "--group",
+                             "sn:5/subsets:2/wreath:2")
+    assert code == 3
+    assert doc is None
+    assert "not controlling" in err and "refused" in err
 
 
 def test_wreath_order_checked_before_listing_top_group(capsys, monkeypatch):
@@ -374,6 +404,8 @@ HOSTILE_INPUTS = (
     (("verify", "--group", "sn:3", "--l-max", "3000"), 3),
     (("verify", "--group", "sn:1/wreath:10"), 3),
     (("verify", "--group", "sn:1/wreath:100000"), 3),
+    (("verify", "--group", "sn:8/subsets:3"), 0),
+    (("verify", "--group", "sn:5/subsets:2/wreath:2"), 3),
     (("wreath", "--n", "5", "--k", "2", "--dist", "0"), 2),
     (("orbits", "--n", "0", "--k", "1", "--l", "1"), 2),
     (("orbits", "--n", "70", "--k", "1", "--l", "1"), 3),

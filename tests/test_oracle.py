@@ -4,6 +4,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
+from basechar import oracle
 from basechar.errors import CapacityError, ConsistencyError, InputError
 from basechar.oracle import (MAX_TUPLE_LENGTH, InducedAction, act_on_subsets,
                              act_on_uniform_partitions, alternating_group,
@@ -15,7 +16,8 @@ from basechar.oracle import (MAX_TUPLE_LENGTH, InducedAction, act_on_subsets,
                              symmetric_group, tuple_orbit_counts,
                              with_sign_labels)
 from reference_impls import (blind_orbit_data, burnside_orbit_count,
-                             perm_sign)
+                             has_all_plus_stabilizer, partitions_action_table,
+                             perm_sign, subsets_action_table)
 
 
 def elements(group):
@@ -205,6 +207,40 @@ def test_act_on_uniform_partitions():
         act_on_uniform_partitions(symmetric_group(6), 4, 2)
 
 
+def _same_action(action, expected):
+    table, names = expected
+    assert action.table.dtype == table.dtype == np.int32
+    assert np.array_equal(action.table, table)
+    assert action.point_names == names
+
+
+def test_induced_tables_match_plain_construction(monkeypatch):
+    for n in range(1, 7):
+        group = symmetric_group(n)
+        rows = group.table.tolist()
+        for k in range(1, n + 1):
+            _same_action(act_on_subsets(group, k),
+                         subsets_action_table(rows, n, k))
+        for r in range(1, n + 1):
+            if n % r == 0:
+                _same_action(act_on_uniform_partitions(group, r, n // r),
+                             partitions_action_table(rows, n, r, n // r))
+    # a cyclic group of degree 63: its subsets are past any int64 bitmask
+    cycle = "(" + ",".join(str(x) for x in range(1, 64)) + ")"
+    cyclic = parse_group_spec(f"gens:{cycle}").base_group
+    assert (cyclic.degree, cyclic.order) == (63, 63)
+    expected = subsets_action_table(cyclic.table.tolist(), 63, 2)
+    _same_action(act_on_subsets(cyclic, 2), expected)
+    # the same tables from gathers cut to one or a few rows at a time
+    monkeypatch.setattr(oracle, "MAX_GATHER_CELLS", 50)
+    _same_action(act_on_subsets(cyclic, 2), expected)
+    s6 = symmetric_group(6)
+    _same_action(act_on_uniform_partitions(s6, 3, 2),
+                 partitions_action_table(s6.table.tolist(), 6, 3, 2))
+    _same_action(act_on_subsets(s6, 2),
+                 subsets_action_table(s6.table.tolist(), 6, 2))
+
+
 def test_wreath_product_action():
     wreath = product_action_wreath(symmetric_group(3), 2)
     assert wreath.degree == 9
@@ -366,8 +402,36 @@ def test_is_base_controlling_subsets():
         assert is_base_controlling(action).controlling
     big = act_on_subsets(symmetric_group(7), 3)
     assert is_base_controlling(big, max_degree=40).controlling
-    with pytest.raises(CapacityError):
-        is_base_controlling(big)  # degree 35 past the default subset bound
+    # degree 35: the lattice gives the verdict past the subset search bound
+    assert is_base_controlling(big).controlling
+    # degree 27 and not controlling: naming a counterexample is refused
+    cube = parse_group_spec("sn:3/wreath:3").action
+    with pytest.raises(CapacityError, match="not controlling.*refused"):
+        is_base_controlling(cube)
+
+
+def test_controlling_verdict_matches_subset_enumeration():
+    # every labelled spec here has degree at most 12, so every point set is
+    # tried; the non-controlling ones also check the named counterexample
+    specs = ("sn:3", "sn:4", "sn:5", "sn:6", "pgl2:5", "pgl2:7",
+             "sn:3/wreath:2", "sn:5/subsets:2", "sn:6/partitions:2x3",
+             "sn:4/partitions:2x2", "gens:!(1,2,3,4);(1,3)",
+             "gens:!(1,2);(1,2,3)")
+    verdicts = []
+    for spec in specs:
+        action = parse_group_spec(spec).action
+        assert action.degree <= 12, spec
+        verdict = is_base_controlling(action)
+        violated = has_all_plus_stabilizer(action.table, action.labels)
+        assert verdict.controlling == (not violated), spec
+        verdicts.append(verdict.controlling)
+        if not verdict.controlling:
+            chosen = [action.point_names.index(name)
+                      for name in verdict.counterexample]
+            stab = (action.table[:, chosen] == chosen).all(axis=1)
+            assert verdict.stabilizer_order == stab.sum() > 1, spec
+            assert (action.labels[stab] == 1).all(), spec
+    assert True in verdicts and False in verdicts
 
 
 def test_is_base_controlling_pgl2_and_wreath():

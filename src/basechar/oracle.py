@@ -28,7 +28,6 @@ MAX_CLOSURE_ORDER = 10 ** 6
 MAX_INDUCED_DEGREE = 10 ** 4
 MAX_TABLE_CELLS = 5 * 10 ** 7
 MAX_GATHER_CELLS = 1 << 18
-MAX_CONTROLLING_DEGREE = 24  # bounds only the counterexample search
 MAX_DISTINGUISHING_POINTS = 12
 # The longest tuple the orbit walk accepts as an explicit limit. A faithful
 # action of a group of order at most MAX_CLOSURE_ORDER has a base of at
@@ -152,6 +151,17 @@ def _natural(table, labels=None):
                          f"natural action on {degree} points")
 
 
+def _bounded_factorial(n, refusal):
+    """n!, built factor by factor; raises CapacityError(refusal) as soon as
+    it passes MAX_CLOSURE_ORDER, so a huge n never computes a huge one."""
+    order = 1
+    for factor in range(2, n + 1):
+        order *= factor
+        if order > MAX_CLOSURE_ORDER:
+            raise CapacityError(refusal)
+    return order
+
+
 def _signs(table):
     """Sign of every row, +1 even and -1 odd, from its inversion parity."""
     inversions = np.zeros(table.shape[0], dtype=np.int64)
@@ -225,8 +235,7 @@ def symmetric_group(n):
     """
     if n < 1:
         raise InputError("degree must be positive")
-    if math.factorial(n) > MAX_CLOSURE_ORDER:
-        raise CapacityError(f"order {n}! exceeds {MAX_CLOSURE_ORDER}")
+    _bounded_factorial(n, f"order {n}! exceeds {MAX_CLOSURE_ORDER}")
     table = np.zeros((1, 0), dtype=np.int32)
     signs = np.ones(1, dtype=np.int8)
     for m in range(1, n + 1):
@@ -246,15 +255,6 @@ def alternating_group(n):
     return _natural(group.table[group.labels == 1])
 
 
-def _is_prime(q):
-    if q < 2:
-        return False
-    for d in range(2, int(q ** 0.5) + 1):
-        if q % d == 0:
-            return False
-    return True
-
-
 def pgl2(q):
     """PGL_2(q) as Moebius maps on the projective line over F_q.
 
@@ -264,7 +264,7 @@ def pgl2(q):
     nonzero square mod q (scaling multiplies the determinant by a square);
     the kernel of that labeling is PSL_2(q).
     """
-    if not _is_prime(q) or q % 2 == 0 or q > 31:
+    if q not in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         raise InputError("q must be an odd prime at most 31")
     x = np.arange(q)
     a, b, bottom = (v.ravel() for v in np.meshgrid(x, x, np.arange(q + 1)))
@@ -362,15 +362,10 @@ def product_action_wreath(base, r, top_generators=None):
     if r < 1:
         raise InputError("r must be positive")
     if top_generators is None:
-        # r! factor by factor, refused once it passes the bound (from
-        # r = 10 on): a large r never computes a huge factorial or power,
-        # nor lists the r! permutations.
-        top_order = 1
-        for factor in range(2, r + 1):
-            top_order *= factor
-            if top_order > MAX_CLOSURE_ORDER:
-                raise CapacityError(f"wreath order exceeds {MAX_CLOSURE_ORDER}:"
-                                    f" the top group S_{r} alone has order {r}!")
+        # bounded before the r! permutations are listed
+        top_order = _bounded_factorial(
+            r, f"wreath order exceeds {MAX_CLOSURE_ORDER}: the top group "
+               f"S_{r} alone has order {r}!")
     else:
         top = closure(top_generators, degree=r).table.tolist()
         top_order = len(top)
@@ -433,9 +428,10 @@ def check_tuple_length(l_max):
 
 
 def _stabilizer_lattice(action):
-    """{key: (rows, depth, regular orbits on points, {child key: orbits})}
-    for every tuple stabilizer, expanded once each, breadth first from the
-    whole group: depth is the shortest tuple with that stabilizer.
+    """{key: (rows, depth, regular orbits on points, {child key: orbits},
+    all +1)} for every tuple stabilizer, expanded once each, breadth first
+    from the whole group: depth is the shortest tuple with that stabilizer,
+    and the last entry says whether every row of it is labelled +1.
 
     A tuple's stabilizer G_S is also the pointwise stabilizer of its own
     fixed-point set F (it fixes F, and S lies in F), so F, as the bytes of a
@@ -443,7 +439,8 @@ def _stabilizer_lattice(action):
     so this holds for non-faithful actions too. Each non-regular orbit on
     points leads to the key of its point stabilizer.
     """
-    table, points = action.table, np.arange(action.degree)
+    table, labels = action.table, action.labels
+    points = np.arange(action.degree)
     root = action.kernel[1].tobytes()
     found = {root: (np.arange(action.order), 0)}
     lattice = {}
@@ -468,7 +465,8 @@ def _stabilizer_lattice(action):
             if child not in found:
                 found[child] = (stab[fixed], depth + 1)
                 queue.append(child)
-        lattice[key] = (stab, depth, regular, children)
+        plus = labels is not None and bool((labels[stab] == 1).all())
+        lattice[key] = (stab, depth, regular, children, plus)
     return lattice
 
 
@@ -494,17 +492,13 @@ def tuple_orbit_counts(action, l_max=None):
     if l_max is not None:
         check_tuple_length(l_max)
     labels, degree, lattice = action.labels, action.degree, action.lattice
-    odd = None
-    if labels is not None and (labels == -1).any():
-        if 2 * int(np.count_nonzero(labels == 1)) != action.order:
-            raise ConsistencyError(
-                "labels with a -1 must put exactly half the rows at +1")
-        odd = labels == -1
-    inside_k = {key: odd is not None and not odd[node[0]].any()
-                for key, node in lattice.items()}
+    signed = labels is not None and bool((labels == -1).any())
+    if signed and 2 * int(np.count_nonzero(labels == 1)) != action.order:
+        raise ConsistencyError(
+            "labels with a -1 must put exactly half the rows at +1")
     kernel, root = action.kernel
     base = (0 if action.order == 1 else None if kernel > 1 else 1 + min(
-        depth for _, depth, regular, _ in lattice.values() if regular))
+        depth for _, depth, regular, _, _ in lattice.values() if regular))
     if l_max is None:
         l_max = 2 if base is None else base + 1
 
@@ -518,17 +512,17 @@ def tuple_orbit_counts(action, l_max=None):
     for l in range(l_max + 1):
         regular = regular * degree + fresh
         o = nonregular + regular
-        o_k = (None if labels is None else o if odd is None
-               else o + inside + regular)
+        o_k = (None if labels is None else o + inside + regular if signed
+               else o)
         rows.append((l, o, o_k, regular))
         nonregular = inside = fresh = 0
         nxt = {}
         for key, count in frontier.items():
-            _, _, key_regular, children = lattice[key]
+            _, _, key_regular, children, _ = lattice[key]
             fresh += count * key_regular
             for child, orbits in children.items():
                 nonregular += count * orbits
-                inside += count * orbits * inside_k[child]
+                inside += count * orbits * lattice[child][4]  # all +1
                 nxt[child] = nxt.get(child, 0) + count * orbits
         frontier = nxt
     return base, rows
@@ -553,13 +547,16 @@ class ControllingVerdict:
     label_image: tuple | None = None
 
 
-def is_base_controlling(action, max_degree=MAX_CONTROLLING_DEGREE):
+def is_base_controlling(action):
     """Check: every point set has trivial stabilizer iff its labels are all +1.
 
     Conjugate stabilizers have the same label image, so the verdict is read
-    off the lattice keys, one per stabilizer up to conjugacy. Only a
-    violation runs the depth-first subset search, bounded by max_degree,
-    that names the first one.
+    off the lattice keys' +1 flags, one key per stabilizer up to conjugacy.
+    Only a violation runs the depth-first search over increasing point
+    chains, in lexicographic order, that names the first one. It skips a
+    stabilizer (a set of rows) whose subtree already held no violation: a
+    violating superset of that stabilizer's points would have a sorted
+    chain either in that subtree or before it, so it is found either way.
     """
     if action.labels is None:
         raise InputError("labels required")
@@ -569,13 +566,9 @@ def is_base_controlling(action, max_degree=MAX_CONTROLLING_DEGREE):
             "labels are all +1: degenerate, controls only the trivial group")
     if int((labels == 1).sum()) * 2 != action.order:
         raise InputError("labels are not a homomorphism onto {1,-1}")
-    if all((labels[node[0]] == -1).any() for node in action.lattice.values()):
+    if not any(node[4] for node in action.lattice.values()):
         return ControllingVerdict(True)
-    if action.degree > max_degree:
-        raise CapacityError(
-            f"not controlling: a stabilizer carries only +1 labels, but the "
-            f"counterexample search is refused at degree {action.degree} "
-            f"(over {max_degree})")
+    cleared = set()
 
     def walk(stab, start, chosen):
         if not (labels[stab] == -1).any():
@@ -585,11 +578,13 @@ def is_base_controlling(action, max_degree=MAX_CONTROLLING_DEGREE):
         sub = action.table[stab]
         for point in range(start, action.degree):
             child = stab[sub[:, point] == point]
-            if child.shape[0] == 1 or child.shape[0] == stab.shape[0]:
+            key = child.tobytes()
+            if child.shape[0] in (1, stab.shape[0]) or key in cleared:
                 continue
             verdict = walk(child, point + 1, chosen + (point,))
             if verdict is not None:
                 return verdict
+            cleared.add(key)
 
     verdict = walk(np.arange(action.order), 0, ())
     if verdict is None:
@@ -723,6 +718,7 @@ def _parse_base(token, labels_mode):
         degree = max(max_point_of_cycles(body) for body in bodies)
         if degree == 0:
             raise InputError("cannot infer degree from identity generators")
+        _check_table_capacity(1, degree)  # before any row of that length
         gens = [parse_cycles(body, degree) for body in bodies]
         explicit = any(sign == -1 for sign in signs)
         group = closure(gens, labels=signs if explicit else None)

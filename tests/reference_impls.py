@@ -6,7 +6,8 @@ are plain itertools enumeration, orbit counts on tuples come from Burnside's
 lemma, representatives lay cycles out shortest first (the package uses
 longest first, so agreement also exercises class invariance), induced
 tables are built one element and one point at a time, and the
-base-controlling verdict tries every set of points.
+base-controlling verdict tries every set of points, and the first
+counterexample comes from a depth-first search with nothing memoised.
 """
 
 from fractions import Fraction
@@ -206,3 +207,25 @@ def has_all_plus_stabilizer(table, labels):
             if stab.sum() > 1 and (labels[stab] == 1).all():
                 return True
     return False
+
+
+def first_all_plus_chain(table, labels):
+    """(points, stabilizer order) of the first violation in the plain
+    depth-first search: chains of increasing points, each shrinking the
+    pointwise stabilizer of the points before it to more than one row, in
+    lexicographic order, stopping at the first stabilizer with only +1
+    labels. None when there is none. Nothing is memoised or skipped."""
+    fixed = table == np.arange(table.shape[1])
+
+    def search(rows, chain):
+        if (labels[rows] == 1).all():
+            return chain, len(rows)
+        for point in range(chain[-1] + 1 if chain else 0, table.shape[1]):
+            child = rows[fixed[rows, point]]
+            if 1 < len(child) < len(rows):
+                found = search(child, chain + (point,))
+                if found is not None:
+                    return found
+        return None
+
+    return search(np.arange(len(table)), ())

@@ -120,8 +120,7 @@ def test_partitions_candidate_never_overshoots_oracle():
     # README, "Caveat on partition actions": every regular orbit splits over
     # the even kernel, so the candidate is at most the base size. It falls
     # short exactly where the sign is not base-controlling: 2x4 and 4x2
-    # have all-even stabilizers (degrees 35 and 105 are past the search
-    # that would name one).
+    # have all-even stabilizers, and the verdict names one.
     expected = {(3, 2): (4, 4, True), (2, 3): (4, 4, True),
                 (2, 4): (3, 5, False), (4, 2): (2, 3, False)}
     groups = {n: oracle.symmetric_group(n) for n in (6, 8)}
@@ -130,11 +129,14 @@ def test_partitions_candidate_never_overshoots_oracle():
         action = oracle.act_on_uniform_partitions(groups[r * s], r, s)
         assert report.base_size <= oracle_base(action), (r, s)
         assert (report.base_size, oracle_base(action)) == (candidate, base)
-        if controlling:
-            assert oracle.is_base_controlling(action).controlling
-        else:
-            with pytest.raises(CapacityError, match="not controlling"):
-                oracle.is_base_controlling(action)
+        verdict = oracle.is_base_controlling(action)
+        assert verdict.controlling == controlling, (r, s)
+        if not controlling:
+            chosen = [action.point_names.index(name)
+                      for name in verdict.counterexample]
+            stab = (action.table[:, chosen] == chosen).all(axis=1)
+            assert verdict.stabilizer_order == stab.sum() > 1, (r, s)
+            assert (action.labels[stab] == 1).all(), (r, s)
 
 
 def test_partitions_action_known_value_comparison(monkeypatch):

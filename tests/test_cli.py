@@ -354,8 +354,8 @@ def test_verify_deep_l_max_without_base(capsys):
 
 
 def test_verify_reads_the_verdict_past_the_search_bound(capsys):
-    # Degree 56 is past MAX_CONTROLLING_DEGREE, which bounds only the
-    # search that names a counterexample; this action has none.
+    # The verdict and the search that names a counterexample have no
+    # degree bound: degree 56 and controlling, then degree 100 and not.
     code, doc, _ = run_cli(capsys, "verify", "--group", "sn:8/subsets:3")
     assert code == 0
     assert doc["outputs"]["degree"] == "56"
@@ -363,13 +363,15 @@ def test_verify_reads_the_verdict_past_the_search_bound(capsys):
     assert doc["outputs"]["base_size"] == "4"
     assert doc["outputs"]["formula"] == {"base_size": "4",
                                          "relation": "equal"}
-    # Degree 100: the lattice finds an all-even stabilizer, and naming one
-    # by the subset search is refused.
-    code, doc, err = run_cli(capsys, "verify", "--group",
-                             "sn:5/subsets:2/wreath:2")
-    assert code == 3
-    assert doc is None
-    assert "not controlling" in err and "refused" in err
+    code, doc, _ = run_cli(capsys, "verify", "--group",
+                           "sn:5/subsets:2/wreath:2")
+    assert code == 0
+    assert doc["outputs"]["degree"] == "100"
+    assert doc["outputs"]["base_controlling"] == {
+        "controlling": False,
+        "counterexample": ["({1,2},{1,2})", "({1,3},{1,3})", "({1,4},{1,4})"],
+        "stabilizer_order": "2",
+        "label_image": ["1"]}
 
 
 def test_wreath_order_checked_before_listing_top_group(capsys, monkeypatch):
@@ -390,6 +392,19 @@ def test_wreath_order_checked_before_listing_top_group(capsys, monkeypatch):
     assert str(oracle.MAX_CLOSURE_ORDER) in err
 
 
+def test_gens_degree_checked_before_parsing(capsys, monkeypatch):
+    # The degree is the largest point named, so it is bounded before any
+    # permutation of that length is built.
+    def no_parsing(*args):
+        raise AssertionError("cycles parsed")
+
+    monkeypatch.setattr(oracle, "parse_cycles", no_parsing)
+    code, doc, err = run_cli(capsys, "verify", "--group", "gens:(1,2000000)")
+    assert code == 3
+    assert doc is None
+    assert str(oracle.MAX_INDUCED_DEGREE) in err
+
+
 HOSTILE_INPUTS = (
     (("verify", "--group", "gens:"), 2),
     (("verify", "--group", "gens:!()"), 2),
@@ -405,7 +420,7 @@ HOSTILE_INPUTS = (
     (("verify", "--group", "sn:1/wreath:10"), 3),
     (("verify", "--group", "sn:1/wreath:100000"), 3),
     (("verify", "--group", "sn:8/subsets:3"), 0),
-    (("verify", "--group", "sn:5/subsets:2/wreath:2"), 3),
+    (("verify", "--group", "sn:5/subsets:2/wreath:2"), 0),
     (("wreath", "--n", "5", "--k", "2", "--dist", "0"), 2),
     (("orbits", "--n", "0", "--k", "1", "--l", "1"), 2),
     (("orbits", "--n", "70", "--k", "1", "--l", "1"), 3),
@@ -428,6 +443,26 @@ def test_hostile_inputs(capsys, argv, expected):
         assert captured.out == ""
         assert captured.err.startswith(("error:", "capacity error:"))
     assert "Traceback" not in captured.err
+
+
+# Parameters whose refusal must not wait on work growing with them (a huge
+# factorial, trial division). Each runs in a child process with a timeout,
+# since a stall inside one C call cannot be interrupted in-process.
+HUGE_PARAMETERS = (("sn:99999999999999", 3), ("an:99999999999999", 3),
+                   ("pgl2:2305843009213693951", 2))
+
+
+@pytest.mark.parametrize("spec, expected", HUGE_PARAMETERS,
+                         ids=[spec for spec, _ in HUGE_PARAMETERS])
+def test_huge_parameters_refused_at_once(spec, expected):
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "basechar.cli", "verify", "--group", spec],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == expected, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith(("error:", "capacity error:"))
 
 
 # Every case the benchmark can draw, with the output recorded for it. The

@@ -16,8 +16,9 @@ from basechar.oracle import (MAX_TUPLE_LENGTH, InducedAction, act_on_subsets,
                              symmetric_group, tuple_orbit_counts,
                              with_sign_labels)
 from reference_impls import (blind_orbit_data, burnside_orbit_count,
-                             has_all_plus_stabilizer, partitions_action_table,
-                             perm_sign, subsets_action_table)
+                             first_all_plus_chain, has_all_plus_stabilizer,
+                             partitions_action_table, perm_sign,
+                             subsets_action_table)
 
 
 def elements(group):
@@ -400,14 +401,13 @@ def test_is_base_controlling_subsets():
     for n, k in ((5, 1), (5, 2), (6, 2), (7, 2)):
         action = act_on_subsets(symmetric_group(n), k)
         assert is_base_controlling(action).controlling
+    # degree 35: the verdict is read off the lattice, whatever the degree
     big = act_on_subsets(symmetric_group(7), 3)
-    assert is_base_controlling(big, max_degree=40).controlling
-    # degree 35: the lattice gives the verdict past the subset search bound
     assert is_base_controlling(big).controlling
-    # degree 27 and not controlling: naming a counterexample is refused
-    cube = parse_group_spec("sn:3/wreath:3").action
-    with pytest.raises(CapacityError, match="not controlling.*refused"):
-        is_base_controlling(cube)
+    # degree 27 and not controlling: the first counterexample is named
+    verdict = is_base_controlling(parse_group_spec("sn:3/wreath:3").action)
+    assert not verdict.controlling
+    assert verdict.counterexample == ("(1,1,1)", "(1,1,2)", "(2,2,1)")
 
 
 def test_controlling_verdict_matches_subset_enumeration():
@@ -432,6 +432,22 @@ def test_controlling_verdict_matches_subset_enumeration():
             assert verdict.stabilizer_order == stab.sum() > 1, spec
             assert (action.labels[stab] == 1).all(), spec
     assert True in verdicts and False in verdicts
+
+
+def test_memoised_search_names_the_plain_first_counterexample():
+    # Skipping stabilizers already cleared must not change which chain
+    # comes first, nor its stabilizer order.
+    for spec in ("sn:4/wreath:2", "sn:3/wreath:3", "pgl2:5/wreath:2",
+                 "sn:4/subsets:2/wreath:2", "sn:3/wreath:2/wreath:2",
+                 "sn:4/partitions:2x2",
+                 "gens:!(1,2)(3,4);(1,3)(2,4)/wreath:2"):
+        action = parse_group_spec(spec).action
+        chain, order = first_all_plus_chain(action.table, action.labels)
+        verdict = is_base_controlling(action)
+        assert not verdict.controlling, spec
+        assert verdict.counterexample == tuple(
+            action.point_names[i] for i in chain), spec
+        assert verdict.stabilizer_order == order, spec
 
 
 def test_is_base_controlling_pgl2_and_wreath():

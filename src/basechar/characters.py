@@ -41,10 +41,10 @@ class CharVector:
 
     terms holds (weight, sign, value) triples whose weights sum to n!.
     cycle_types is None for a collapsed sum; otherwise each term is one
-    conjugacy class, cycle_types[i] is the class of terms[i] and the
-    order is that of enumerate_cycle_types(n).  action is a tag like
-    "subsets:2" or "partitions:3x5"; domain_size is the number of points
-    acted on (the value at the identity).
+    conjugacy class, cycle_types[i] is the descending part tuple of the
+    class of terms[i] and the order is that of enumerate_cycle_types(n).
+    action is a tag like "subsets:2" or "partitions:3x5"; domain_size is
+    the number of points acted on (the value at the identity).
     """
 
     n: int
@@ -64,17 +64,19 @@ def _times_one_plus(poly, j):
     return poly[:j] + [a + b for a, b in zip(poly[j:], poly)]
 
 
-def chi_subsets(ct, k):
-    """Number of k-subsets of [n] fixed by a permutation of cycle type ct.
+def chi_subsets(parts, k):
+    """Number of k-subsets of [n] fixed by a permutation of cycle type
+    parts.
 
     A fixed k-subset is a union of whole cycles, so this is the
     coefficient of x^k in the product over cycles of (1 + x^length).
     """
-    if not 1 <= k <= ct.n:
-        raise InputError(f"k must be in 1..{ct.n}, got {k}")
+    n = sum(parts)
+    if not 1 <= k <= n:
+        raise InputError(f"k must be in 1..{n}, got {k}")
     poly = [1] + [0] * k
-    for j in range(1, k + 1):
-        for _ in range(ct.counts[j - 1]):
+    for j in parts:
+        if j <= k:
             poly = _times_one_plus(poly, j)
     return poly[k]
 
@@ -161,11 +163,10 @@ def _uniform_partition_coefficients(r, s):
     inner = {}
     total = {}
     for nu in enumerate_cycle_types(r):
-        terms = {(): class_size(nu) * factorial(s) ** (r - nu.num_cycles)}
-        for k in nu.parts():
+        terms = {(): class_size(nu) * factorial(s) ** (r - len(nu))}
+        for k in nu:
             if k not in inner:
-                inner[k] = [(tuple(k * part for part in lam.parts()),
-                             class_size(lam))
+                inner[k] = [(tuple(k * part for part in lam), class_size(lam))
                             for lam in enumerate_cycle_types(s)]
             merged = {}
             for parts, coefficient in terms.items():
@@ -189,22 +190,23 @@ def _uniform_partition_setup(n, r, s):
     return domain, _uniform_partition_coefficients(r, s)
 
 
-def _uniform_partition_value(ct, size, domain, coefficients):
+def _uniform_partition_value(parts, size, domain, coefficients):
     # chi(mu) = z_mu [p_mu] h_r[h_s]; with z_mu = n! / class size and the
     # r! s!^r scaling this is domain * coefficient / class size.
-    value, rem = divmod(domain * coefficients.get(tuple(ct.parts()), 0), size)
+    value, rem = divmod(domain * coefficients.get(parts, 0), size)
     if rem:
         raise ConsistencyError(
-            f"h_r[h_s] gives a non-integral character value at class {ct}")
+            f"h_r[h_s] gives a non-integral character value at class {parts}")
     return value
 
 
-def chi_uniform_partitions(ct, r, s):
+def chi_uniform_partitions(parts, r, s):
     """Number of partitions of [n] into r blocks of size s fixed by a
-    permutation of cycle type ct (blocks permuted among themselves),
+    permutation of cycle type parts (blocks permuted among themselves),
     read off the closed form h_r[h_s]."""
-    domain, coefficients = _uniform_partition_setup(ct.n, r, s)
-    return _uniform_partition_value(ct, class_size(ct), domain, coefficients)
+    domain, coefficients = _uniform_partition_setup(sum(parts), r, s)
+    return _uniform_partition_value(parts, class_size(parts), domain,
+                                    coefficients)
 
 
 def char_vector_uniform_partitions(n, r, s):
@@ -212,10 +214,10 @@ def char_vector_uniform_partitions(n, r, s):
     domain, coefficients = _uniform_partition_setup(n, r, s)
     cycle_types = tuple(enumerate_cycle_types(n))
     terms = []
-    for ct in cycle_types:
-        size = class_size(ct)
-        terms.append((size, sign_of(ct),
-                      _uniform_partition_value(ct, size, domain,
+    for parts in cycle_types:
+        size = class_size(parts)
+        terms.append((size, sign_of(parts),
+                      _uniform_partition_value(parts, size, domain,
                                                coefficients)))
     return CharVector(n, f"partitions:{r}x{s}", domain, tuple(terms),
                       cycle_types)

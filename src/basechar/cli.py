@@ -85,8 +85,8 @@ def cmd_partitions_action(args):
     report = basecount.base_size_partitions_action(
         args.n, args.r, args.s, max_l=args.l_max)
     chi = report.character
-    character = [(str(ct), value)
-                 for ct, (_, _, value) in zip(chi.cycle_types, chi.terms)]
+    character = [("+".join(map(str, parts)), value)
+                 for parts, (_, _, value) in zip(chi.cycle_types, chi.terms)]
     outputs = {
         "min_l": report.base_size,
         "trace": report.witness_l_values,

@@ -110,7 +110,6 @@ class InducedAction:
     table: np.ndarray
     labels: np.ndarray | None
     point_names: tuple
-    description: str
 
     def __post_init__(self):
         if self.labels is not None and len(self.labels) != len(self.table):
@@ -147,8 +146,7 @@ def _natural(table, labels=None):
     order, degree = table.shape
     _check_table_capacity(order, degree)
     names = tuple(str(i + 1) for i in range(degree))
-    return InducedAction(degree, table, labels, names,
-                         f"natural action on {degree} points")
+    return InducedAction(degree, table, labels, names)
 
 
 def _bounded_factorial(n, refusal):
@@ -176,6 +174,8 @@ def closure(generators, labels=None, degree=None, max_order=MAX_CLOSURE_ORDER):
 
     Labels, when given, ride along multiplicatively; reaching the same
     element with both signs means the labeling is not a homomorphism.
+    The table size is checked before each new element is listed, so a
+    group too large to tabulate is refused as soon as it outgrows the cap.
     """
     generators = [tuple(g) for g in generators]
     for g in generators:
@@ -207,6 +207,7 @@ def closure(generators, labels=None, degree=None, max_order=MAX_CLOSURE_ORDER):
                     if len(found) >= max_order:
                         raise CapacityError(
                             f"group order exceeds {max_order}")
+                    _check_table_capacity(len(found) + 1, degree)
                     found[image] = label
                     nxt.append(image)
                 elif known != label:
@@ -318,7 +319,7 @@ def act_on_subsets(group, k):
     points = list(combinations(range(group.degree), k))
     names = tuple("{" + ",".join(str(x + 1) for x in s) + "}" for s in points)
     return InducedAction(len(points), _sets_table(group.table, points),
-                         group.labels, names, f"action on {k}-subsets")
+                         group.labels, names)
 
 
 def _uniform_partitions(free, s):
@@ -347,8 +348,7 @@ def act_on_uniform_partitions(group, r, s):
                         [[index[block] for block in part] for part in points])
     names = tuple("|".join("".join(str(x + 1) for x in block)
                            for block in part) for part in points)
-    return InducedAction(len(points), table, group.labels, names,
-                         f"action on uniform ({r}x{s})-partitions")
+    return InducedAction(len(points), table, group.labels, names)
 
 
 def product_action_wreath(base, r, top_generators=None):
@@ -405,8 +405,7 @@ def product_action_wreath(base, r, top_generators=None):
         for _ in range(r):
             labels = np.outer(labels, base.labels).ravel()
         labels = np.repeat(labels, len(inverses))
-    description = f"wreath product action on {degree} tuples"
-    return InducedAction(degree, table, labels, names, description)
+    return InducedAction(degree, table, labels, names)
 
 
 # ---------------------------------------------------------------------------

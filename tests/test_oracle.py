@@ -74,6 +74,24 @@ def test_closure_trivial_and_errors():
                 max_order=50)
 
 
+def test_closure_refuses_a_large_table_as_it_grows(monkeypatch):
+    # A 1,000-cycle generates 1,000 elements of degree 1,000; with a cap of
+    # 10^4 table cells the closure must stop after about ten compositions,
+    # not list the whole group first.
+    monkeypatch.setattr(oracle, "MAX_TABLE_CELLS", 10 ** 4)
+    calls = []
+
+    def counted(p, q):
+        calls.append(None)
+        return compose(p, q)
+
+    monkeypatch.setattr(oracle, "compose", counted)
+    cycle = tuple(range(1, 1000)) + (0,)
+    with pytest.raises(CapacityError, match="action table too large"):
+        closure([cycle])
+    assert len(calls) <= 10 ** 4 // 1000 + 1
+
+
 def test_closure_inconsistent_labels():
     # (1,2,3) = (1,2)(1,3) is even; labeling it -1 cannot be a homomorphism
     gens = [parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)]
@@ -118,7 +136,7 @@ def test_rows_in_strict_lexicographic_order():
 def test_labels_must_match_rows():
     s3 = symmetric_group(3)
     with pytest.raises(InputError):
-        InducedAction(3, s3.table, s3.labels[:5], s3.point_names, "short")
+        InducedAction(3, s3.table, s3.labels[:5], s3.point_names)
     with pytest.raises(InputError):
         replace(s3, table=s3.table[1:])
 
@@ -328,8 +346,7 @@ def test_base_size_invariant_under_point_relabeling():
     table[:, relabel] = relabel[action.table]
     shuffled = InducedAction(action.degree, table, action.labels,
                              tuple(action.point_names[i]
-                                   for i in np.argsort(relabel)),
-                             action.description)
+                                   for i in np.argsort(relabel)))
     assert base_size(shuffled) == base_size(action)
 
 
@@ -473,16 +490,16 @@ def test_is_base_controlling_counterexample_shape():
 
 def test_is_base_controlling_degenerate_inputs():
     s4 = symmetric_group(4)
-    all_plus = InducedAction(4, s4.table,
-                             np.ones(24, dtype=np.int8),
-                             tuple("1234"), "all-plus labels")
+    all_plus = InducedAction(4, s4.table, np.ones(24, dtype=np.int8),
+                             tuple("1234"))
     with pytest.raises(InputError):
         is_base_controlling(all_plus)
     with pytest.raises(InputError):
         is_base_controlling(alternating_group(4))
+    # labels that are not a homomorphism
     lopsided = InducedAction(4, s4.table,
                              np.array([1] * 23 + [-1], dtype=np.int8),
-                             tuple("1234"), "non-homomorphism labels")
+                             tuple("1234"))
     with pytest.raises(InputError):
         is_base_controlling(lopsided)
 

@@ -4,15 +4,14 @@ import pytest
 
 from basechar.characters import char_vector_uniform_partitions
 from basechar.errors import CapacityError, InputError
-from basechar.partitions import (CycleType, class_size,
-                                 enumerate_cycle_types, sign_of)
+from basechar.partitions import class_size, enumerate_cycle_types, sign_of
 from reference_impls import partition_count, sympy_class_data
 
 
 def test_n1_single_cycle_type():
     types = list(enumerate_cycle_types(1))
     assert len(types) == 1
-    assert types[0].parts() == [1]
+    assert types == [(1,)]
 
 
 def test_counts_match_pentagonal_recurrence():
@@ -27,7 +26,7 @@ def test_n4_and_n15_counts():
 
 def test_order_is_descending_lexicographic():
     for n in (5, 8, 11):
-        seen = [tuple(ct.parts()) for ct in enumerate_cycle_types(n)]
+        seen = list(enumerate_cycle_types(n))
         assert seen == sorted(seen, reverse=True)
         assert len(set(seen)) == len(seen)
         for parts in seen:
@@ -36,24 +35,13 @@ def test_order_is_descending_lexicographic():
 
 
 def test_cycle_type_structure():
-    ct = CycleType.from_parts(6, (3, 2, 1))
-    assert ct.counts == (1, 1, 1, 0, 0, 0)
-    assert ct.parts() == [3, 2, 1]
-    assert str(ct) == "3+2+1"
-    assert ct.num_cycles == 3
-    assert not ct.is_identity
-    assert CycleType.from_parts(3, (1, 1, 1)).is_identity
-
-
-def test_cycle_type_validation():
-    with pytest.raises(InputError):
-        CycleType(4, (1, 0, 0, 0))  # weights sum to 1, not 4
-    with pytest.raises(InputError):
-        CycleType(3, (3,))  # counts vector too short
-    with pytest.raises(InputError):
-        CycleType(3, (-1, 2, 0))
-    with pytest.raises(InputError):
-        CycleType.from_parts(5, (3, 3))
+    # A cycle type is a plain tuple of its part lengths, longest first.
+    for ct in enumerate_cycle_types(6):
+        assert type(ct) is tuple
+        assert all(type(part) is int for part in ct)
+        assert list(ct) == sorted(ct, reverse=True)
+    assert list(enumerate_cycle_types(4)) == [
+        (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
 def test_enumerate_range_errors():
@@ -67,12 +55,11 @@ def test_enumerate_range_errors():
 
 def test_class_size_examples():
     # S_4: 4-cycles 6, 3-cycles 8, double transpositions 3, transpositions 6
-    sizes = {tuple(ct.parts()): class_size(ct)
-             for ct in enumerate_cycle_types(4)}
+    sizes = {ct: class_size(ct) for ct in enumerate_cycle_types(4)}
     assert sizes == {(4,): 6, (3, 1): 8, (2, 2): 3, (2, 1, 1): 6,
                      (1, 1, 1, 1): 1}
-    assert class_size(CycleType.from_parts(5, (2, 1, 1, 1))) == 10
-    assert class_size(CycleType.from_parts(15, (15,))) == math.factorial(14)
+    assert class_size((2, 1, 1, 1)) == 10
+    assert class_size((15,)) == math.factorial(14)
 
 
 def test_class_sizes_sum_to_group_order():
@@ -82,10 +69,10 @@ def test_class_sizes_sum_to_group_order():
 
 
 def test_signs():
-    assert sign_of(CycleType.from_parts(4, (1, 1, 1, 1))) == 1
-    assert sign_of(CycleType.from_parts(4, (2, 1, 1))) == -1
+    assert sign_of((1, 1, 1, 1)) == 1
+    assert sign_of((2, 1, 1)) == -1
     for n in (3, 6, 10):
-        assert sign_of(CycleType.from_parts(n, (n,))) == (-1) ** (n - 1)
+        assert sign_of((n,)) == (-1) ** (n - 1)
 
 
 def test_signed_sizes_cancel():
@@ -96,7 +83,7 @@ def test_signed_sizes_cancel():
 
 def test_against_sympy():
     for n in (2, 4, 7, 10, 12):
-        mine = {(tuple(ct.parts()), class_size(ct), sign_of(ct))
+        mine = {(ct, class_size(ct), sign_of(ct))
                 for ct in enumerate_cycle_types(n)}
         assert mine == sympy_class_data(n)
 

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import math
 
 from .characters import (CharVector, char_vector_subsets,
-                         char_vector_uniform_partitions, inner_product,
-                         iter_inner_products)
+                         char_vector_uniform_partitions, iter_inner_products)
 from .errors import CapacityError, InputError
 
 # Published base size of the symmetric group on 15 points acting on the
@@ -29,7 +28,7 @@ PARTITIONS_CAVEAT = (
 class BaseSizeReport:
     """Minimum-l search outcome with its full witness trace.
 
-    witness_l_values holds (l, regular_orbit_count) for l = 1..base_size;
+    witness_l_values holds (l, <sgn, chi^l>) for l = 1..base_size;
     counts are below the search threshold strictly before base_size and
     reach it there (the threshold is 1 for a base size, the distinguishing
     number of the top group for a wreath product). base_size None means
@@ -80,12 +79,6 @@ def base_size_subsets(n, k, max_l=None):
     return BaseSizeReport(base, trace)
 
 
-def regular_orbit_count(n, k, l):
-    """Number of regular orbits on l-tuples of k-subsets."""
-    _validate_subsets(n, k)
-    return inner_product(char_vector_subsets(n, k), l)
-
-
 def base_size_wreath_subsets(n, k, distinguishing):
     """Base size of the wreath product over the k-subset action, in
     product action, for a top group with the given distinguishing number."""
@@ -107,8 +100,7 @@ def large_base_bounds(m, k, r):
     """
     if r < 1:
         raise InputError("r must be positive")
-    _validate_subsets(m, k)
-    _validate_subsets(m - 1, k)
+    # (m, k) is invalid only where (m - 1, k) is, with the same message
     lower = base_size_subsets(m - 1, k).base_size
     upper = base_size_wreath_subsets(m, k, r).base_size
     return lower, upper

@@ -64,23 +64,6 @@ def _times_one_plus(poly, j):
     return poly[:j] + [a + b for a, b in zip(poly[j:], poly)]
 
 
-def chi_subsets(parts, k):
-    """Number of k-subsets of [n] fixed by a permutation of cycle type
-    parts.
-
-    A fixed k-subset is a union of whole cycles, so this is the
-    coefficient of x^k in the product over cycles of (1 + x^length).
-    """
-    n = sum(parts)
-    if not 1 <= k <= n:
-        raise InputError(f"k must be in 1..{n}, got {k}")
-    poly = [1] + [0] * k
-    for j in parts:
-        if j <= k:
-            poly = _times_one_plus(poly, j)
-    return poly[k]
-
-
 def _long_cycle_counts(n, k):
     """Even and odd permutations of m points, m = 0..n, whose cycles are
     all longer than k.
@@ -179,46 +162,29 @@ def _uniform_partition_coefficients(r, s):
     return total
 
 
-def _uniform_partition_setup(n, r, s):
-    """Validate the shape, then return (domain size, scaled coefficients)."""
+def char_vector_uniform_partitions(n, r, s):
+    """Character of S_n on uniform set partitions, one term per class.
+
+    chi(mu) = z_mu [p_mu] h_r[h_s]; with z_mu = n! / class size and the
+    r! s!^r scaling of the coefficients this is domain * coefficient /
+    class size, which must come out integral.
+    """
     if r < 1 or s < 1 or n != r * s:
         raise InputError(f"need n = r*s, got n={n}, r={r}, s={s}")
     if n > UNIFORM_CEILING:
         raise CapacityError(
             f"n={n} exceeds the uniform-partition limit {UNIFORM_CEILING}")
     domain = factorial(n) // (factorial(s) ** r * factorial(r))
-    return domain, _uniform_partition_coefficients(r, s)
-
-
-def _uniform_partition_value(parts, size, domain, coefficients):
-    # chi(mu) = z_mu [p_mu] h_r[h_s]; with z_mu = n! / class size and the
-    # r! s!^r scaling this is domain * coefficient / class size.
-    value, rem = divmod(domain * coefficients.get(parts, 0), size)
-    if rem:
-        raise ConsistencyError(
-            f"h_r[h_s] gives a non-integral character value at class {parts}")
-    return value
-
-
-def chi_uniform_partitions(parts, r, s):
-    """Number of partitions of [n] into r blocks of size s fixed by a
-    permutation of cycle type parts (blocks permuted among themselves),
-    read off the closed form h_r[h_s]."""
-    domain, coefficients = _uniform_partition_setup(sum(parts), r, s)
-    return _uniform_partition_value(parts, class_size(parts), domain,
-                                    coefficients)
-
-
-def char_vector_uniform_partitions(n, r, s):
-    """Character of S_n on uniform set partitions, one term per class."""
-    domain, coefficients = _uniform_partition_setup(n, r, s)
+    coefficients = _uniform_partition_coefficients(r, s)
     cycle_types = tuple(enumerate_cycle_types(n))
     terms = []
     for parts in cycle_types:
         size = class_size(parts)
-        terms.append((size, sign_of(parts),
-                      _uniform_partition_value(parts, size, domain,
-                                               coefficients)))
+        value, rem = divmod(domain * coefficients.get(parts, 0), size)
+        if rem:
+            raise ConsistencyError(f"h_r[h_s] gives a non-integral "
+                                   f"character value at class {parts}")
+        terms.append((size, sign_of(parts), value))
     return CharVector(n, f"partitions:{r}x{s}", domain, tuple(terms),
                       cycle_types)
 
@@ -262,18 +228,10 @@ def _class_sums(chi, l):
                   for power, (_, _, value) in zip(powers, chi.terms)]
 
 
-def inner_product(chi, l):
-    """Exact <sgn, chi^l> = o_K - o: the number of S_n-orbits on l-tuples
-    that split over the even-sign kernel A_n.  Every regular orbit
-    splits, so this is the regular-orbit count when the sign is
-    base-controlling."""
-    _, o, o_k = next(_class_sums(chi, l))
-    return o_k - o
-
-
 def iter_inner_products(chi):
-    """Yield (l, inner_product(chi, l)) for l = 1, 2, ..., as min-l
-    searches want."""
+    """Yield (l, <sgn, chi^l>) for l = 1, 2, ..., as min-l searches want;
+    o_K - o counts the orbits that split over A_n, the regular ones among
+    them, so it is the regular-orbit count when the sign is controlling."""
     for l, o, o_k in _class_sums(chi, 1):
         yield l, o_k - o
 

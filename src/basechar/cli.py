@@ -9,6 +9,7 @@ consistency failure.
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -18,11 +19,16 @@ from .errors import CapacityError, ConsistencyError, InputError
 
 
 def _stringify(value):
-    """Copy a JSON-ready structure, turning every int into a decimal string."""
+    """Copy a JSON-ready structure, turning every int into a decimal string;
+    an int longer than Python prints raises CapacityError."""
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:
+            raise CapacityError(f"a {value.bit_length()}-bit count has more "
+                                f"digits than Python prints") from None
     if isinstance(value, (list, tuple)):
         return [_stringify(item) for item in value]
     if isinstance(value, dict):
@@ -52,9 +58,25 @@ def cmd_basesize(args):
                      outputs, "formula", [], started)
 
 
+def _check_printable(chi, l):
+    """Refuse before any class sum an l whose o cannot be printed: an orbit
+    holds at most n! tuples, so o >= |Omega|^l / n!, and this bound may
+    already have more digits than Python prints.  l stays an int here, so
+    no l is too large to compare; one digit of slack covers rounding."""
+    limit = sys.get_int_max_str_digits()
+    log_order = math.lgamma(chi.n + 1) / math.log(10)
+    if limit and chi.domain_size > 1 and (
+            l > (limit + 1 + log_order) / math.log10(chi.domain_size)):
+        raise CapacityError(
+            f"o has more decimal digits at l = {l} than Python prints "
+            f"({limit})")
+
+
 def cmd_orbits(args):
     started = time.perf_counter()
-    o, o_k = orbit_counts(char_vector_subsets(args.n, args.k), args.l)
+    chi = char_vector_subsets(args.n, args.k)
+    _check_printable(chi, args.l)
+    o, o_k = orbit_counts(chi, args.l)
     return _document("orbits", {"n": args.n, "k": args.k, "l": args.l},
                      {"regular": o_k - o, "o": o, "o_K": o_k},
                      "formula", [], started)
@@ -146,7 +168,7 @@ def cmd_verify(args):
     warnings = []
     parsed = oracle.parse_group_spec(args.group, labels_mode=args.labels)
     action = parsed.action
-    kernel = oracle.kernel_order(action)
+    kernel = action.kernel[0]
     faithful = kernel == 1
 
     outputs = {

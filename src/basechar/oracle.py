@@ -169,7 +169,7 @@ def _signs(table):
     return (1 - 2 * (inversions % 2)).astype(np.int8)
 
 
-def closure(generators, labels=None, degree=None, max_order=MAX_CLOSURE_ORDER):
+def closure(generators, labels=None):
     """Close a generator list under composition, propagating labels.
 
     Labels, when given, ride along multiplicatively; reaching the same
@@ -178,15 +178,13 @@ def closure(generators, labels=None, degree=None, max_order=MAX_CLOSURE_ORDER):
     group too large to tabulate is refused as soon as it outgrows the cap.
     """
     generators = [tuple(g) for g in generators]
+    if not generators:
+        raise InputError("empty generator list")
     for g in generators:
         check_perm(g)
-    if generators:
-        degrees = {len(g) for g in generators}
-        if len(degrees) != 1:
-            raise InputError("generators have mixed degrees")
-        degree = degrees.pop()
-    elif degree is None:
-        raise InputError("empty generator list needs an explicit degree")
+    degree = len(generators[0])
+    if any(len(g) != degree for g in generators):
+        raise InputError("generators have mixed degrees")
     if labels is not None:
         labels = [int(x) for x in labels]
         if len(labels) != len(generators):
@@ -204,9 +202,9 @@ def closure(generators, labels=None, degree=None, max_order=MAX_CLOSURE_ORDER):
                 label = found[element] * (labels[gi] if labels else 1)
                 known = found.get(image)
                 if known is None:
-                    if len(found) >= max_order:
+                    if len(found) >= MAX_CLOSURE_ORDER:
                         raise CapacityError(
-                            f"group order exceeds {max_order}")
+                            f"group order exceeds {MAX_CLOSURE_ORDER}")
                     _check_table_capacity(len(found) + 1, degree)
                     found[image] = label
                     nxt.append(image)
@@ -351,31 +349,25 @@ def act_on_uniform_partitions(group, r, s):
     return InducedAction(len(points), table, group.labels, names)
 
 
-def product_action_wreath(base, r, top_generators=None):
-    """Wreath product with product action on r-tuples of base points.
+def product_action_wreath(base, r):
+    """Wreath product with top group S_r in product action on r-tuples of
+    base points.
 
-    The top group is S_r unless explicit generators on r points are given.
     An element (g_1, ..., g_r; sigma) maps coordinate i of a tuple to the
     g_{sigma^-1(i)} image of coordinate sigma^-1(i). Base labels, when
     present, carry over as the product of the per-coordinate labels.
     """
     if r < 1:
         raise InputError("r must be positive")
-    if top_generators is None:
-        # bounded before the r! permutations are listed
-        top_order = _bounded_factorial(
-            r, f"wreath order exceeds {MAX_CLOSURE_ORDER}: the top group "
-               f"S_{r} alone has order {r}!")
-    else:
-        top = closure(top_generators, degree=r).table.tolist()
-        top_order = len(top)
+    # bounded before the r! permutations are listed
+    top_order = _bounded_factorial(
+        r, f"wreath order exceeds {MAX_CLOSURE_ORDER}: the top group "
+           f"S_{r} alone has order {r}!")
     degree = base.degree ** r
     order = base.order ** r * top_order
     if order > MAX_CLOSURE_ORDER:
         raise CapacityError(f"wreath order {order} exceeds {MAX_CLOSURE_ORDER}")
     _check_table_capacity(order, degree)
-    if top_generators is None:
-        top = list(permutations(range(r)))
 
     m = base.degree
     weights = [m ** (r - 1 - i) for i in range(r)]
@@ -392,7 +384,8 @@ def product_action_wreath(base, r, top_generators=None):
                    + base.table[None, :, None, :]).reshape(
                        bottoms.shape[0] * base.order, -1)
     # sigma moving coordinate sigma^-1(i) to coordinate i
-    inverses = np.argsort(np.array(top, dtype=np.int32).reshape(-1, r), axis=1)
+    top = np.array(list(permutations(range(r))), dtype=np.int32)
+    inverses = np.argsort(top, axis=1)
     moved = np.zeros((len(inverses), degree), dtype=np.int32)
     for i in range(r):
         moved += weights[i] * digits.T[inverses[:, i]]
@@ -410,11 +403,6 @@ def product_action_wreath(base, r, top_generators=None):
 
 # ---------------------------------------------------------------------------
 # orbits, bases, regular orbits
-
-
-def kernel_order(action):
-    """Number of elements acting trivially; 1 means the action is faithful."""
-    return action.kernel[0]
 
 
 def check_tuple_length(l_max):
@@ -595,7 +583,7 @@ def is_base_controlling(action):
 # distinguishing number
 
 
-def distinguishing_number(group, max_points=MAX_DISTINGUISHING_POINTS):
+def distinguishing_number(group):
     """Least c such that some coloring of the domain with at most c colors
     has trivial stabilizer (elements preserving every color class setwise).
 
@@ -603,8 +591,8 @@ def distinguishing_number(group, max_points=MAX_DISTINGUISHING_POINTS):
     strings, so each set partition of the domain is tested once.
     """
     m = group.degree
-    if m > max_points:
-        raise CapacityError(f"degree {m} exceeds {max_points}")
+    if m > MAX_DISTINGUISHING_POINTS:
+        raise CapacityError(f"degree {m} exceeds {MAX_DISTINGUISHING_POINTS}")
     table = group.table
     if group.order == 1:
         return 1

@@ -2,7 +2,8 @@
 
 Nothing here imports the package's combinatorics: partition counting uses the
 pentagonal-number recurrence, class data comes from sympy, fixed-point counts
-are plain itertools enumeration, orbit counts on tuples come from Burnside's
+are plain itertools enumeration or, for k-subsets, one product of
+(1 + x^length) per class, orbit counts on tuples come from Burnside's
 lemma, representatives lay cycles out shortest first (the package uses
 longest first, so agreement also exercises class invariance), induced
 tables are built one element and one point at a time, and the
@@ -83,6 +84,28 @@ def perm_sign(p):
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def _times_one_plus(poly, j):
+    # poly * (1 + x^j), truncated to the length of poly.
+    return poly[:j] + [a + b for a, b in zip(poly[j:], poly)]
+
+
+def chi_subsets(parts, k):
+    """Number of k-subsets of [n] fixed by a permutation of cycle type
+    parts, one class at a time.
+
+    A fixed k-subset is a union of whole cycles, so this is the
+    coefficient of x^k in the product over cycles of (1 + x^length).
+    """
+    n = sum(parts)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}, got {k}")
+    poly = [1] + [0] * k
+    for j in parts:
+        if j <= k:
+            poly = _times_one_plus(poly, j)
+    return poly[k]
 
 
 def count_fixed_subsets(perm, k):

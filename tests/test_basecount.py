@@ -3,7 +3,8 @@ import pytest
 from basechar import basecount, oracle
 from basechar.basecount import (base_size_partitions_action,
                                 base_size_subsets, base_size_wreath_subsets,
-                                large_base_bounds, regular_orbit_count)
+                                large_base_bounds)
+from basechar.characters import char_vector_subsets, orbit_counts
 from basechar.errors import CapacityError, InputError
 from reference_impls import subsets_inner_product
 
@@ -61,12 +62,17 @@ def test_subsets_validation():
 
 
 def test_regular_orbit_count_values():
-    assert regular_orbit_count(3, 1, 2) == 1
-    assert regular_orbit_count(5, 2, 3) == 4
-    assert regular_orbit_count(5, 2, 2) == 0
-    assert regular_orbit_count(5, 1, 0) == 0
+    # o_K - o, as the orbits command reports it
+    def regular(n, k, l):
+        o, o_k = orbit_counts(char_vector_subsets(n, k), l)
+        return o_k - o
+
+    assert regular(3, 1, 2) == 1
+    assert regular(5, 2, 3) == 4
+    assert regular(5, 2, 2) == 0
+    assert regular(5, 1, 0) == 0
     with pytest.raises(InputError):
-        regular_orbit_count(5, 2, -1)
+        regular(5, 2, -1)
 
 
 def test_wreath_thresholds():

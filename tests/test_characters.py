@@ -6,16 +6,40 @@ import pytest
 
 from basechar import basecount, characters, cli, oracle, partitions
 from basechar.characters import (char_vector_subsets,
-                                 char_vector_uniform_partitions, chi_subsets,
-                                 chi_uniform_partitions, inner_product,
+                                 char_vector_uniform_partitions,
                                  iter_inner_products, orbit_counts)
 from basechar.errors import CapacityError, ConsistencyError, InputError
 from basechar.partitions import class_size, enumerate_cycle_types, sign_of
-from reference_impls import (count_fixed_subsets, count_fixed_uniform,
-                             perm_shortest_first, subsets_inner_product,
-                             uniform_partitions_frozen)
+from reference_impls import (chi_subsets, count_fixed_subsets,
+                             count_fixed_uniform, perm_shortest_first,
+                             subsets_inner_product, uniform_partitions_frozen)
 
 
+def split_count(chi, l):
+    """<sgn, chi^l> = o_K - o, as the orbits command reports it."""
+    o, o_k = orbit_counts(chi, l)
+    return o_k - o
+
+
+def perm_longest_first(parts, n):
+    """A permutation of cycle type `parts`, longest cycles laid out first."""
+    images = list(range(n))
+    pos = 0
+    for length in sorted(parts, reverse=True):
+        for i in range(length):
+            images[pos + i] = pos + (i + 1) % length
+        pos += length
+    return images
+
+
+def uniform_values(n, r, s):
+    """{cycle type: value} of the uniform-partition character."""
+    chi = char_vector_uniform_partitions(n, r, s)
+    return dict(zip(chi.cycle_types, chi.values))
+
+
+# chi_subsets is the per-class reference in reference_impls; these pin it
+# to hand values and to plain enumeration.
 def test_chi_subsets_hand_values():
     double_transposition = (2, 2)
     assert chi_subsets(double_transposition, 2) == 2  # {1,2} and {3,4}
@@ -35,11 +59,10 @@ def test_chi_subsets_matches_enumeration():
 
 
 def test_chi_subsets_k_range():
-    ct = (4,)
     with pytest.raises(InputError):
-        chi_subsets(ct, 0)
+        char_vector_subsets(4, 0)
     with pytest.raises(InputError):
-        chi_subsets(ct, 5)
+        char_vector_subsets(4, 5)
 
 
 def test_chi_uniform_matches_enumeration():
@@ -53,19 +76,19 @@ def test_chi_uniform_matches_enumeration():
         for ct, value in zip(enumerate_cycle_types(n), chi.values):
             perm = perm_shortest_first(ct, n)
             assert value == count_fixed_uniform(perm, parts_list)
-            assert chi_uniform_partitions(ct, r, s) == value
 
 
 def test_chi_uniform_fifteen_points():
     # 3 blocks of 5: a few classes, since each costs a sweep over all
     # 126,126 partitions.
     parts_list = uniform_partitions_frozen(15, 3, 5)
+    values = uniform_values(15, 3, 5)
     expected = {(5, 5, 5): 1, (3,) * 5: 81, (2,) + (1,) * 13: 36036,
                 (2,) * 7 + (1,): 336}
     for parts, value in expected.items():
         perm = perm_shortest_first(parts, 15)
         assert count_fixed_uniform(perm, parts_list) == value
-        assert chi_uniform_partitions(parts, 3, 5) == value
+        assert values[parts] == value
 
 
 def test_chi_uniform_transitive_at_ceiling():
@@ -80,17 +103,18 @@ def test_chi_uniform_transitive_at_ceiling():
 
 
 def test_chi_uniform_single_block():
-    for ct in enumerate_cycle_types(5):
-        assert chi_uniform_partitions(ct, 1, 5) == 1
+    values = uniform_values(5, 1, 5)
+    assert list(values) == list(enumerate_cycle_types(5))
+    assert set(values.values()) == {1}
 
 
 def test_chi_uniform_errors():
     with pytest.raises(InputError):
-        chi_uniform_partitions((6,), 4, 2)
+        char_vector_uniform_partitions(6, 4, 2)
     with pytest.raises(InputError):
-        chi_uniform_partitions((4,), 0, 4)
+        char_vector_uniform_partitions(4, 0, 4)
     with pytest.raises(CapacityError):
-        chi_uniform_partitions((38,), 19, 2)
+        char_vector_uniform_partitions(38, 19, 2)
 
 
 def test_char_vector_identity_columns():
@@ -121,15 +145,15 @@ def test_sign_vector_values():
 def test_inner_product_hand_values():
     # S_3 on 1-subsets (natural action): 0, 1, 4 for l = 1, 2, 3.
     chi = char_vector_subsets(3, 1)
-    assert [inner_product(chi, l) for l in (1, 2, 3)] == [0, 1, 4]
-    assert inner_product(chi, 0) == 0
+    assert [split_count(chi, l) for l in (1, 2, 3)] == [0, 1, 4]
+    assert split_count(chi, 0) == 0
 
 
 def test_inner_product_matches_fraction_reference():
     for n, k in ((4, 2), (5, 2), (6, 3), (7, 2)):
         chi = char_vector_subsets(n, k)
         for l in range(5):
-            assert inner_product(chi, l) == subsets_inner_product(n, k, l)
+            assert split_count(chi, l) == subsets_inner_product(n, k, l)
 
 
 def test_all_ones_vector_counts_orbits():
@@ -150,12 +174,15 @@ def test_orbit_counts_hand_values():
 
 
 def test_split_orbit_identity():
-    # <sgn, chi^l> equals the kernel orbit surplus o_K(l) - o(l).
+    # <sgn, chi^l>, summed with signs over the terms, equals the kernel
+    # orbit surplus o_K(l) - o(l).
     for n, k in ((5, 2), (6, 2), (7, 3)):
         chi = char_vector_subsets(n, k)
         for l in range(5):
+            signed = sum(sign * weight * value ** l
+                         for weight, sign, value in chi.terms)
             o, o_k = orbit_counts(chi, l)
-            assert inner_product(chi, l) == o_k - o
+            assert signed == (o_k - o) * factorial(n)
 
 
 def test_split_counts_monotone_in_l():
@@ -163,14 +190,14 @@ def test_split_counts_monotone_in_l():
     # orbit counts never decrease with l.
     for n, k in ((5, 2), (6, 3)):
         chi = char_vector_subsets(n, k)
-        values = [inner_product(chi, l) for l in range(7)]
+        values = [split_count(chi, l) for l in range(7)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 def test_iter_matches_direct():
     chi = char_vector_uniform_partitions(6, 3, 2)
     seq = list(islice(iter_inner_products(chi), 6))
-    assert seq == [(l, inner_product(chi, l)) for l in range(1, 7)]
+    assert seq == [(l, split_count(chi, l)) for l in range(1, 7)]
 
 
 def test_tampered_character_is_caught():
@@ -181,7 +208,7 @@ def test_tampered_character_is_caught():
     terms[index] = (10, -1, 4)
     bad = replace(chi, terms=tuple(terms))
     with pytest.raises(ConsistencyError):
-        inner_product(bad, 1)
+        orbit_counts(bad, 1)
 
 
 def test_non_integral_partition_character_is_caught(monkeypatch):
@@ -200,8 +227,6 @@ def test_non_integral_partition_character_is_caught(monkeypatch):
 
 def test_inner_product_input_errors():
     chi = char_vector_subsets(5, 2)
-    with pytest.raises(InputError):
-        inner_product(chi, -1)
     with pytest.raises(InputError):
         orbit_counts(chi, -1)
     with pytest.raises(InputError):
@@ -276,3 +301,51 @@ def test_subset_vector_n_limit():
         char_vector_subsets(65, 2)
     with pytest.raises(InputError):
         char_vector_subsets(65, 66)  # bad k is reported before the limit
+
+
+# Fixed-point counts on uniform set partitions: the closed form against
+# the frozenset enumeration in reference_impls.
+
+
+def test_table_row_counts():
+    # The number of partitions, from the closed form and by enumeration.
+    for n, r, s, expected in ((4, 2, 2, 3), (6, 3, 2, 15), (6, 2, 3, 10),
+                              (8, 4, 2, 105), (9, 3, 3, 280)):
+        assert len(uniform_partitions_frozen(n, r, s)) == expected
+        chi = char_vector_uniform_partitions(n, r, s)
+        assert chi.domain_size == expected
+        assert chi.values[-1] == expected  # identity class comes last
+
+
+def test_table_input_errors():
+    with pytest.raises(InputError):
+        char_vector_uniform_partitions(7, 3, 2)  # 7 != 3*2
+    with pytest.raises(InputError):
+        char_vector_uniform_partitions(4, 0, 4)
+    with pytest.raises(InputError):
+        char_vector_uniform_partitions(4, 4, 0)
+
+
+def test_counts_match_frozenset_reference():
+    parts_list = uniform_partitions_frozen(6, 3, 2)
+    values = uniform_values(6, 3, 2)
+    for ct in enumerate_cycle_types(6):
+        perm = perm_shortest_first(ct, 6)
+        expected = count_fixed_uniform(perm, parts_list)
+        assert values[ct] == expected
+
+
+def test_count_class_invariance():
+    # Shortest-first and longest-first representatives of one class fix
+    # the same number of partitions, and the closed form gives it.
+    parts_list = uniform_partitions_frozen(6, 2, 3)
+    values = uniform_values(6, 2, 3)
+    for ct in enumerate_cycle_types(6):
+        a = count_fixed_uniform(perm_longest_first(ct, 6), parts_list)
+        b = count_fixed_uniform(perm_shortest_first(ct, 6), parts_list)
+        assert a == b == values[ct]
+
+
+def test_identity_fixes_everything():
+    assert uniform_values(6, 3, 2)[(1,) * 6] == 15
+    assert uniform_values(4, 2, 2)[(1,) * 4] == 3

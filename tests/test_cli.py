@@ -424,6 +424,11 @@ HOSTILE_INPUTS = (
     (("wreath", "--n", "5", "--k", "2", "--dist", "0"), 2),
     (("orbits", "--n", "0", "--k", "1", "--l", "1"), 2),
     (("orbits", "--n", "70", "--k", "1", "--l", "1"), 3),
+    (("orbits", "--n", "40", "--k", "2", "--l", "1600"), 3),
+    (("orbits", "--n", "64", "--k", "2", "--l", "1500"), 3),
+    # o_K has 4,301 digits where the lower bound on o gives 4,300: refused
+    # after the sum, when the counts are written
+    (("orbits", "--n", "3", "--k", "1", "--l", "9014"), 3),
     (("basesize", "--n", "65", "--k", "2"), 3),
     (("partitions-action", "--n", "0", "--r", "0", "--s", "0"), 2),
 )
@@ -443,6 +448,25 @@ def test_hostile_inputs(capsys, argv, expected):
         assert captured.out == ""
         assert captured.err.startswith(("error:", "capacity error:"))
     assert "Traceback" not in captured.err
+
+
+def test_unprintable_counts_refused_before_the_sum(monkeypatch, capsys):
+    # The lower bound C(n,k)^l / n! on o already has more digits than
+    # Python prints, so no class sum is taken; l = 1500 still prints. A sum
+    # at a refused l fails at once rather than running for minutes.
+    original = cli.orbit_counts
+
+    def only_1500(chi, l):
+        assert l == 1500, f"class sum taken at l = {l}"
+        return original(chi, l)
+
+    monkeypatch.setattr(cli, "orbit_counts", only_1500)
+    for l in ("1600", "100000", "1" + "0" * 400):
+        assert cli.main(["orbits", "--n", "40", "--k", "2", "--l", l]) == 3
+        assert "more decimal digits" in capsys.readouterr().err
+    code, doc, _ = run_cli(capsys, "orbits", "--n", "40", "--k", "2",
+                           "--l", "1500")
+    assert code == 0 and len(doc["outputs"]["o_K"]) == 4291
 
 
 # Parameters whose refusal must not wait on work growing with them (a huge

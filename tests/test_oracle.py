@@ -10,7 +10,7 @@ from basechar.oracle import (MAX_TUPLE_LENGTH, InducedAction, act_on_subsets,
                              act_on_uniform_partitions, alternating_group,
                              closure, compose,
                              distinguishing_number, identity_perm,
-                             is_base_controlling, kernel_order,
+                             is_base_controlling,
                              label_homomorphism_spot_check, parse_cycles,
                              parse_group_spec, pgl2, product_action_wreath,
                              symmetric_group, tuple_orbit_counts,
@@ -59,8 +59,8 @@ def test_closure_labeled_s4():
     assert set(elements(group)) == set(permutations(range(4)))
 
 
-def test_closure_trivial_and_errors():
-    assert closure([], degree=5).order == 1
+def test_closure_trivial_and_errors(monkeypatch):
+    assert closure([identity_perm(5)]).order == 1
     with pytest.raises(InputError):
         closure([])
     with pytest.raises(InputError):
@@ -69,9 +69,9 @@ def test_closure_trivial_and_errors():
         closure([(0, 2, 1)], labels=[-1, 1])  # label count mismatch
     with pytest.raises(InputError):
         closure([(0, 2, 1)], labels=[2])
-    with pytest.raises(CapacityError):
-        closure([parse_cycles("(1,2)", 6), parse_cycles("(1,2,3,4,5,6)", 6)],
-                max_order=50)
+    monkeypatch.setattr(oracle, "MAX_CLOSURE_ORDER", 50)
+    with pytest.raises(CapacityError, match="group order exceeds 50"):
+        closure([parse_cycles("(1,2)", 6), parse_cycles("(1,2,3,4,5,6)", 6)])
 
 
 def test_closure_refuses_a_large_table_as_it_grows(monkeypatch):
@@ -126,7 +126,8 @@ def test_vectorised_signs_match_perm_sign():
 
 def test_rows_in_strict_lexicographic_order():
     gens = [parse_cycles("(1,3)(2,4)", 4), parse_cycles("(1,2,3)", 4)]
-    for group in (closure(gens), closure([], degree=3), symmetric_group(4),
+    for group in (closure(gens), closure([identity_perm(3)]),
+                  symmetric_group(4),
                   alternating_group(5), pgl2(5), pgl2(7),
                   with_sign_labels(closure(gens))):
         rows = elements(group)
@@ -207,7 +208,7 @@ def test_act_on_subsets():
     assert action.degree == 6
     assert action.order == 24
     assert action.point_names[0] == "{1,2}"
-    assert kernel_order(action) == 1
+    assert action.kernel[0] == 1
     with pytest.raises(InputError):
         act_on_subsets(symmetric_group(4), 5)
 
@@ -221,7 +222,7 @@ def test_act_on_uniform_partitions():
     assert small.point_names == ("12|34", "13|24", "14|23")
     swap = small.table[elements(symmetric_group(4)).index((1, 0, 2, 3))]
     assert swap.tolist() == [0, 2, 1]  # (1 2) swaps 13|24 and 14|23
-    assert kernel_order(small) == 4  # the double transpositions act trivially
+    assert small.kernel[0] == 4  # the double transpositions act trivially
     with pytest.raises(InputError):
         act_on_uniform_partitions(symmetric_group(6), 4, 2)
 
@@ -266,11 +267,7 @@ def test_wreath_product_action():
     assert wreath.order == 72
     assert wreath.labels is not None
     assert int((wreath.labels == 1).sum()) * 2 == wreath.order
-    assert kernel_order(wreath) == 1
-    # explicit trivial top group: just the direct square
-    square = product_action_wreath(symmetric_group(3), 2,
-                                   top_generators=[identity_perm(2)])
-    assert square.order == 36
+    assert wreath.kernel[0] == 1
     with pytest.raises(InputError):
         product_action_wreath(symmetric_group(3), 0)
 
@@ -290,27 +287,25 @@ def test_wreath_rows_match_definition():
     s3 = symmetric_group(3)
     g = elements(s3)
     points = list(product(range(3), repeat=2))
-    for top, top_generators in ((list(permutations(range(2))), None),
-                                ([(0, 1)], [identity_perm(2)])):
-        wreath = product_action_wreath(s3, 2, top_generators=top_generators)
-        rows = iter(zip(wreath.table.tolist(), wreath.labels.tolist()))
-        for bottom in product(range(6), repeat=2):
-            for sigma in top:
-                row, label = next(rows)
-                src = [sigma.index(i) for i in range(2)]
-                for x, image in zip(points, row):
-                    assert points[image] == tuple(
-                        g[bottom[j]][x[j]] for j in src)
-                assert label == perm_sign(g[bottom[0]]) * perm_sign(
-                    g[bottom[1]])
-        assert next(rows, None) is None
+    wreath = product_action_wreath(s3, 2)
+    rows = iter(zip(wreath.table.tolist(), wreath.labels.tolist()))
+    for bottom in product(range(6), repeat=2):
+        for sigma in permutations(range(2)):
+            row, label = next(rows)
+            src = [sigma.index(i) for i in range(2)]
+            for x, image in zip(points, row):
+                assert points[image] == tuple(
+                    g[bottom[j]][x[j]] for j in src)
+            assert label == perm_sign(g[bottom[0]]) * perm_sign(
+                g[bottom[1]])
+    assert next(rows, None) is None
 
 
 def test_capacity_errors_on_induced_actions():
     with pytest.raises(CapacityError):
         product_action_wreath(symmetric_group(5), 3)  # order 120^3 * 6
     with pytest.raises(CapacityError):
-        product_action_wreath(closure([], degree=10), 5)  # degree 10^5
+        product_action_wreath(closure([identity_perm(10)]), 5)  # degree 10^5
     with pytest.raises(CapacityError):
         act_on_subsets(symmetric_group(10), 2)  # order 10! past the bound
 
@@ -507,18 +502,17 @@ def test_is_base_controlling_degenerate_inputs():
 def test_distinguishing_numbers():
     for r in (2, 3, 4):
         assert distinguishing_number(symmetric_group(r)) == r
-    assert distinguishing_number(closure([], degree=5)) == 1
+    assert distinguishing_number(closure([identity_perm(5)])) == 1
     swap = closure([parse_cycles("(1,2)", 2)])
     assert distinguishing_number(swap) == 2
     assert distinguishing_number(alternating_group(4)) == 3
     with pytest.raises(CapacityError):
-        distinguishing_number(closure([], degree=13))
+        distinguishing_number(closure([identity_perm(13)]))
 
 
 def test_kernel_order():
-    assert kernel_order(symmetric_group(3)) == 1
-    assert kernel_order(
-        act_on_uniform_partitions(symmetric_group(4), 2, 2)) == 4
+    assert symmetric_group(3).kernel[0] == 1
+    assert act_on_uniform_partitions(symmetric_group(4), 2, 2).kernel[0] == 4
 
 
 def test_parse_group_spec_forms():

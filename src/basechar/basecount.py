@@ -1,17 +1,17 @@
 """Base sizes and regular-orbit counts from exact character sums.
 
-Every search walks l = 1, 2, ... with incrementally updated class powers and
+Every search walks l = 1, 2, ... with incrementally updated value powers and
 stops at the first l whose inner product crosses the wanted threshold. For
 k-subset actions of the symmetric group the sign homomorphism is
 base-controlling, so the minimum is the base size; for uniform-partition
 actions it is only a candidate and the report says so.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 import math
 
-from .characters import (CharVector, char_vector_subsets,
-                         char_vector_uniform_partitions, iter_inner_products)
+from .characters import (char_vector_subsets, char_vector_uniform_partitions,
+                         iter_inner_products)
 from .errors import CapacityError, InputError
 
 # Published base size of the symmetric group on 15 points acting on the
@@ -24,22 +24,20 @@ PARTITIONS_CAVEAT = (
     "base-controlling for this action, which can fail")
 
 
-@dataclass(frozen=True)
-class BaseSizeReport:
+class BaseSizeReport(namedtuple("BaseSizeReport", "base_size "
+                                "witness_l_values caveat known_base_size "
+                                "character", defaults=(None, None, None))):
     """Minimum-l search outcome with its full witness trace.
 
     witness_l_values holds (l, <sgn, chi^l>) for l = 1..base_size;
     counts are below the search threshold strictly before base_size and
     reach it there (the threshold is 1 for a base size, the distinguishing
     number of the top group for a wreath product). base_size None means
-    the action has no base (nontrivial kernel).
+    the action has no base (nontrivial kernel).  character is the
+    CharVector of a partition action, None otherwise.
     """
 
-    base_size: int | None
-    witness_l_values: tuple
-    caveat: str | None = None
-    known_base_size: int | None = None
-    character: CharVector | None = None
+    __slots__ = ()
 
 
 def _validate_subsets(n, k):
@@ -113,10 +111,10 @@ def base_size_partitions_action(n, r, s, max_l=None):
     validate_l_limit(max_l)
     chi = char_vector_uniform_partitions(n, r, s)
     known = KNOWN_PARTITION_BASE_SIZES.get((n, r, s))
-    # a class value equal to the domain size means the class acts trivially
-    trivial_classes = sum(1 for value in chi.values
-                          if value == chi.domain_size)
-    if trivial_classes > 1:
+    # the permutations with value domain_size act trivially: the kernel
+    kernel = sum(weight for value, weight, _ in chi.terms
+                 if value == chi.domain_size)
+    if kernel > 1:
         return BaseSizeReport(
             None, (), caveat="the action is not faithful, no base exists",
             known_base_size=known, character=chi)

@@ -1,30 +1,32 @@
-"""Permutation characters of S_n actions as weighted class sums.
+"""Permutation characters of S_n actions as signed value distributions.
 
 Two actions are covered: the action on k-element subsets of [n] and the
 action on partitions of [n] into r blocks of equal size s, whose
 character is read off the plethysm h_r[h_s].
 
-A CharVector holds terms (weight, sign, value): weight permutations of
-the given sign on which the character takes the given value.  For the
-partition action there is one term per conjugacy class, and the vector
-also keeps each class's cycle type.  The k-subset character depends only
-on the numbers c_1..c_k of cycles of length at most k, so that vector is
-collapsed: one group per vector (c_1..c_k), weighted by the number of
-ways to place the remaining points in cycles longer than k, split into
-its even and odd parts.  That is at most two terms per group: 725 at
-n = 40, k = 2 against p(40) = 37,338 classes.
+A count depends on a permutation only through its sign and its character
+value, so a CharVector holds one term (value, all, even) per distinct
+value of chi: all permutations take that value, even of them are even.
+The k-subset character depends only on the numbers c_1..c_k of cycles of
+length at most k, so its terms are built from these vectors, each with
+the number of ways to place the remaining points in cycles longer than
+k, split by sign; no class is listed.  At n = 40, k = 2 the vectors give
+725 signed terms against p(40) = 37,338 classes, holding 261 distinct
+values; at n = 36, k = 3, 2,231 terms hold 610.  The partition character
+is computed per class and also keeps each class's cycle type and value.
 
-Every count is one loop over the terms: the total T = sum of weight *
-chi^l and its even-sign part E give o = T/n! orbits of S_n and
-o_K = 2E/n! orbits of A_n on l-tuples, and o_K - o = <sgn, chi^l> is the
-number of orbits that split, the regular-orbit count of the paper.  Both
-sums must divide by n! with no remainder and all three counts must be
-nonnegative; violations raise ConsistencyError -- they can only come
-from bugs, never from input.
+Every count is one loop over the terms: T = sum of all * chi^l and
+E = sum of even * chi^l give o = T/n! orbits of S_n and o_K = 2E/n!
+orbits of A_n on l-tuples, and o_K - o = <sgn, chi^l> is the number of
+orbits that split, the regular-orbit count of the paper.  Both sums must
+divide by n! with no remainder and all three counts must be nonnegative;
+violations raise ConsistencyError -- they can only come from bugs, never
+from input.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, factorial
+from operator import mul
 
 from .errors import CapacityError, ConsistencyError, InputError
 from .partitions import (DEFAULT_N_LIMIT, class_size, enumerate_cycle_types,
@@ -35,28 +37,27 @@ from .partitions import (DEFAULT_N_LIMIT, class_size, enumerate_cycle_types,
 UNIFORM_CEILING = 36
 
 
-@dataclass(frozen=True)
-class CharVector:
-    """A permutation character of S_n as a weighted class sum.
+class CharVector(namedtuple("CharVector", "n action domain_size terms "
+                            "cycle_types values", defaults=(None, None))):
+    """A permutation character of S_n as a signed value distribution.
 
-    terms holds (weight, sign, value) triples whose weights sum to n!.
-    cycle_types is None for a collapsed sum; otherwise each term is one
-    conjugacy class, cycle_types[i] is the descending part tuple of the
-    class of terms[i] and the order is that of enumerate_cycle_types(n).
-    action is a tag like "subsets:2" or "partitions:3x5"; domain_size is
-    the number of points acted on (the value at the identity).
+    terms holds one (value, all, even) triple per distinct character
+    value: all permutations take the value and even of them are even, so
+    the alls sum to n! and, for n >= 2, the evens to n!/2.  action is a
+    tag like "subsets:2" or "partitions:3x5"; domain_size is the number of
+    points acted on (the value at the identity).  For the partition action
+    cycle_types lists every class, in the order of
+    enumerate_cycle_types(n), and values[i] is the value on class
+    cycle_types[i]; both are None for the subset action.
     """
 
-    n: int
-    action: str
-    domain_size: int
-    terms: tuple
-    cycle_types: tuple | None = None
+    __slots__ = ()
 
-    @property
-    def values(self):
-        """Character values, one per term."""
-        return tuple(value for _, _, value in self.terms)
+
+def _add(distribution, value, weight, even):
+    # weight more permutations, even of them even, take the value
+    total, evens = distribution.get(value, (0, 0))
+    distribution[value] = total + weight, evens + even
 
 
 def _times_one_plus(poly, j):
@@ -73,7 +74,7 @@ def _long_cycle_counts(n, k):
     length j > k and (m-1)!/(m-j)! ways to fill it, so
     D(m) = sum over j > k of (m-1)!/(m-j)! D(m-j), and S(m) alike with
     each term signed (Flajolet and Sedgewick, Analytic Combinatorics,
-    II.4).  Returns the lists (D + S)/2 and (D - S)/2.
+    II.4).  Returns the lists D, (D + S)/2 and (D - S)/2.
     """
     unsigned = [1] + [0] * n
     signed = [1] + [0] * n
@@ -82,18 +83,18 @@ def _long_cycle_counts(n, k):
             ways = factorial(m - 1) // factorial(m - j)
             unsigned[m] += ways * unsigned[m - j]
             signed[m] += (ways if j % 2 else -ways) * signed[m - j]
-    return ([(d + s) // 2 for d, s in zip(unsigned, signed)],
+    return (unsigned, [(d + s) // 2 for d, s in zip(unsigned, signed)],
             [(d - s) // 2 for d, s in zip(unsigned, signed)])
 
 
 def char_vector_subsets(n, k):
-    """Character of S_n on k-subsets, collapsed by (c_1..c_k).
+    """Character of S_n on k-subsets, built through (c_1..c_k).
 
     The vector (c_1..c_k) leaves m = n - sum j c_j points, which must lie
-    in cycles longer than k, so m is 0 or above k.  Its group holds
+    in cycles longer than k, so m is 0 or above k.  It holds
     n! / (prod j^c_j c_j! * m!) * D(m) permutations, D(m) from
-    _long_cycle_counts split by sign.  The k-subset and (n - k)-subset
-    characters are equal, so the smaller k is used.
+    _long_cycle_counts split by sign, all with one value.  The k-subset
+    and (n - k)-subset characters are equal, so the smaller k is used.
     """
     if not 1 <= k <= n:
         raise InputError(f"k must be in 1..{n}, got {k}")
@@ -101,9 +102,9 @@ def char_vector_subsets(n, k):
         raise CapacityError(f"n = {n} exceeds the limit {DEFAULT_N_LIMIT}")
     action, domain = f"subsets:{k}", comb(n, k)
     k = min(k, n - k)
-    even, odd = _long_cycle_counts(n, k)
+    unsigned, even, odd = _long_cycle_counts(n, k)
     order = factorial(n)
-    terms = []
+    distribution = {}
 
     def place(j, used, denom, sign, poly):
         # Choose c_j, c_(j-1), ..., c_1; poly[d] counts the fixed d-subsets
@@ -117,18 +118,19 @@ def char_vector_subsets(n, k):
         # c_1 leaves m = n - used - c_1 points, so c_1 < n - k - used or
         # c_1 = n - used.  For k = 0 every cycle is long.
         rest = n - used
+        # sign is that of the short cycles, so the long ones must match it
+        matching = even if sign > 0 else odd
         for c in [*range(rest - k), rest] if k else [0]:
             m = rest - c
             value = sum(comb(c, i) * poly[k - i]
                         for i in range(min(c, k) + 1))
             weight = order // (denom * factorial(c) * factorial(m))
-            if even[m]:
-                terms.append((weight * even[m], sign, value))
-            if odd[m]:
-                terms.append((weight * odd[m], -sign, value))
+            _add(distribution, value, weight * unsigned[m],
+                 weight * matching[m])
 
     place(k, 0, 1, 1, [1] + [0] * k)
-    return CharVector(n, action, domain, tuple(terms))
+    return CharVector(n, action, domain,
+                      tuple((v, *c) for v, c in distribution.items()))
 
 
 def _uniform_partition_coefficients(r, s):
@@ -163,7 +165,7 @@ def _uniform_partition_coefficients(r, s):
 
 
 def char_vector_uniform_partitions(n, r, s):
-    """Character of S_n on uniform set partitions, one term per class.
+    """Character of S_n on uniform set partitions, one value per class.
 
     chi(mu) = z_mu [p_mu] h_r[h_s]; with z_mu = n! / class size and the
     r! s!^r scaling of the coefficients this is domain * coefficient /
@@ -177,16 +179,19 @@ def char_vector_uniform_partitions(n, r, s):
     domain = factorial(n) // (factorial(s) ** r * factorial(r))
     coefficients = _uniform_partition_coefficients(r, s)
     cycle_types = tuple(enumerate_cycle_types(n))
-    terms = []
+    values = []
+    distribution = {}
     for parts in cycle_types:
         size = class_size(parts)
         value, rem = divmod(domain * coefficients.get(parts, 0), size)
         if rem:
             raise ConsistencyError(f"h_r[h_s] gives a non-integral "
                                    f"character value at class {parts}")
-        terms.append((size, sign_of(parts), value))
-    return CharVector(n, f"partitions:{r}x{s}", domain, tuple(terms),
-                      cycle_types)
+        values.append(value)
+        _add(distribution, value, size, size if sign_of(parts) > 0 else 0)
+    return CharVector(n, f"partitions:{r}x{s}", domain,
+                      tuple((v, *c) for v, c in distribution.items()),
+                      cycle_types, tuple(values))
 
 
 def _exact_quotient(total, order, what):
@@ -201,21 +206,18 @@ def _exact_quotient(total, order, what):
 def _class_sums(chi, l):
     """Yield (l, o, o_K) for the powers l, l + 1, ... of chi.
 
-    The one loop behind every count: T sums weight * chi^l over all terms
-    and E over the even ones, o = T/n! and o_K = 2E/n!.  Powers are
-    updated incrementally, one multiply per term per step.
+    The one loop behind every count: over the distribution's terms,
+    T sums all * chi^l and E sums even * chi^l, o = T/n! and o_K = 2E/n!.
+    Powers are updated incrementally, one multiply per value per step.
     """
     if l < 0:
         raise InputError(f"l must be nonnegative, got {l}")
     order = factorial(chi.n)
-    powers = [value ** l for _, _, value in chi.terms]
+    values, alls, evens = zip(*chi.terms)
+    powers = [value ** l for value in values]
     while True:
-        total = even = 0
-        for (size, sign, _), power in zip(chi.terms, powers):
-            term = size * power
-            total += term
-            if sign > 0:
-                even += term
+        total = sum(map(mul, alls, powers))
+        even = sum(map(mul, evens, powers))
         what = f"({chi.action})^{l}"
         o = _exact_quotient(total, order, f"o of {what}")
         o_k = _exact_quotient(2 * even, order, f"o_K of {what}")
@@ -224,8 +226,7 @@ def _class_sums(chi, l):
                 f"<sgn, {what}>: negative orbit count {o_k - o}")
         yield l, o, o_k
         l += 1
-        powers = [power * value
-                  for power, (_, _, value) in zip(powers, chi.terms)]
+        powers = list(map(mul, powers, values))
 
 
 def iter_inner_products(chi):
@@ -241,7 +242,7 @@ def orbit_counts(chi, l):
 
     o is the number of orbits of S_n on Omega^l; o_K is the number of
     orbits of the even-sign kernel K = A_n, equal to
-    (2 / n!) * sum over positive-sign classes of class_size * chi^l.
+    (2 / n!) * sum over the even permutations of chi^l.
     """
     _, o, o_k = next(_class_sums(chi, l))
     return o, o_k

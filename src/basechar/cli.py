@@ -108,7 +108,7 @@ def cmd_partitions_action(args):
         args.n, args.r, args.s, max_l=args.l_max)
     chi = report.character
     character = [("+".join(map(str, parts)), value)
-                 for parts, (_, _, value) in zip(chi.cycle_types, chi.terms)]
+                 for parts, value in zip(chi.cycle_types, chi.values)]
     outputs = {
         "min_l": report.base_size,
         "trace": report.witness_l_values,
@@ -293,7 +293,8 @@ def main(argv=None):
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 4
-    json.dump(document, sys.stdout, indent=2)
+    # one write: json.dump would write once per encoder chunk
+    sys.stdout.write(json.dumps(document, indent=2))
     print()
     return 0
 

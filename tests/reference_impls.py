@@ -2,8 +2,10 @@
 
 Nothing here imports the package's combinatorics: partition counting uses the
 pentagonal-number recurrence, class data comes from sympy, fixed-point counts
-are plain itertools enumeration or, for k-subsets, one product of
-(1 + x^length) per class, orbit counts on tuples come from Burnside's
+are plain itertools enumeration (for uniform partitions also a search that
+lists only the fixed ones) or, for k-subsets, one product of
+(1 + x^length) per class, the value distribution of a character merges
+these per-class values, orbit counts on tuples come from Burnside's
 lemma, representatives lay cycles out shortest first (the package uses
 longest first, so agreement also exercises class invariance), induced
 tables are built one element and one point at a time, and the
@@ -137,6 +139,58 @@ def count_fixed_uniform(perm, parts_list):
         if image == part:
             fixed += 1
     return fixed
+
+
+def count_invariant_partitions(perm, s):
+    """Partitions of range(len(perm)) into blocks of size s that perm
+    fixes, enumerated one at a time: the block of the least free point is
+    tried in every way and kept when its images under perm are blocks
+    disjoint from it and from each other."""
+    def search(free):
+        if not free:
+            return 1
+        first, rest = free[0], free[1:]
+        total = 0
+        for others in combinations(rest, s - 1):
+            block = frozenset((first,) + others)
+            orbit = [block]
+            image = frozenset(perm[x] for x in block)
+            while image != block:
+                if any(image & earlier for earlier in orbit):
+                    break
+                orbit.append(image)
+                image = frozenset(perm[x] for x in image)
+            else:
+                used = frozenset().union(*orbit)
+                total += search([x for x in rest if x not in used])
+        return total
+
+    return search(list(range(len(perm))))
+
+
+def subsets_class_values(n, k):
+    """(class size, sign, value) for every class of S_n on k-subsets."""
+    return [(size, sign, chi_subsets(parts, k))
+            for parts, size, sign in sympy_class_data(n)]
+
+
+def uniform_class_values(n, r, s):
+    """(class size, sign, value) for every class of S_n on partitions into
+    r blocks of size s, each value counted on one representative."""
+    assert n == r * s
+    return [(size, sign,
+             count_invariant_partitions(perm_shortest_first(parts, n), s))
+            for parts, size, sign in sympy_class_data(n)]
+
+
+def merge_by_value(classes):
+    """{value: (all, even)} from (class size, sign, value) triples: the
+    permutations taking each value, and the even ones among them."""
+    merged = {}
+    for size, sign, value in classes:
+        total, even = merged.get(value, (0, 0))
+        merged[value] = (total + size, even + (size if sign > 0 else 0))
+    return merged
 
 
 def subsets_inner_product(n, k, l):

@@ -89,8 +89,9 @@ def test_03_kernel_orbit_surplus_identity(capsys):
         _, counts = oracle.tuple_orbit_counts(action, base + 1)
         for l, brute_o, brute_o_k, _ in counts[1:]:
             o, o_k = orbit_counts(chi, l)
-            signed = sum(sign * size * value ** l
-                         for size, sign, value in chi.terms)
+            # even minus odd permutations at each value
+            signed = sum((2 * even - weight) * value ** l
+                         for value, weight, even in chi.terms)
             checks += 1
             if ((o, o_k) != (brute_o, brute_o_k)
                     or (o_k - o) * factorial(n) != signed):
@@ -181,8 +182,8 @@ def test_07_random_property_suite(capsys):
         k = rng.randrange(1, (n - 1) // 2 + 1)
         l = rng.randrange(1, 9)
         chi = char_vector_subsets(n, k)
-        total = sum(sign * size * value ** l
-                    for size, sign, value in chi.terms)
+        total = sum((2 * even - weight) * value ** l
+                    for value, weight, even in chi.terms)
         quotient, remainder = divmod(total, factorial(n))
         grown = split_count(chi, l + 1)
         if (remainder != 0 or quotient < 0
@@ -203,9 +204,9 @@ def test_08_class_size_sanity(capsys):
     bad = []
     for n in range(2, 26):
         terms = char_vector_subsets(n, 1).terms
-        if sum(size for size, _, _ in terms) != factorial(n):
+        if sum(weight for _, weight, _ in terms) != factorial(n):
             bad.append((n, "total"))
-        if sum(sign * size for size, sign, _ in terms) != 0:
+        if sum(2 * even - weight for _, weight, even in terms) != 0:
             bad.append((n, "signed"))
     elapsed = perf_counter() - started
     ok = not bad and elapsed < 10

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import islice, permutations
 from math import comb, factorial
 
@@ -9,10 +8,12 @@ from basechar.characters import (char_vector_subsets,
                                  char_vector_uniform_partitions,
                                  iter_inner_products, orbit_counts)
 from basechar.errors import CapacityError, ConsistencyError, InputError
-from basechar.partitions import class_size, enumerate_cycle_types, sign_of
+from basechar.partitions import class_size, enumerate_cycle_types
 from reference_impls import (chi_subsets, count_fixed_subsets,
-                             count_fixed_uniform, perm_shortest_first,
-                             subsets_inner_product, uniform_partitions_frozen)
+                             count_fixed_uniform, merge_by_value,
+                             perm_shortest_first, subsets_class_values,
+                             subsets_inner_product, uniform_class_values,
+                             uniform_partitions_frozen)
 
 
 def split_count(chi, l):
@@ -121,10 +122,11 @@ def test_char_vector_identity_columns():
     for n, k in ((5, 2), (7, 3), (9, 4)):
         chi = char_vector_subsets(n, k)
         assert chi.domain_size == comb(n, k)
-        assert max(chi.values) == comb(n, k)  # the identity's value
+        # the identity's value
+        assert max(value for value, _, _ in chi.terms) == comb(n, k)
         assert chi.action == f"subsets:{k}"
-        assert chi.cycle_types is None  # collapsed, not one term per class
-        assert sum(weight for weight, _, _ in chi.terms) == factorial(n)
+        assert chi.cycle_types is None  # no classes listed
+        assert sum(weight for _, weight, _ in chi.terms) == factorial(n)
     chi = char_vector_uniform_partitions(8, 4, 2)
     assert chi.domain_size == factorial(8) // (factorial(2) ** 4 * factorial(4))
     assert chi.values[-1] == chi.domain_size  # identity class comes last
@@ -136,10 +138,16 @@ def test_sign_vector_values():
     parts = list(chi.cycle_types)
     assert parts == list(enumerate_cycle_types(4))
     expect = {(4,): -1, (3, 1): 1, (2, 2): 1, (2, 1, 1): -1, (1, 1, 1, 1): 1}
-    assert [sign for _, sign, _ in chi.terms] == [expect[p] for p in parts]
-    # The collapsed S_4 on points: the even weights make up A_4.
+    # Each value's even count sums the classes of that value and sign +1.
+    even = {}
+    for p, value in zip(parts, chi.values):
+        if expect[p] > 0:
+            even[value] = even.get(value, 0) + class_size(p)
+    assert {value: e for value, _, e in chi.terms} == {
+        value: even.get(value, 0) for value in chi.values}
+    # S_4 on points: the even counts make up A_4.
     terms = char_vector_subsets(4, 1).terms
-    assert sum(weight for weight, sign, _ in terms if sign > 0) == 12
+    assert sum(even for _, _, even in terms) == 12
 
 
 def test_inner_product_hand_values():
@@ -175,12 +183,12 @@ def test_orbit_counts_hand_values():
 
 def test_split_orbit_identity():
     # <sgn, chi^l>, summed with signs over the terms, equals the kernel
-    # orbit surplus o_K(l) - o(l).
+    # orbit surplus o_K(l) - o(l); a term has even - odd = 2 even - all.
     for n, k in ((5, 2), (6, 2), (7, 3)):
         chi = char_vector_subsets(n, k)
         for l in range(5):
-            signed = sum(sign * weight * value ** l
-                         for weight, sign, value in chi.terms)
+            signed = sum((2 * even - weight) * value ** l
+                         for value, weight, even in chi.terms)
             o, o_k = orbit_counts(chi, l)
             assert signed == (o_k - o) * factorial(n)
 
@@ -201,12 +209,12 @@ def test_iter_matches_direct():
 
 
 def test_tampered_character_is_caught():
-    # S_5 on points: the 10 transpositions fix 3 points each.
+    # S_5 on points: only the 10 transpositions fix 3 points, all odd.
     chi = char_vector_subsets(5, 1)
     terms = list(chi.terms)
-    index = terms.index((10, -1, 3))
-    terms[index] = (10, -1, 4)
-    bad = replace(chi, terms=tuple(terms))
+    index = terms.index((3, 10, 0))
+    terms[index] = (4, 10, 0)
+    bad = chi._replace(terms=tuple(terms))
     with pytest.raises(ConsistencyError):
         orbit_counts(bad, 1)
 
@@ -234,7 +242,7 @@ def test_inner_product_input_errors():
 
 
 def test_one_class_pass_per_command(monkeypatch, capsys):
-    # The subset commands sum collapsed terms and never enumerate the
+    # The subset commands sum merged terms and never enumerate the
     # classes of S_n; partitions-action enumerates them exactly once.
     original = partitions.enumerate_cycle_types
     calls = []
@@ -260,22 +268,39 @@ def test_one_class_pass_per_command(monkeypatch, capsys):
         assert calls.count(int(argv[2])) == expected, (argv, calls)
 
 
+def check_distribution(chi, classes):
+    """chi's terms against per-class (size, sign, value) triples: the
+    same merged distribution, and the same o and o_K for l = 0..6."""
+    order = factorial(chi.n)
+    assert len({value for value, _, _ in chi.terms}) == len(chi.terms)
+    assert {value: (weight, even) for value, weight, even in chi.terms} == \
+        merge_by_value(classes)
+    assert sum(weight for _, weight, _ in chi.terms) == order
+    if chi.n >= 2:
+        assert sum(even for _, _, even in chi.terms) == order // 2
+    for l in range(7):
+        total = sum(size * value ** l for size, _, value in classes)
+        even = sum(size * value ** l
+                   for size, sign, value in classes if sign > 0)
+        assert total % order == 0 and 2 * even % order == 0
+        assert orbit_counts(chi, l) == (total // order, 2 * even // order)
+
+
 def test_collapsed_subsets_match_class_sum():
-    # The collapse against the plain sum over every class of S_n.
+    # The distribution built through (c_1..c_k) against the plain values
+    # of every class of S_n, merged by value.
     for n in range(1, 15):
-        order = factorial(n)
-        classes = [(class_size(ct), sign_of(ct), ct)
-                   for ct in enumerate_cycle_types(n)]
         for k in range(1, n + 1):
-            chi = char_vector_subsets(n, k)
-            values = [(size, sign, chi_subsets(ct, k))
-                      for size, sign, ct in classes]
-            for l in range(7):
-                total = sum(size * value ** l for size, _, value in values)
-                even = sum(size * value ** l
-                           for size, sign, value in values if sign > 0)
-                assert orbit_counts(chi, l) == (total // order,
-                                                2 * even // order), (n, k, l)
+            check_distribution(char_vector_subsets(n, k),
+                               subsets_class_values(n, k))
+
+
+def test_partition_distribution_matches_classes():
+    for n in range(1, 13):
+        for r in range(1, n + 1):
+            if n % r == 0:
+                check_distribution(char_vector_uniform_partitions(n, r, n // r),
+                                   uniform_class_values(n, r, n // r))
 
 
 def test_halasi_two_subsets():
@@ -289,9 +314,10 @@ def test_halasi_two_subsets():
 
 
 def test_collapsed_term_counts():
-    # Hundreds of terms, not p(40) = 37,338 or p(36) = 17,977.
-    assert len(char_vector_subsets(40, 2).terms) == 725
-    assert len(char_vector_subsets(36, 3).terms) == 2231
+    # One term per distinct value, not p(40) = 37,338 or p(36) = 17,977
+    # classes, nor the 725 and 2,231 signed (c_1..c_k) terms they merge.
+    assert len(char_vector_subsets(40, 2).terms) == 261
+    assert len(char_vector_subsets(36, 3).terms) == 610
     # The k-subset and (n - k)-subset characters are the same.
     assert char_vector_subsets(30, 20).terms == char_vector_subsets(30, 10).terms
 

@@ -132,6 +132,14 @@ def test_partitions_action_command(capsys):
     assert doc["warnings"] and "base-controlling" in doc["warnings"][0]
 
 
+def test_document_layout(capsys):
+    # stdout is the document indented by two spaces, then one newline.
+    assert cli.main(["partitions-action", "--n", "8", "--r", "4",
+                     "--s", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_partitions_action_bad_shape(capsys):
     code, _, _ = run_cli(capsys, "partitions-action", "--n", "6",
                          "--r", "2", "--s", "2")
@@ -431,11 +439,19 @@ HOSTILE_INPUTS = (
     (("orbits", "--n", "3", "--k", "1", "--l", "9014"), 3),
     (("basesize", "--n", "65", "--k", "2"), 3),
     (("partitions-action", "--n", "0", "--r", "0", "--s", "0"), 2),
+    # a 4,001-digit threshold: the search runs to its cap l = C(40, 2)
+    (("wreath", "--n", "40", "--k", "2", "--dist", "1" + "0" * 4000), 3),
 )
 
 
+def _case_id(argv):
+    # an argument too long to read stands as its length
+    return " ".join(arg if len(arg) <= 100 else f"<{len(arg)} chars>"
+                    for arg in argv)
+
+
 @pytest.mark.parametrize("argv, expected", HOSTILE_INPUTS,
-                         ids=[" ".join(argv) for argv, _ in HOSTILE_INPUTS])
+                         ids=[_case_id(argv) for argv, _ in HOSTILE_INPUTS])
 def test_hostile_inputs(capsys, argv, expected):
     # Exit 0, 2 or 3; JSON on stdout exactly when the exit is 0; no
     # traceback (an uncaught exception would fail the test itself).
@@ -517,15 +533,17 @@ FORMULA_RUNS = (
 
 def test_only_verify_loads_the_oracle():
     # numpy and the oracle stay out of the start-up and the run of every
-    # formula command; verify loads both. A fresh interpreter, since this
-    # test process has imported them already.
+    # formula command; verify loads both. dataclasses, and inspect through
+    # it, stay out of every formula command too. A fresh interpreter, since
+    # this test process has imported them already.
     script = f"""
 import contextlib, io, sys
 from basechar import cli
 HEAVY = ("numpy", "basechar.oracle")
+FORMULA_FREE = HEAVY + ("dataclasses", "inspect")
 
-def loaded():
-    return [name for name in HEAVY if name in sys.modules]
+def loaded(names=FORMULA_FREE):
+    return [name for name in names if name in sys.modules]
 
 assert loaded() == [], ("import", loaded())
 for argv in {FORMULA_RUNS!r}:
@@ -534,7 +552,7 @@ for argv in {FORMULA_RUNS!r}:
     assert loaded() == [], (argv, loaded())
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify", "--group", "sn:3"]) == 0
-assert loaded() == list(HEAVY), ("verify", loaded())
+assert loaded(HEAVY) == list(HEAVY), ("verify", loaded(HEAVY))
 """
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,

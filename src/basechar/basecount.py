@@ -63,8 +63,10 @@ def _min_l_search(chi, threshold, cap):
         if value >= threshold:
             return l, tuple(trace)
         if l >= cap:
+            bits = threshold.bit_length()
+            shown = threshold if bits <= 64 else f"a {bits}-bit threshold"
             raise CapacityError(
-                f"no count reaching {threshold} found up to l={cap}")
+                f"no count reaching {shown} found up to l={cap}")
 
 
 def base_size_subsets(n, k, max_l=None):

@@ -1,15 +1,18 @@
 """Command-line front end.
 
-Every command prints one JSON document to stdout: command echo, inputs,
-outputs, method tag, warnings, and timing. All integers inside the document
-are serialized as decimal strings since class sums routinely exceed 64 bits.
-Exit codes: 0 success, 2 invalid input, 3 capacity exceeded, 4 internal
-consistency failure.
+Each command returns its outputs and warnings; `main` writes every
+document, one JSON object on stdout: command echo, inputs (the parsed
+flags), outputs, method tag, warnings, and timing. All integers inside the
+document are serialized as decimal strings since class sums routinely
+exceed 64 bits. Exit codes: 0 success (also when the reader closes the
+pipe early), 2 invalid input, 3 capacity exceeded, 4 internal consistency
+failure.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -36,26 +39,12 @@ def _stringify(value):
     return value
 
 
-def _document(command, inputs, outputs, method, warnings, started):
-    return {
-        "command": command,
-        "inputs": _stringify(inputs),
-        "outputs": _stringify(outputs),
-        "method": method,
-        "warnings": list(warnings),
-        "timing_seconds": round(time.perf_counter() - started, 6),
-    }
-
-
 def cmd_basesize(args):
-    started = time.perf_counter()
     report = basecount.base_size_subsets(args.n, args.k, max_l=args.max_l)
     outputs = {"base_size": report.base_size}
     if args.trace:
         outputs["trace"] = report.witness_l_values
-    return _document("basesize", {"n": args.n, "k": args.k,
-                                  "max_l": args.max_l},
-                     outputs, "formula", [], started)
+    return outputs, []
 
 
 def _check_printable(chi, l):
@@ -73,37 +62,26 @@ def _check_printable(chi, l):
 
 
 def cmd_orbits(args):
-    started = time.perf_counter()
     chi = char_vector_subsets(args.n, args.k)
     _check_printable(chi, args.l)
     o, o_k = orbit_counts(chi, args.l)
-    return _document("orbits", {"n": args.n, "k": args.k, "l": args.l},
-                     {"regular": o_k - o, "o": o, "o_K": o_k},
-                     "formula", [], started)
+    return {"regular": o_k - o, "o": o, "o_K": o_k}, []
 
 
 def cmd_wreath(args):
-    started = time.perf_counter()
     distinguishing = args.r if args.r is not None else args.dist
     report = basecount.base_size_wreath_subsets(args.n, args.k, distinguishing)
-    inputs = {"n": args.n, "k": args.k, "r": args.r, "dist": args.dist}
-    outputs = {
-        "distinguishing_number": distinguishing,
-        "base_size": report.base_size,
-        "trace": report.witness_l_values,
-    }
-    return _document("wreath", inputs, outputs, "formula", [], started)
+    return {"distinguishing_number": distinguishing,
+            "base_size": report.base_size,
+            "trace": report.witness_l_values}, []
 
 
 def cmd_bounds(args):
-    started = time.perf_counter()
     lower, upper = basecount.large_base_bounds(args.m, args.k, args.r)
-    return _document("bounds", {"m": args.m, "k": args.k, "r": args.r},
-                     {"lower": lower, "upper": upper}, "formula", [], started)
+    return {"lower": lower, "upper": upper}, []
 
 
 def cmd_partitions_action(args):
-    started = time.perf_counter()
     report = basecount.base_size_partitions_action(
         args.n, args.r, args.s, max_l=args.l_max)
     chi = report.character
@@ -116,11 +94,7 @@ def cmd_partitions_action(args):
         "known_base_size": report.known_base_size,
         "character_values": character,
     }
-    warnings = [report.caveat] if report.caveat else []
-    return _document("partitions-action",
-                     {"n": args.n, "r": args.r, "s": args.s,
-                      "l_max": args.l_max},
-                     outputs, "formula", warnings, started)
+    return outputs, [report.caveat]
 
 
 def _formula_comparison(parsed, oracle_base, warnings):
@@ -157,11 +131,8 @@ def _formula_comparison(parsed, oracle_base, warnings):
 
 
 def cmd_verify(args):
-    # The oracle needs numpy; importing it here keeps it out of the
-    # start-up of every formula command.
     from . import oracle
 
-    started = time.perf_counter()
     basecount.validate_l_limit(args.l_max)
     if args.l_max is not None:
         oracle.check_tuple_length(args.l_max)
@@ -211,10 +182,7 @@ def cmd_verify(args):
 
     outputs["formula"] = _formula_comparison(parsed, base, warnings)
 
-    return _document("verify",
-                     {"group": args.group, "labels": args.labels,
-                      "l_max": args.l_max, "seed": args.seed},
-                     outputs, "oracle+formula", warnings, started)
+    return outputs, warnings
 
 
 def build_parser():
@@ -282,8 +250,24 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if args.command == "verify":
+        # The oracle needs numpy; importing it here, before the clock,
+        # keeps it out of the timing and of every formula command.
+        from . import oracle  # noqa: F401
+    started = time.perf_counter()
     try:
-        document = args.func(args)
+        outputs, warnings = args.func(args)
+        inputs = {key: value for key, value in vars(args).items()
+                  if key not in ("command", "func", "trace")}
+        document = {
+            "command": args.command,
+            "inputs": _stringify(inputs),
+            "outputs": _stringify(outputs),
+            "method": ("oracle+formula" if args.command == "verify"
+                       else "formula"),
+            "warnings": warnings,
+            "timing_seconds": round(time.perf_counter() - started, 6),
+        }
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -293,9 +277,16 @@ def main(argv=None):
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 4
-    # one write: json.dump would write once per encoder chunk
-    sys.stdout.write(json.dumps(document, indent=2))
-    print()
+    try:
+        # one write: json.dump would write once per encoder chunk
+        sys.stdout.write(json.dumps(document, indent=2) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone; send what is left to devnull so the flush
+        # at shutdown raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -28,7 +28,6 @@ MAX_CLOSURE_ORDER = 10 ** 6
 MAX_INDUCED_DEGREE = 10 ** 4
 MAX_TABLE_CELLS = 5 * 10 ** 7
 MAX_GATHER_CELLS = 1 << 18
-MAX_DISTINGUISHING_POINTS = 12
 # The longest tuple the orbit walk accepts as an explicit limit. A faithful
 # action of a group of order at most MAX_CLOSURE_ORDER has a base of at
 # most 19 points (each base point at least halves the stabilizer), so the
@@ -106,7 +105,6 @@ class InducedAction:
     sets of row indices, so parent labels carry over unchanged.
     """
 
-    degree: int
     table: np.ndarray
     labels: np.ndarray | None
     point_names: tuple
@@ -118,6 +116,10 @@ class InducedAction:
     @property
     def order(self):
         return self.table.shape[0]
+
+    @property
+    def degree(self):
+        return self.table.shape[1]
 
     @cached_property
     def kernel(self):
@@ -146,7 +148,7 @@ def _natural(table, labels=None):
     order, degree = table.shape
     _check_table_capacity(order, degree)
     names = tuple(str(i + 1) for i in range(degree))
-    return InducedAction(degree, table, labels, names)
+    return InducedAction(table, labels, names)
 
 
 def _bounded_factorial(n, refusal):
@@ -316,8 +318,7 @@ def act_on_subsets(group, k):
     _check_table_capacity(group.order, math.comb(group.degree, k))
     points = list(combinations(range(group.degree), k))
     names = tuple("{" + ",".join(str(x + 1) for x in s) + "}" for s in points)
-    return InducedAction(len(points), _sets_table(group.table, points),
-                         group.labels, names)
+    return InducedAction(_sets_table(group.table, points), group.labels, names)
 
 
 def _uniform_partitions(free, s):
@@ -346,7 +347,7 @@ def act_on_uniform_partitions(group, r, s):
                         [[index[block] for block in part] for part in points])
     names = tuple("|".join("".join(str(x + 1) for x in block)
                            for block in part) for part in points)
-    return InducedAction(len(points), table, group.labels, names)
+    return InducedAction(table, group.labels, names)
 
 
 def product_action_wreath(base, r):
@@ -398,7 +399,7 @@ def product_action_wreath(base, r):
         for _ in range(r):
             labels = np.outer(labels, base.labels).ravel()
         labels = np.repeat(labels, len(inverses))
-    return InducedAction(degree, table, labels, names)
+    return InducedAction(table, labels, names)
 
 
 # ---------------------------------------------------------------------------
@@ -577,51 +578,6 @@ def is_base_controlling(action):
     if verdict is None:
         raise ConsistencyError("subset search missed the lattice violation")
     return verdict
-
-
-# ---------------------------------------------------------------------------
-# distinguishing number
-
-
-def distinguishing_number(group):
-    """Least c such that some coloring of the domain with at most c colors
-    has trivial stabilizer (elements preserving every color class setwise).
-
-    Colorings are enumerated up to color renaming as restricted growth
-    strings, so each set partition of the domain is tested once.
-    """
-    m = group.degree
-    if m > MAX_DISTINGUISHING_POINTS:
-        raise CapacityError(f"degree {m} exceeds {MAX_DISTINGUISHING_POINTS}")
-    table = group.table
-    if group.order == 1:
-        return 1
-
-    def any_distinguishing(classes):
-        # colorings with exactly `classes` parts, new color first at each point
-        colors = np.zeros(m, dtype=np.int32)
-
-        def walk(point, used):
-            if m - point < classes - used:
-                return False
-            if point == m:
-                if used != classes:
-                    return False
-                fixes = (colors[table] == colors).all(axis=1)
-                return int(fixes.sum()) == 1
-            top = min(used + 1, classes)
-            for color in range(top):
-                colors[point] = color
-                if walk(point + 1, max(used, color + 1)):
-                    return True
-            return False
-
-        return walk(0, 0)
-
-    for classes in range(1, m + 1):
-        if any_distinguishing(classes):
-            return classes
-    raise ConsistencyError("no distinguishing coloring found for a faithful group")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ before the limit of n = 64.
 
 from math import factorial
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, ConsistencyError, InputError
 
 DEFAULT_N_LIMIT = 64
 
@@ -55,7 +55,8 @@ def class_size(parts):
         c = parts.count(i)
         denom *= i ** c * factorial(c)
     size, rem = divmod(factorial(sum(parts)), denom)
-    assert rem == 0
+    if rem:
+        raise ConsistencyError(f"class size of {parts} is not an integer")
     return size
 
 

@@ -9,8 +9,10 @@ these per-class values, orbit counts on tuples come from Burnside's
 lemma, representatives lay cycles out shortest first (the package uses
 longest first, so agreement also exercises class invariance), induced
 tables are built one element and one point at a time, and the
-base-controlling verdict tries every set of points, and the first
-counterexample comes from a depth-first search with nothing memoised.
+base-controlling verdict tries every set of points, the first
+counterexample comes from a depth-first search with nothing memoised, and
+the distinguishing number of a group (the threshold of a wreath product
+over it) comes from a search over the set partitions of its domain.
 """
 
 from fractions import Fraction
@@ -21,6 +23,10 @@ from math import comb, factorial
 import numpy as np
 
 from sympy.utilities.iterables import partitions as sympy_partitions
+
+from basechar.errors import CapacityError, ConsistencyError
+
+MAX_DISTINGUISHING_POINTS = 12
 
 
 @lru_cache(maxsize=None)
@@ -306,3 +312,44 @@ def first_all_plus_chain(table, labels):
         return None
 
     return search(np.arange(len(table)), ())
+
+
+def distinguishing_number(group):
+    """Least c such that some coloring of the domain with at most c colors
+    has trivial stabilizer (elements preserving every color class setwise).
+
+    Colorings are enumerated up to color renaming as restricted growth
+    strings, so each set partition of the domain is tested once.
+    """
+    m = group.degree
+    if m > MAX_DISTINGUISHING_POINTS:
+        raise CapacityError(f"degree {m} exceeds {MAX_DISTINGUISHING_POINTS}")
+    table = group.table
+    if group.order == 1:
+        return 1
+
+    def any_distinguishing(classes):
+        # colorings with exactly `classes` parts, new color first at each point
+        colors = np.zeros(m, dtype=np.int32)
+
+        def walk(point, used):
+            if m - point < classes - used:
+                return False
+            if point == m:
+                if used != classes:
+                    return False
+                fixes = (colors[table] == colors).all(axis=1)
+                return int(fixes.sum()) == 1
+            top = min(used + 1, classes)
+            for color in range(top):
+                colors[point] = color
+                if walk(point + 1, max(used, color + 1)):
+                    return True
+            return False
+
+        return walk(0, 0)
+
+    for classes in range(1, m + 1):
+        if any_distinguishing(classes):
+            return classes
+    raise ConsistencyError("no distinguishing coloring found for a faithful group")

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 from pathlib import Path
@@ -138,6 +139,33 @@ def test_document_layout(capsys):
                      "--s", "2"]) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# One run per command, with the order its inputs are echoed in: the order
+# of its flags in the parser.
+LAYOUT_RUNS = (
+    (("basesize", "--n", "6", "--k", "2", "--trace"), ("n", "k", "max_l")),
+    (("orbits", "--n", "6", "--k", "2", "--l", "2"), ("n", "k", "l")),
+    (("wreath", "--n", "6", "--k", "2", "--r", "2"), ("n", "k", "r", "dist")),
+    (("bounds", "--m", "6", "--k", "2", "--r", "2"), ("m", "k", "r")),
+    (("partitions-action", "--n", "6", "--r", "3", "--s", "2"),
+     ("n", "r", "s", "l_max")),
+    (("verify", "--group", "sn:3"), ("group", "labels", "l_max", "seed")),
+)
+
+
+@pytest.mark.parametrize("argv, inputs", LAYOUT_RUNS,
+                         ids=[argv[0] for argv, _ in LAYOUT_RUNS])
+def test_document_key_order(capsys, argv, inputs):
+    # The goldens compare parsed dicts, so only this pins the key order.
+    assert cli.main(list(argv)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["command", "inputs", "outputs", "method",
+                         "warnings", "timing_seconds"]
+    assert doc["command"] == argv[0]
+    assert list(doc["inputs"]) == list(inputs)
+    assert doc["method"] == ("oracle+formula" if argv[0] == "verify"
+                             else "formula")
 
 
 def test_partitions_action_bad_shape(capsys):
@@ -464,6 +492,7 @@ def test_hostile_inputs(capsys, argv, expected):
         assert captured.out == ""
         assert captured.err.startswith(("error:", "capacity error:"))
     assert "Traceback" not in captured.err
+    assert len(captured.err) < 300  # no echo of a huge number in full
 
 
 def test_unprintable_counts_refused_before_the_sum(monkeypatch, capsys):
@@ -503,6 +532,37 @@ def test_huge_parameters_refused_at_once(spec, expected):
     assert done.returncode == expected, done.stderr
     assert done.stdout == ""
     assert done.stderr.startswith(("error:", "capacity error:"))
+
+
+@pytest.mark.parametrize("lines_read", (1, 0))
+def test_closed_pipe_exits_cleanly(lines_read):
+    # A reader that stops early, as `| head -1` does, or before the first
+    # byte: exit 0 and nothing on stderr, neither from the write nor from
+    # the flush at shutdown.
+    src = Path(__file__).resolve().parents[1] / "src"
+    for _ in range(5):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "basechar.cli", "partitions-action",
+             "--n", "12", "--r", "6", "--s", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        for _ in range(lines_read):
+            proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0, err
+        assert err == b""
+
+
+def test_package_has_no_assert_statements():
+    # python -O drops assert, and a broken invariant must still exit 4.
+    package = Path(__file__).resolve().parents[1] / "src" / "basechar"
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert)]
+        assert found == [], (path.name, found)
 
 
 # Every case the benchmark can draw, with the output recorded for it. The

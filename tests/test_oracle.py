@@ -8,15 +8,14 @@ from basechar import oracle
 from basechar.errors import CapacityError, ConsistencyError, InputError
 from basechar.oracle import (MAX_TUPLE_LENGTH, InducedAction, act_on_subsets,
                              act_on_uniform_partitions, alternating_group,
-                             closure, compose,
-                             distinguishing_number, identity_perm,
+                             closure, compose, identity_perm,
                              is_base_controlling,
                              label_homomorphism_spot_check, parse_cycles,
                              parse_group_spec, pgl2, product_action_wreath,
                              symmetric_group, tuple_orbit_counts,
                              with_sign_labels)
 from reference_impls import (blind_orbit_data, burnside_orbit_count,
-                             first_all_plus_chain, has_all_plus_stabilizer,
+                             distinguishing_number, first_all_plus_chain, has_all_plus_stabilizer,
                              partitions_action_table, perm_sign,
                              subsets_action_table)
 
@@ -137,7 +136,7 @@ def test_rows_in_strict_lexicographic_order():
 def test_labels_must_match_rows():
     s3 = symmetric_group(3)
     with pytest.raises(InputError):
-        InducedAction(3, s3.table, s3.labels[:5], s3.point_names)
+        InducedAction(s3.table, s3.labels[:5], s3.point_names)
     with pytest.raises(InputError):
         replace(s3, table=s3.table[1:])
 
@@ -339,7 +338,7 @@ def test_base_size_invariant_under_point_relabeling():
     relabel = rng.permutation(action.degree)
     table = np.empty_like(action.table)
     table[:, relabel] = relabel[action.table]
-    shuffled = InducedAction(action.degree, table, action.labels,
+    shuffled = InducedAction(table, action.labels,
                              tuple(action.point_names[i]
                                    for i in np.argsort(relabel)))
     assert base_size(shuffled) == base_size(action)
@@ -485,14 +484,14 @@ def test_is_base_controlling_counterexample_shape():
 
 def test_is_base_controlling_degenerate_inputs():
     s4 = symmetric_group(4)
-    all_plus = InducedAction(4, s4.table, np.ones(24, dtype=np.int8),
+    all_plus = InducedAction(s4.table, np.ones(24, dtype=np.int8),
                              tuple("1234"))
     with pytest.raises(InputError):
         is_base_controlling(all_plus)
     with pytest.raises(InputError):
         is_base_controlling(alternating_group(4))
     # labels that are not a homomorphism
-    lopsided = InducedAction(4, s4.table,
+    lopsided = InducedAction(s4.table,
                              np.array([1] * 23 + [-1], dtype=np.int8),
                              tuple("1234"))
     with pytest.raises(InputError):

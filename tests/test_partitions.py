@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from basechar import cli, partitions
 from basechar.characters import char_vector_uniform_partitions
-from basechar.errors import CapacityError, InputError
+from basechar.errors import CapacityError, ConsistencyError, InputError
 from basechar.partitions import class_size, enumerate_cycle_types, sign_of
 from reference_impls import partition_count, sympy_class_data
 
@@ -60,6 +61,20 @@ def test_class_size_examples():
                      (1, 1, 1, 1): 1}
     assert class_size((2, 1, 1, 1)) == 10
     assert class_size((15,)) == math.factorial(14)
+
+
+def test_class_size_remainder_is_a_consistency_error(monkeypatch, capsys):
+    # A factorial off by one leaves a remainder: a hard error (exit 4)
+    # that python -O cannot drop.
+    monkeypatch.setattr(partitions, "factorial",
+                        lambda n: math.factorial(n) + 1)
+    with pytest.raises(ConsistencyError):
+        class_size((2, 1, 1, 1))
+    assert cli.main(["partitions-action", "--n", "6", "--r", "3",
+                     "--s", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("consistency failure:")
 
 
 def test_class_sizes_sum_to_group_order():

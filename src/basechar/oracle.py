@@ -1,15 +1,16 @@
 """Brute-force permutation-group engine used as ground truth.
 
 Every group is its own natural action: an action table with one row per
-element, the rows in lexicographic order, and its {+1,-1} labels, when it
-has any, as an int8 array (no stabilizer chains). Induced actions carry
-one table row per parent element, so stabilizers are sets of element
-indices and labels stay well-defined even when the action is not
-faithful. The lattice of tuple stabilizers, each expanded once, gives the
-base size, the orbit counts o and o_K of the group and of its label
-kernel, the regular-orbit counts for every l, and whether the labels are
-base-controlling. Everything here is deliberately simple and slow; the
-fast formula code is validated against it, never the other way around.
+element, the rows in lexicographic order, one byte per point (two past 256
+points), and its {+1,-1} labels, when it has any, as an int8 array (no
+stabilizer chains). Induced actions carry one table row per parent
+element, so stabilizers are sets of element indices and labels stay
+well-defined even when the action is not faithful. The lattice of tuple
+stabilizers, each expanded once, gives the base size, the orbit counts o
+and o_K of the group and of its label kernel, the regular-orbit counts for
+every l, and whether the labels are base-controlling. Everything here is
+deliberately simple and slow; the fast formula code is validated against
+it, never the other way around.
 """
 
 from bisect import bisect_left
@@ -123,15 +124,26 @@ class InducedAction:
 
     @cached_property
     def kernel(self):
-        """(kernel order, mask of the points every row fixes), both read off
-        one comparison of the table with the identity row."""
-        fixed = self.table == np.arange(self.degree)
-        return int(np.count_nonzero(fixed.all(axis=1))), fixed.all(axis=0)
+        """(kernel order, mask of the points every row fixes), both built
+        one column at a time from where the rows fix that column's point."""
+        rows = np.ones(self.order, dtype=bool)
+        fixed = np.empty(self.degree, dtype=bool)
+        for point in range(self.degree):
+            column = self.table[:, point] == point
+            rows &= column
+            fixed[point] = column.all()
+        return int(np.count_nonzero(rows)), fixed
 
     @cached_property
     def lattice(self):
         """The stabilizer lattice, read by the orbit walk and the verdict."""
         return _stabilizer_lattice(self)
+
+
+def _point_dtype(degree):
+    """The narrowest unsigned dtype that holds every point of a table:
+    uint8 up to 256 points, uint16 up to MAX_INDUCED_DEGREE."""
+    return np.uint8 if degree <= 256 else np.uint16
 
 
 def _check_table_capacity(order, degree):
@@ -217,7 +229,8 @@ def closure(generators, labels=None):
     elements = sorted(found)
     out_labels = (np.array([found[e] for e in elements], np.int8)
                   if labels else None)
-    return _natural(np.array(elements, dtype=np.int32), out_labels)
+    return _natural(np.array(elements, dtype=_point_dtype(degree)),
+                    out_labels)
 
 
 def with_sign_labels(group):
@@ -237,10 +250,10 @@ def symmetric_group(n):
     if n < 1:
         raise InputError("degree must be positive")
     _bounded_factorial(n, f"order {n}! exceeds {MAX_CLOSURE_ORDER}")
-    table = np.zeros((1, 0), dtype=np.int32)
+    table = np.zeros((1, 0), dtype=_point_dtype(n))
     signs = np.ones(1, dtype=np.int8)
     for m in range(1, n + 1):
-        firsts = np.arange(m, dtype=np.int32)[:, None, None]
+        firsts = np.arange(m, dtype=table.dtype)[:, None, None]
         rest = table[None] + (table[None] >= firsts)
         table = np.concatenate(
             [np.broadcast_to(firsts, (m, len(table), 1)), rest],
@@ -263,23 +276,30 @@ def pgl2(q):
     built once, in one array pass, from the matrix (a b; c d) scaled to
     bottom row (0, 1) or (1, d). It is labeled +1 iff its determinant is a
     nonzero square mod q (scaling multiplies the determinant by a square);
-    the kernel of that labeling is PSL_2(q).
+    the kernel of that labeling is PSL_2(q). PGL_2(q) is sharply
+    3-transitive, so the images of 0, 1 and 2 fix a row, and the rows are
+    sorted by those three images as one integer; keys that do not strictly
+    increase would mean two matrices gave one map, or the rows were not
+    those of PGL_2(q).
     """
     if q not in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         raise InputError("q must be an odd prime at most 31")
-    x = np.arange(q)
-    a, b, bottom = (v.ravel() for v in np.meshgrid(x, x, np.arange(q + 1)))
+    x = np.arange(q, dtype=np.int32)
+    a, b, bottom = (v.ravel() for v in np.meshgrid(
+        x, x, np.arange(q + 1, dtype=np.int32)))
     c, d = np.minimum(bottom, 1), np.where(bottom, bottom - 1, 1)
     det = (a * d - b * c) % q
     a, b, c, d, det = (v[det != 0] for v in (a, b, c, d, det))
     den = (c[:, None] * x + d[:, None]) % q
-    inverses = np.array([0] + [pow(int(v), q - 2, q) for v in x[1:]])
+    inverses = np.array([0] + [pow(int(v), q - 2, q) for v in x[1:]],
+                        dtype=np.int32)
     finite = np.where(den, (a[:, None] * x + b[:, None]) * inverses[den] % q, q)
-    table = np.column_stack([finite, np.where(c, a, q)]).astype(np.int32)
-    order = np.lexsort(table.T[::-1])
-    table = table[order]
-    if (table[1:] == table[:-1]).all(axis=1).any():
+    key = (finite[:, 0] * (q + 1) + finite[:, 1]) * (q + 1) + finite[:, 2]
+    order = np.argsort(key)
+    if not (np.diff(key[order]) > 0).all():
         raise ConsistencyError("two normalised matrices give one map")
+    table = np.column_stack([finite, np.where(c, a, q)])[order].astype(
+        _point_dtype(q + 1))
     square = np.isin(det[order], x * x % q)
     return _natural(table, np.where(square, 1, -1).astype(np.int8))
 
@@ -298,7 +318,8 @@ def _sets_table(table, *levels):
     compare in lexicographic order and no entry is packed into a wider int.
     """
     levels = [np.array(points, dtype=">i4") for points in levels]
-    out = np.empty((len(table), len(levels[-1])), dtype=np.int32)
+    out = np.empty((len(table), len(levels[-1])),
+                   dtype=_point_dtype(len(levels[-1])))
     step = max(1, MAX_GATHER_CELLS // max(points.size for points in levels))
     for start in range(0, len(table), step):
         images = table[start:start + step]
@@ -391,7 +412,8 @@ def product_action_wreath(base, r):
     for i in range(r):
         moved += weights[i] * digits.T[inverses[:, i]]
     # row b * |top| + s is bottom b followed by sigma s
-    table = moved[np.arange(len(inverses))[:, None], bottoms[:, None, :]]
+    table = moved.astype(_point_dtype(degree))[
+        np.arange(len(inverses))[:, None], bottoms[:, None, :]]
     table = table.reshape(order, degree)
     labels = None
     if base.labels is not None:
@@ -428,14 +450,14 @@ def _stabilizer_lattice(action):
     points leads to the key of its point stabilizer.
     """
     table, labels = action.table, action.labels
-    points = np.arange(action.degree)
+    points = np.arange(action.degree, dtype=table.dtype)
     root = action.kernel[1].tobytes()
     found = {root: (np.arange(action.order), 0)}
     lattice = {}
     queue = [root]
     for key in queue:
         stab, depth = found[key]
-        sub = table[stab]
+        sub = table if depth == 0 else table[stab]  # the root: every row
         seen = np.zeros(len(points), dtype=bool)
         regular = 0
         children = {}

@@ -8,16 +8,17 @@ lists only the fixed ones) or, for k-subsets, one product of
 these per-class values, orbit counts on tuples come from Burnside's
 lemma, representatives lay cycles out shortest first (the package uses
 longest first, so agreement also exercises class invariance), induced
-tables are built one element and one point at a time, and the
-base-controlling verdict tries every set of points, the first
-counterexample comes from a depth-first search with nothing memoised, and
+tables (subsets, uniform partitions and the wreath product action) are
+built one element and one point at a time, the base-controlling verdict
+tries every set of points, the first counterexample comes from a
+depth-first search with nothing memoised, and
 the distinguishing number of a group (the threshold of a wreath product
 over it) comes from a search over the set partitions of its domain.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 import numpy as np
@@ -278,6 +279,25 @@ def partitions_action_table(rows, n, r, s):
     names = tuple("|".join("".join(str(x + 1) for x in block)
                            for block in point) for point in points)
     return _block_table(rows, points), names
+
+
+def wreath_action_table(rows, r):
+    """(table, point names) of the wreath product with top group S_r in
+    product action on r-tuples of the points of range(len(rows[0])), the
+    tuples in product order. Row b * r! + s is the b-th r-tuple
+    (g_1, ..., g_r) of rows, in product order, with the s-th permutation
+    sigma of range(r); it maps x to the tuple whose coordinate i is the
+    g_{sigma^-1(i)} image of x_{sigma^-1(i)}."""
+    points = list(product(range(len(rows[0])), repeat=r))
+    index = {point: i for i, point in enumerate(points)}
+    sources = [[sigma.index(i) for i in range(r)]
+               for sigma in permutations(range(r))]
+    table = [[index[tuple(rows[bottom[j]][x[j]] for j in src)]
+              for x in points]
+             for bottom in product(range(len(rows)), repeat=r)
+             for src in sources]
+    names = tuple("(" + ",".join(str(c + 1) for c in x) + ")" for x in points)
+    return np.array(table, dtype=np.int32), names
 
 
 def has_all_plus_stabilizer(table, labels):

@@ -17,7 +17,7 @@ from basechar.oracle import (MAX_TUPLE_LENGTH, InducedAction, act_on_subsets,
 from reference_impls import (blind_orbit_data, burnside_orbit_count,
                              distinguishing_number, first_all_plus_chain, has_all_plus_stabilizer,
                              partitions_action_table, perm_sign,
-                             subsets_action_table)
+                             subsets_action_table, wreath_action_table)
 
 
 def elements(group):
@@ -101,7 +101,7 @@ def test_closure_inconsistent_labels():
 def test_symmetric_and_alternating():
     for n in range(1, 9):
         sn = symmetric_group(n)
-        assert sn.table.dtype == np.int32
+        assert sn.table.dtype == np.uint8  # one byte per point
         assert elements(sn) == list(permutations(range(n)))
         assert sn.labels.dtype == np.int8
         assert sn.labels.tolist() == [perm_sign(e) for e in elements(sn)]
@@ -127,7 +127,7 @@ def test_rows_in_strict_lexicographic_order():
     gens = [parse_cycles("(1,3)(2,4)", 4), parse_cycles("(1,2,3)", 4)]
     for group in (closure(gens), closure([identity_perm(3)]),
                   symmetric_group(4),
-                  alternating_group(5), pgl2(5), pgl2(7),
+                  alternating_group(5), pgl2(5), pgl2(7), pgl2(23),
                   with_sign_labels(closure(gens))):
         rows = elements(group)
         assert all(a < b for a, b in zip(rows, rows[1:]))
@@ -165,8 +165,9 @@ def test_pgl2_examples():
 
 def test_pgl2_equals_generated_closure():
     # x -> x+1 and x -> -1/x have determinant 1, x -> w*x determinant w,
-    # a non-square; together they generate PGL_2(q).
-    for q in (3, 5, 7, 11, 13):
+    # a non-square; together they generate PGL_2(q). 17, 19 and 23 are the
+    # groups the benchmark verifies, so their three-image sort is pinned.
+    for q in (3, 5, 7, 11, 13, 17, 19, 23):
         infinity = q
         omega = next(w for w in range(2, q)
                      if all(x * x % q != w for x in range(q)))
@@ -228,7 +229,9 @@ def test_act_on_uniform_partitions():
 
 def _same_action(action, expected):
     table, names = expected
-    assert action.table.dtype == table.dtype == np.int32
+    assert table.dtype == np.int32  # the reference stays wide
+    assert action.table.dtype == (np.uint8 if action.degree <= 256
+                                  else np.uint16)
     assert np.array_equal(action.table, table)
     assert action.point_names == names
 
@@ -258,6 +261,33 @@ def test_induced_tables_match_plain_construction(monkeypatch):
                  partitions_action_table(s6.table.tolist(), 6, 3, 2))
     _same_action(act_on_subsets(s6, 2),
                  subsets_action_table(s6.table.tolist(), 6, 2))
+
+
+def _cycle_spec(n):
+    return "gens:(" + ",".join(str(x) for x in range(1, n + 1)) + ")"
+
+
+def test_point_dtype_boundary():
+    # 256 points fit one byte each, 257 take two; the narrow table gives
+    # the same orbit rows as the same rows held in int32
+    for n, dtype in ((256, np.uint8), (257, np.uint16)):
+        group = parse_group_spec(_cycle_spec(n)).action
+        assert (group.degree, group.order) == (n, n)
+        assert group.table.dtype == dtype
+        wide = replace(group, table=group.table.astype(np.int32))
+        assert base_size(group) == 1
+        assert tuple_orbit_counts(group) == tuple_orbit_counts(wide)
+    # induced actions past 256 points
+    subsets = parse_group_spec(_cycle_spec(12) + "/subsets:4")
+    assert subsets.action.degree == 495
+    assert base_size(subsets.action) == 1
+    _same_action(subsets.action, subsets_action_table(
+        subsets.base_group.table.tolist(), 12, 4))
+    wreath = parse_group_spec(_cycle_spec(20) + "/wreath:2")
+    assert (wreath.action.degree, wreath.action.order) == (400, 800)
+    assert base_size(wreath.action) == 2
+    _same_action(wreath.action, wreath_action_table(
+        wreath.base_group.table.tolist(), 2))
 
 
 def test_wreath_product_action():
@@ -512,6 +542,15 @@ def test_distinguishing_numbers():
 def test_kernel_order():
     assert symmetric_group(3).kernel[0] == 1
     assert act_on_uniform_partitions(symmetric_group(4), 2, 2).kernel[0] == 4
+    for spec, order in (("sn:4/partitions:2x2", 4), ("sn:1/subsets:1", 1),
+                        ("an:2", 1), ("gens:(1,2)(3,4)", 1),
+                        ("gens:(1,2);(4,5)", 1), ("sn:4/wreath:2", 1)):
+        action = parse_group_spec(spec).action
+        fixed = action.table == np.arange(action.degree)
+        kernel, mask = action.kernel
+        assert kernel == order == int(fixed.all(axis=1).sum())
+        assert mask.dtype == bool
+        assert np.array_equal(mask, fixed.all(axis=0))
 
 
 def test_parse_group_spec_forms():

@@ -69,24 +69,18 @@ def _min_l_search(chi, threshold, cap):
                 f"no count reaching {shown} found up to l={cap}")
 
 
-def base_size_subsets(n, k, max_l=None):
-    """Base size of the symmetric group of degree n on k-subsets."""
+def base_size_subsets(n, k, threshold=1, max_l=None):
+    """Least l <= max_l (default C(n, k)) with <sgn, chi^l> >= threshold for
+    S_n on k-subsets: its base size at threshold 1, and at threshold D the
+    base size of its wreath product, in product action, with a top group of
+    distinguishing number D."""
     _validate_subsets(n, k)
+    if threshold < 1:
+        raise InputError("distinguishing number must be positive")
     validate_l_limit(max_l)
     chi = char_vector_subsets(n, k)
     cap = math.comb(n, k) if max_l is None else max_l
-    base, trace = _min_l_search(chi, 1, cap)
-    return BaseSizeReport(base, trace)
-
-
-def base_size_wreath_subsets(n, k, distinguishing):
-    """Base size of the wreath product over the k-subset action, in
-    product action, for a top group with the given distinguishing number."""
-    _validate_subsets(n, k)
-    if distinguishing < 1:
-        raise InputError("distinguishing number must be positive")
-    chi = char_vector_subsets(n, k)
-    base, trace = _min_l_search(chi, distinguishing, math.comb(n, k))
+    base, trace = _min_l_search(chi, threshold, cap)
     return BaseSizeReport(base, trace)
 
 
@@ -102,7 +96,7 @@ def large_base_bounds(m, k, r):
         raise InputError("r must be positive")
     # (m, k) is invalid only where (m - 1, k) is, with the same message
     lower = base_size_subsets(m - 1, k).base_size
-    upper = base_size_wreath_subsets(m, k, r).base_size
+    upper = base_size_subsets(m, k, threshold=r).base_size
     return lower, upper
 
 
@@ -113,6 +107,8 @@ def base_size_partitions_action(n, r, s, max_l=None):
     validate_l_limit(max_l)
     chi = char_vector_uniform_partitions(n, r, s)
     known = KNOWN_PARTITION_BASE_SIZES.get((n, r, s))
+    if n == 1:  # S_1 is trivial: base size 0, nothing to search
+        return BaseSizeReport(0, (), known_base_size=known, character=chi)
     # the permutations with value domain_size act trivially: the kernel
     kernel = sum(weight for value, weight, _ in chi.terms
                  if value == chi.domain_size)

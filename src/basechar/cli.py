@@ -70,7 +70,7 @@ def cmd_orbits(args):
 
 def cmd_wreath(args):
     distinguishing = args.r if args.r is not None else args.dist
-    report = basecount.base_size_wreath_subsets(args.n, args.k, distinguishing)
+    report = basecount.base_size_subsets(args.n, args.k, distinguishing)
     return {"distinguishing_number": distinguishing,
             "base_size": report.base_size,
             "trace": report.witness_l_values}, []
@@ -94,26 +94,23 @@ def cmd_partitions_action(args):
         "known_base_size": report.known_base_size,
         "character_values": character,
     }
-    return outputs, [report.caveat]
+    return outputs, [report.caveat] if report.caveat else []
 
 
 def _formula_comparison(parsed, oracle_base, warnings):
     """Formula value for specs the formula modules cover, with relation."""
-    if parsed.base_kind != "sn":
-        return None
-    n = parsed.base_param
     try:
-        match parsed.action_tags:
-            case ():
+        match parsed.tags:
+            case (("sn", n),):
                 report = basecount.base_size_subsets(n, 1)
-            case (("subsets", k),):
+            case (("sn", n), ("subsets", k)):
                 report = basecount.base_size_subsets(n, k)
-            case (("partitions", r, s),):
+            case (("sn", n), ("partitions", r, s)):
                 report = basecount.base_size_partitions_action(n, r, s)
-            case (("subsets", k), ("wreath", r)):
-                report = basecount.base_size_wreath_subsets(n, k, r)
-            case (("wreath", r),):
-                report = basecount.base_size_wreath_subsets(n, 1, r)
+            case (("sn", n), ("subsets", k), ("wreath", r)):
+                report = basecount.base_size_subsets(n, k, threshold=r)
+            case (("sn", n), ("wreath", r)):
+                report = basecount.base_size_subsets(n, 1, threshold=r)
             case _:
                 return None
     except InputError as exc:
@@ -133,7 +130,6 @@ def _formula_comparison(parsed, oracle_base, warnings):
 def cmd_verify(args):
     from . import oracle
 
-    basecount.validate_l_limit(args.l_max)
     if args.l_max is not None:
         oracle.check_tuple_length(args.l_max)
     warnings = []
@@ -156,7 +152,7 @@ def cmd_verify(args):
         outputs["base_controlling"] = None
         warnings.append("no labels on this group, base-controlling check "
                         "and kernel orbit counts skipped")
-    elif -1 not in action.labels:
+    elif not action.signed:
         outputs["base_controlling"] = None
         warnings.append("labels are all +1, base-controlling check skipped")
     else:

@@ -123,6 +123,21 @@ class InducedAction:
         return self.table.shape[1]
 
     @cached_property
+    def signed(self):
+        """Whether some label is -1. Labels form a homomorphism onto {+1,-1}:
+        each is +1 or -1, and once one is -1 exactly half the rows are +1;
+        anything else is a ConsistencyError."""
+        if self.labels is None:
+            return False
+        plus = int(np.count_nonzero(self.labels == 1))
+        if np.count_nonzero(self.labels == -1) + plus != self.order:
+            raise ConsistencyError("labels must be +1 or -1")
+        if 2 * plus not in (2 * self.order, self.order):
+            raise ConsistencyError(
+                "labels with a -1 must put exactly half the rows at +1")
+        return plus < self.order
+
+    @cached_property
     def kernel(self):
         """(kernel order, mask of the points every row fixes), both built
         one column at a time from where the rows fix that column's point."""
@@ -430,8 +445,8 @@ def product_action_wreath(base, r):
 
 def check_tuple_length(l_max):
     """Reject a tuple length the orbit walk cannot reach or need."""
-    if l_max < 0:
-        raise InputError("l must be nonnegative")
+    if l_max < 1:
+        raise InputError(f"the l limit must be at least 1, got {l_max}")
     if l_max > MAX_TUPLE_LENGTH:
         raise CapacityError(
             f"tuple length {l_max} exceeds {MAX_TUPLE_LENGTH}")
@@ -502,10 +517,6 @@ def tuple_orbit_counts(action, l_max=None):
     if l_max is not None:
         check_tuple_length(l_max)
     labels, degree, lattice = action.labels, action.degree, action.lattice
-    signed = labels is not None and bool((labels == -1).any())
-    if signed and 2 * int(np.count_nonzero(labels == 1)) != action.order:
-        raise ConsistencyError(
-            "labels with a -1 must put exactly half the rows at +1")
     kernel, root = action.kernel
     base = (0 if action.order == 1 else None if kernel > 1 else 1 + min(
         depth for _, depth, regular, _, _ in lattice.values() if regular))
@@ -522,8 +533,8 @@ def tuple_orbit_counts(action, l_max=None):
     for l in range(l_max + 1):
         regular = regular * degree + fresh
         o = nonregular + regular
-        o_k = (None if labels is None else o + inside + regular if signed
-               else o)
+        o_k = (None if labels is None else o + inside + regular
+               if action.signed else o)
         rows.append((l, o, o_k, regular))
         nonregular = inside = fresh = 0
         nxt = {}
@@ -570,18 +581,15 @@ def is_base_controlling(action):
     """
     if action.labels is None:
         raise InputError("labels required")
-    labels = np.asarray(action.labels)
-    if not (labels == -1).any():
+    if not action.signed:
         raise InputError(
             "labels are all +1: degenerate, controls only the trivial group")
-    if int((labels == 1).sum()) * 2 != action.order:
-        raise InputError("labels are not a homomorphism onto {1,-1}")
     if not any(node[4] for node in action.lattice.values()):
         return ControllingVerdict(True)
     cleared = set()
 
     def walk(stab, start, chosen):
-        if not (labels[stab] == -1).any():
+        if not (action.labels[stab] == -1).any():
             return ControllingVerdict(
                 False, tuple(action.point_names[i] for i in chosen),
                 int(stab.shape[0]), (1,))
@@ -639,57 +647,41 @@ def label_homomorphism_spot_check(group, samples=50, seed=0):
 class ParsedGroup:
     """A parsed group spec: the induced action plus what it was built from.
 
-    action_tags holds one parsed tuple per suffix, in order:
-    ("subsets", k), ("partitions", r, s) or ("wreath", r).
+    tags holds one parsed tuple per spec part, in order. The first names
+    the base group, ("sn", n), ("an", n), ("pgl2", q) or ("gens",); each
+    suffix follows as ("subsets", k), ("partitions", r, s) or ("wreath", r).
     """
 
     action: InducedAction
-    base_kind: str
-    base_param: int | None
-    action_tags: tuple
+    tags: tuple
     base_group: InducedAction
 
 
-def _parse_base(token, labels_mode):
+def _parse_base(token):
+    """The base group of a spec, with its auto labels, and its tag."""
     if token.startswith("sn:"):
         n = _parse_int(token[3:], "sn degree")
-        return symmetric_group(n), "sn", n
+        return symmetric_group(n), ("sn", n)
     if token.startswith("an:"):
         n = _parse_int(token[3:], "an degree")
-        group = alternating_group(n)
-        if labels_mode == "sgn":
-            group = with_sign_labels(group)
-        return group, "an", n
+        return alternating_group(n), ("an", n)
     if token.startswith("pgl2:"):
         q = _parse_int(token[5:], "pgl2 parameter")
-        group = pgl2(q)
-        if labels_mode == "sgn":
-            group = with_sign_labels(group)
-        return group, "pgl2", q
+        return pgl2(q), ("pgl2", q)
     if token.startswith("gens:"):
-        raw = token[5:].split(";")
-        if not any(part.strip() for part in raw):
+        parts = [part.strip() for part in token[5:].split(";")]
+        if not any(parts):
             raise InputError("empty generator list")
-        signs = []
-        bodies = []
-        for part in raw:
-            part = part.strip()
-            if part.startswith("!"):
-                signs.append(-1)
-                part = part[1:]
-            else:
-                signs.append(1)
-            bodies.append(part)
+        signs = [-1 if part.startswith("!") else 1 for part in parts]
+        bodies = [part.removeprefix("!") for part in parts]
         degree = max(max_point_of_cycles(body) for body in bodies)
         if degree == 0:
             raise InputError("cannot infer degree from identity generators")
         _check_table_capacity(1, degree)  # before any row of that length
         gens = [parse_cycles(body, degree) for body in bodies]
-        explicit = any(sign == -1 for sign in signs)
-        group = closure(gens, labels=signs if explicit else None)
-        if labels_mode == "sgn" or (labels_mode == "auto" and not explicit):
-            group = with_sign_labels(group)
-        return group, "gens", None
+        if -1 not in signs:  # unmarked: each generator carries its sign
+            signs = _signs(np.array(gens)).tolist()
+        return closure(gens, labels=signs), ("gens",)
     raise InputError(f"unknown group spec: {token!r}")
 
 
@@ -707,15 +699,18 @@ def parse_group_spec(spec, labels_mode="auto"):
     The base group comes first; ``/subsets:<k>``, ``/partitions:<r>x<s>``
     and ``/wreath:<r>`` apply induced actions in order (subsets and
     partitions only directly on the base group). ``labels_mode`` is ``auto``
-    (sign for sn, determinant class for pgl2, explicit ``!`` marks for gens)
-    or ``sgn`` (permutation sign of the base elements in every case).
+    (sign for sn, none for an, determinant class for pgl2, explicit ``!``
+    marks for gens, else the sign) or ``sgn`` (permutation sign of the base
+    elements in every case; the labels of sn already are).
     """
     if labels_mode not in ("auto", "sgn"):
         raise InputError(f"unknown labels mode: {labels_mode!r}")
     parts = spec.strip().split("/")
-    group, kind, param = _parse_base(parts[0].strip(), labels_mode)
+    group, base_tag = _parse_base(parts[0].strip())
+    if labels_mode == "sgn" and base_tag[0] != "sn":
+        group = with_sign_labels(group)
     action = None
-    tags = []
+    tags = [base_tag]
     for suffix in parts[1:]:
         suffix = suffix.strip()
         if suffix.startswith("subsets:"):
@@ -744,4 +739,4 @@ def parse_group_spec(spec, labels_mode="auto"):
             raise InputError(f"unknown action suffix: {suffix!r}")
     if action is None:
         action = group
-    return ParsedGroup(action, kind, param, tuple(tags), group)
+    return ParsedGroup(action, tuple(tags), group)

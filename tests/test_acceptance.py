@@ -11,8 +11,7 @@ from math import comb, factorial
 from time import perf_counter
 
 from basechar import cli, oracle
-from basechar.basecount import (PARTITIONS_CAVEAT, base_size_subsets,
-                                base_size_wreath_subsets)
+from basechar.basecount import PARTITIONS_CAVEAT, base_size_subsets
 from basechar.characters import char_vector_subsets, orbit_counts
 from reference_impls import distinguishing_number
 
@@ -159,7 +158,7 @@ def test_06_wreath_product_base_sizes(capsys):
     threshold = distinguishing_number(oracle.symmetric_group(2))
     results = []
     for n in (3, 4):
-        formula = base_size_wreath_subsets(n, 1, threshold).base_size
+        formula = base_size_subsets(n, 1, threshold=threshold).base_size
         wreath = oracle.product_action_wreath(oracle.symmetric_group(n), 2)
         brute, _ = oracle.tuple_orbit_counts(wreath)
         results.append((n, formula, brute))

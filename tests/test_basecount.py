@@ -2,8 +2,7 @@ import pytest
 
 from basechar import basecount, oracle
 from basechar.basecount import (base_size_partitions_action,
-                                base_size_subsets, base_size_wreath_subsets,
-                                large_base_bounds)
+                                base_size_subsets, large_base_bounds)
 from basechar.characters import char_vector_subsets, orbit_counts
 from basechar.errors import CapacityError, InputError
 from reference_impls import subsets_inner_product
@@ -76,22 +75,22 @@ def test_regular_orbit_count_values():
 
 
 def test_wreath_thresholds():
-    report = base_size_wreath_subsets(3, 1, 2)
+    report = base_size_subsets(3, 1, threshold=2)
     assert report.base_size == 3
     assert [l for l, _ in report.witness_l_values] == [1, 2, 3]
     assert all(count < 2 for _, count in report.witness_l_values[:-1])
     assert report.witness_l_values[-1][1] >= 2
-    assert base_size_wreath_subsets(4, 1, 2).base_size == 4
+    assert base_size_subsets(4, 1, threshold=2).base_size == 4
     # threshold 1 is exactly the plain base-size search
-    assert base_size_wreath_subsets(5, 2, 1).base_size == \
+    assert base_size_subsets(5, 2, threshold=1).base_size == \
         base_size_subsets(5, 2).base_size
     with pytest.raises(InputError):
-        base_size_wreath_subsets(5, 2, 0)
+        base_size_subsets(5, 2, threshold=0)
 
 
 def test_wreath_matches_oracle():
     for n, r in ((3, 2), (4, 2)):
-        formula = base_size_wreath_subsets(n, 1, r).base_size
+        formula = base_size_subsets(n, 1, threshold=r).base_size
         wreath = oracle.product_action_wreath(oracle.symmetric_group(n), r)
         assert formula == oracle_base(wreath)
 
@@ -163,6 +162,17 @@ def test_partitions_action_non_faithful():
     pairs_of_pairs = base_size_partitions_action(4, 2, 2)
     assert pairs_of_pairs.base_size is None
     assert "not faithful" in pairs_of_pairs.caveat
+
+
+def test_partitions_action_trivial_group():
+    # S_1 is trivial: base size 0, found before any l is searched
+    report = base_size_partitions_action(1, 1, 1)
+    assert report.base_size == 0
+    assert report.witness_l_values == ()
+    assert report.caveat is None
+    assert report.character.domain_size == 1
+    assert report.base_size == oracle_base(
+        oracle.act_on_uniform_partitions(oracle.symmetric_group(1), 1, 1))
 
 
 def test_partitions_action_validation():

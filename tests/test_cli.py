@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from basechar import cli, oracle
+from basechar import basecount, cli, oracle
 from reference_impls import burnside_orbit_count
 
 
@@ -133,6 +133,15 @@ def test_partitions_action_command(capsys):
     assert doc["warnings"] and "base-controlling" in doc["warnings"][0]
 
 
+def test_partitions_action_trivial_group(capsys):
+    code, doc, _ = run_cli(capsys, "partitions-action", "--n", "1",
+                           "--r", "1", "--s", "1")
+    assert code == 0
+    assert doc["outputs"]["min_l"] == "0"
+    assert doc["outputs"]["trace"] == []
+    assert doc["warnings"] == []
+
+
 def test_document_layout(capsys):
     # stdout is the document indented by two spaces, then one newline.
     assert cli.main(["partitions-action", "--n", "8", "--r", "4",
@@ -220,6 +229,51 @@ def test_verify_subsets_formula_agreement(capsys):
     assert out["base_controlling"] == {"controlling": True}
     assert out["formula"]["relation"] == "equal"
     assert out["formula"]["base_size"] == out["base_size"]
+
+
+NOT_FAITHFUL = "action is not faithful, no base exists"
+FORMULA_COMPARISONS = (
+    ("sn:5", {"base_size": "4", "relation": "equal"}, []),
+    ("sn:7/subsets:2", {"base_size": "4", "relation": "equal"}, []),
+    ("sn:6/partitions:3x2", {"base_size": "4", "relation": "equal"},
+     [basecount.PARTITIONS_CAVEAT]),
+    ("sn:5/subsets:2/wreath:2", {"base_size": "3", "relation": "equal"}, []),
+    ("sn:3/wreath:2", {"base_size": "3", "relation": "equal"}, []),
+    ("sn:4/partitions:2x2",
+     {"base_size": None, "relation": "no oracle base size"},
+     [NOT_FAITHFUL, "the " + NOT_FAITHFUL]),
+    # S_1 is trivial: base size 0 on both sides
+    ("sn:1/partitions:1x1", {"base_size": "0", "relation": "equal"},
+     ["labels are all +1, base-controlling check skipped"]),
+    ("pgl2:7", None, []),
+    # S_5 again, but only the sn tag reaches the formula lane
+    ("gens:(1,2,3,4,5);(1,2)", None, []),
+)
+
+
+@pytest.mark.parametrize("spec, formula, warnings", FORMULA_COMPARISONS)
+def test_verify_formula_comparison(capsys, spec, formula, warnings):
+    code, doc, _ = run_cli(capsys, "verify", "--group", spec)
+    assert code == 0
+    assert doc["outputs"]["formula"] == formula
+    assert doc["warnings"] == warnings
+
+
+def test_verify_sn_sign_labels_not_recomputed(capsys, monkeypatch):
+    # S_n is built with its signs, so --labels sgn leaves them as they are
+    _, auto, _ = run_cli(capsys, "verify", "--group", "sn:9")
+
+    def no_signs(table):
+        raise AssertionError("signs recomputed")
+
+    monkeypatch.setattr(oracle, "_signs", no_signs)
+    code, doc, _ = run_cli(capsys, "verify", "--group", "sn:9",
+                           "--labels", "sgn")
+    assert code == 0
+    assert doc["outputs"] == auto["outputs"]
+    parsed = oracle.parse_group_spec("sn:9", labels_mode="sgn")
+    assert parsed.action.labels.tolist() == \
+        oracle.symmetric_group(9).labels.tolist()
 
 
 def test_verify_formula_comparison_skipped(capsys):

@@ -524,7 +524,7 @@ def test_is_base_controlling_degenerate_inputs():
     lopsided = InducedAction(s4.table,
                              np.array([1] * 23 + [-1], dtype=np.int8),
                              tuple("1234"))
-    with pytest.raises(InputError):
+    with pytest.raises(ConsistencyError):
         is_base_controlling(lopsided)
 
 
@@ -556,20 +556,18 @@ def test_kernel_order():
 def test_parse_group_spec_forms():
     parsed = parse_group_spec("sn:6/subsets:2")
     assert parsed.action.degree == 15
-    assert parsed.base_kind == "sn"
-    assert parsed.base_param == 6
-    assert parsed.action_tags == (("subsets", 2),)
+    assert parsed.tags == (("sn", 6), ("subsets", 2))
 
     natural = parse_group_spec("sn:4")
     assert natural.action.degree == 4
-    assert natural.action_tags == ()
+    assert natural.tags == (("sn", 4),)
 
     assert parse_group_spec("an:5").action.labels is None
     assert parse_group_spec("pgl2:7").action.degree == 8
 
     partitions = parse_group_spec("sn:6/partitions:3x2")
     assert partitions.action.degree == 15
-    assert partitions.action_tags == (("partitions", 3, 2),)
+    assert partitions.tags == (("sn", 6), ("partitions", 3, 2))
 
     wreath = parse_group_spec("sn:3/wreath:2")
     assert wreath.action.degree == 9
@@ -577,7 +575,7 @@ def test_parse_group_spec_forms():
 
     nested = parse_group_spec("sn:3/subsets:1/wreath:2")
     assert nested.action.degree == 9
-    assert nested.action_tags == (("subsets", 1), ("wreath", 2))
+    assert nested.tags == (("sn", 3), ("subsets", 1), ("wreath", 2))
 
 
 def test_parse_group_spec_gens():
@@ -588,6 +586,55 @@ def test_parse_group_spec_gens():
     assert signed.action.order == 6
     group = signed.base_group
     assert group.labels.tolist() == [perm_sign(e) for e in elements(group)]
+
+
+LABELLED_SPECS = (
+    ("sn:5", "auto"), ("an:5", "auto"), ("an:5", "sgn"), ("pgl2:7", "auto"),
+    ("pgl2:7", "sgn"), ("gens:(1,2,3,4);(1,2)", "auto"),
+    ("gens:!(1,2);(1,2,3)", "auto"), ("gens:!(1,2);(1,2,3)", "sgn"),
+    ("sn:6/subsets:2", "auto"), ("an:6/subsets:2", "sgn"),
+    ("sn:6/partitions:3x2", "auto"), ("sn:4/partitions:2x2", "auto"),
+    ("sn:3/wreath:2", "auto"), ("pgl2:5/wreath:2", "sgn"),
+    ("sn:5/subsets:2/wreath:2", "auto"))
+
+
+@pytest.mark.parametrize("spec, mode", LABELLED_SPECS)
+def test_every_spec_kind_has_homomorphism_labels(spec, mode):
+    # every constructor's labels pass the one label check
+    action = parse_group_spec(spec, labels_mode=mode).action
+    has_minus = action.labels is not None and bool((action.labels == -1).any())
+    assert action.signed is has_minus
+    if has_minus:
+        assert 2 * int((action.labels == 1).sum()) == action.order
+
+
+def test_signed_rejects_labels_off_a_homomorphism():
+    s4 = symmetric_group(4)
+    for labels in ([1] * 23 + [-1], [1] * 12 + [0] * 12, [-1] * 24):
+        action = InducedAction(s4.table, np.array(labels, dtype=np.int8),
+                               s4.point_names)
+        with pytest.raises(ConsistencyError):
+            action.signed
+    assert not InducedAction(s4.table, None, s4.point_names).signed
+    assert not InducedAction(s4.table, np.ones(24, dtype=np.int8),
+                             s4.point_names).signed
+
+
+def test_gens_auto_labels_are_element_signs(monkeypatch):
+    # unmarked generators carry their signs through the closure, so the
+    # whole table is never relabelled
+    def no_relabel(group):
+        raise AssertionError("table relabelled")
+
+    monkeypatch.setattr(oracle, "with_sign_labels", no_relabel)
+    for spec, order in (("gens:(1,2,3,4,5,6);(1,2)(3,5)", 720),
+                        ("gens:(1,2)(3,4);(1,2,3,4,5)", 60),
+                        ("gens:(1,2,3,4,5,6,7);(1,2)", 5040),
+                        ("gens:(1,2)(3,4,5)", 6)):
+        group = parse_group_spec(spec).base_group
+        assert group.order == order
+        assert group.labels.dtype == np.int8
+        assert group.labels.tolist() == [perm_sign(e) for e in elements(group)]
 
 
 def test_parse_group_spec_errors():

@@ -58,9 +58,9 @@ def validate_l_limit(l_limit):
 
 def _min_l_search(chi, threshold, cap):
     trace = []
-    for l, value in iter_inner_products(chi):
-        trace.append((l, value))
-        if value >= threshold:
+    for l, o, o_k in iter_inner_products(chi):
+        trace.append((l, o_k - o))
+        if o_k - o >= threshold:
             return l, tuple(trace)
         if l >= cap:
             bits = threshold.bit_length()

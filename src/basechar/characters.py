@@ -203,15 +203,21 @@ def _exact_quotient(total, order, what):
     return q
 
 
-def _class_sums(chi, l):
+def iter_inner_products(chi, l=1):
     """Yield (l, o, o_K) for the powers l, l + 1, ... of chi.
 
     The one loop behind every count: over the distribution's terms,
     T sums all * chi^l and E sums even * chi^l, o = T/n! and o_K = 2E/n!.
-    Powers are updated incrementally, one multiply per value per step.
+    o_K - o = <sgn, chi^l> counts the orbits that split over A_n, the
+    regular ones among them, so it is the regular-orbit count when the
+    sign is controlling; min-l searches start at l = 1.  A_n has index 2
+    only for n >= 2, so a smaller n is refused.  Powers are updated
+    incrementally, one multiply per value per step.
     """
     if l < 0:
         raise InputError(f"l must be nonnegative, got {l}")
+    if chi.n < 2:
+        raise InputError(f"orbit counts over A_n need n >= 2, got n = {chi.n}")
     order = factorial(chi.n)
     values, alls, evens = zip(*chi.terms)
     powers = [value ** l for value in values]
@@ -229,14 +235,6 @@ def _class_sums(chi, l):
         powers = list(map(mul, powers, values))
 
 
-def iter_inner_products(chi):
-    """Yield (l, <sgn, chi^l>) for l = 1, 2, ..., as min-l searches want;
-    o_K - o counts the orbits that split over A_n, the regular ones among
-    them, so it is the regular-orbit count when the sign is controlling."""
-    for l, o, o_k in _class_sums(chi, 1):
-        yield l, o_k - o
-
-
 def orbit_counts(chi, l):
     """Exact (o, o_K) for the l-th tuple power of the action.
 
@@ -244,5 +242,5 @@ def orbit_counts(chi, l):
     orbits of the even-sign kernel K = A_n, equal to
     (2 / n!) * sum over the even permutations of chi^l.
     """
-    _, o, o_k = next(_class_sums(chi, l))
+    _, o, o_k = next(iter_inner_products(chi, l))
     return o, o_k

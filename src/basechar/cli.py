@@ -113,7 +113,7 @@ def _formula_comparison(parsed, oracle_base, warnings):
                 report = basecount.base_size_subsets(n, 1, threshold=r)
             case _:
                 return None
-    except InputError as exc:
+    except (InputError, CapacityError) as exc:
         warnings.append(f"formula comparison skipped: {exc}")
         return None
     if report.caveat:

@@ -37,60 +37,44 @@ MAX_TUPLE_LENGTH = 64
 
 
 # ---------------------------------------------------------------------------
-# permutations as tuples of images, 0-based
-
-
-def identity_perm(degree):
-    return tuple(range(degree))
-
-
-def compose(p, q):
-    """Apply p first, then q."""
-    return tuple(q[i] for i in p)
-
-
-def check_perm(p):
-    if sorted(p) != list(range(len(p))):
-        raise InputError(f"not a permutation: {p!r}")
+# cycle notation, read into rows of images, 0-based
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
+def _cycle_points(text):
+    """The 0-based points of each nonempty cycle of 1-based cycle notation
+    like ``(1,2)(3,4)``, read once; _cycle_rows checks the rest."""
+    try:
+        return [[int(part) - 1 for part in cycle.split(",")]
+                for cycle in _CYCLE_RE.findall(text.replace(" ", "")) if cycle]
+    except ValueError:
+        raise InputError(f"malformed cycle notation: {text!r}") from None
+
+
+def _cycle_rows(texts, cycles, degree):
+    """One row of images per text, each its cycles (from _cycle_points)
+    written into the identity of the given degree."""
+    rows = np.tile(np.arange(degree), (len(texts), 1))
+    for row, text, body_cycles in zip(rows, texts, cycles):
+        if _CYCLE_RE.sub("", text.replace(" ", "")):
+            raise InputError(f"malformed cycle notation: {text!r}")
+        for points in body_cycles:
+            if len(set(points)) != len(points):
+                raise InputError(f"repeated point in cycle: {text!r}")
+            for point in points:
+                if not 0 <= point < degree:
+                    raise InputError(f"point out of range in {text!r}")
+                if row[point] != point:
+                    raise InputError(f"point repeated across cycles: {text!r}")
+            row[points] = points[1:] + points[:1]
+    return rows
+
+
 def parse_cycles(text, degree):
     """Parse 1-based cycle notation like ``(1,2)(3,4)`` at a fixed degree."""
-    body = text.replace(" ", "")
-    if not _CYCLE_RE.sub("", body) == "":
-        raise InputError(f"malformed cycle notation: {text!r}")
-    images = list(range(degree))
-    for cycle in _CYCLE_RE.findall(body):
-        if not cycle:
-            continue
-        try:
-            points = [int(part) - 1 for part in cycle.split(",")]
-        except ValueError:
-            raise InputError(f"malformed cycle notation: {text!r}") from None
-        if len(set(points)) != len(points):
-            raise InputError(f"repeated point in cycle: {text!r}")
-        for point in points:
-            if not 0 <= point < degree:
-                raise InputError(f"point out of range in {text!r}")
-            if images[point] != point:
-                raise InputError(f"point repeated across cycles: {text!r}")
-        for i, point in enumerate(points):
-            images[point] = points[(i + 1) % len(points)]
-    return tuple(images)
-
-
-def max_point_of_cycles(text):
-    best = 0
-    for cycle in _CYCLE_RE.findall(text.replace(" ", "")):
-        if cycle:
-            try:
-                best = max(best, max(int(part) for part in cycle.split(",")))
-            except ValueError:
-                raise InputError(f"malformed cycle notation: {text!r}") from None
-    return best
+    return tuple(_cycle_rows([text], [_cycle_points(text)], degree)[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -201,51 +185,64 @@ def _signs(table):
 def closure(generators, labels=None):
     """Close a generator list under composition, propagating labels.
 
-    Labels, when given, ride along multiplicatively; reaching the same
-    element with both signs means the labeling is not a homomorphism.
+    Breadth first over numpy rows: each round maps the rows first reached
+    in the round before through each generator, one gather per generator,
+    and keeps the images not yet in the table, a dict from row bytes to
+    label. Labels, when given, ride along multiplicatively; reaching the
+    same element with both signs means the labeling is not a homomorphism.
     The table size is checked before each new element is listed, so a
     group too large to tabulate is refused as soon as it outgrows the cap.
     """
-    generators = [tuple(g) for g in generators]
+    generators = [np.asarray(g, dtype=np.int64) for g in generators]
     if not generators:
         raise InputError("empty generator list")
     for g in generators:
-        check_perm(g)
+        if not np.array_equal(np.sort(g), np.arange(len(g))):
+            raise InputError(f"not a permutation: {tuple(g.tolist())!r}")
     degree = len(generators[0])
     if any(len(g) != degree for g in generators):
         raise InputError("generators have mixed degrees")
+    if degree == 0:
+        raise InputError("degree must be positive")
     if labels is not None:
         labels = [int(x) for x in labels]
         if len(labels) != len(generators):
             raise InputError("one label per generator required")
         if any(x not in (1, -1) for x in labels):
             raise InputError("labels must be +1 or -1")
-    ident = identity_perm(degree)
-    found = {ident: 1}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for element in frontier:
-            for gi, g in enumerate(generators):
-                image = compose(element, g)
-                label = found[element] * (labels[gi] if labels else 1)
-                known = found.get(image)
+    gens = np.array(generators, dtype=_point_dtype(degree))
+    key_type = np.dtype((np.void, gens.itemsize * degree))
+    rows = [np.arange(degree, dtype=gens.dtype)[None]]
+    row_labels = [np.ones(1, dtype=np.int8)]
+    found = {rows[0].tobytes(): 1}
+    while len(rows[-1]):
+        frontier, frontier_labels = rows[-1], row_labels[-1]
+        fresh, fresh_labels = [], []
+        for g, sign in zip(gens, labels or [1] * len(gens)):
+            images, image_labels = g[frontier], frontier_labels * sign
+            new = []
+            for i, (key, label) in enumerate(zip(
+                    images.view(key_type).ravel().tolist(),
+                    image_labels.tolist())):
+                known = found.get(key)
                 if known is None:
                     if len(found) >= MAX_CLOSURE_ORDER:
                         raise CapacityError(
                             f"group order exceeds {MAX_CLOSURE_ORDER}")
                     _check_table_capacity(len(found) + 1, degree)
-                    found[image] = label
-                    nxt.append(image)
+                    found[key] = label
+                    new.append(i)
                 elif known != label:
                     raise InputError(
                         "generator labels do not define a homomorphism")
-        frontier = nxt
-    elements = sorted(found)
-    out_labels = (np.array([found[e] for e in elements], np.int8)
-                  if labels else None)
-    return _natural(np.array(elements, dtype=_point_dtype(degree)),
-                    out_labels)
+            fresh.append(images[new])
+            fresh_labels.append(image_labels[new])
+        rows.append(np.concatenate(fresh))
+        row_labels.append(np.concatenate(fresh_labels))
+    table = np.concatenate(rows)
+    order = np.lexsort(table.T[::-1])  # column 0 is the first key
+    return _natural(table[order],
+                    np.concatenate(row_labels)[order] if labels else None)
 
 
 def with_sign_labels(group):
@@ -674,13 +671,15 @@ def _parse_base(token):
             raise InputError("empty generator list")
         signs = [-1 if part.startswith("!") else 1 for part in parts]
         bodies = [part.removeprefix("!") for part in parts]
-        degree = max(max_point_of_cycles(body) for body in bodies)
+        cycles = [_cycle_points(body) for body in bodies]
+        degree = max([0] + [point + 1 for body_cycles in cycles
+                            for cycle in body_cycles for point in cycle])
         if degree == 0:
             raise InputError("cannot infer degree from identity generators")
         _check_table_capacity(1, degree)  # before any row of that length
-        gens = [parse_cycles(body, degree) for body in bodies]
+        gens = _cycle_rows(bodies, cycles, degree)
         if -1 not in signs:  # unmarked: each generator carries its sign
-            signs = _signs(np.array(gens)).tolist()
+            signs = _signs(gens).tolist()
         return closure(gens, labels=signs), ("gens",)
     raise InputError(f"unknown group spec: {token!r}")
 

@@ -205,7 +205,7 @@ def test_split_counts_monotone_in_l():
 def test_iter_matches_direct():
     chi = char_vector_uniform_partitions(6, 3, 2)
     seq = list(islice(iter_inner_products(chi), 6))
-    assert seq == [(l, split_count(chi, l)) for l in range(1, 7)]
+    assert seq == [(l, *orbit_counts(chi, l)) for l in range(1, 7)]
 
 
 def test_tampered_character_is_caught():
@@ -276,8 +276,11 @@ def check_distribution(chi, classes):
     assert {value: (weight, even) for value, weight, even in chi.terms} == \
         merge_by_value(classes)
     assert sum(weight for _, weight, _ in chi.terms) == order
-    if chi.n >= 2:
-        assert sum(even for _, _, even in chi.terms) == order // 2
+    if chi.n < 2:  # A_1 = S_1 has no index-2 kernel, so no o_K
+        with pytest.raises(InputError, match="n >= 2"):
+            orbit_counts(chi, 0)
+        return
+    assert sum(even for _, _, even in chi.terms) == order // 2
     for l in range(7):
         total = sum(size * value ** l for size, _, value in classes)
         even = sum(size * value ** l

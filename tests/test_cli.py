@@ -248,6 +248,12 @@ FORMULA_COMPARISONS = (
     ("pgl2:7", None, []),
     # S_5 again, but only the sn tag reaches the formula lane
     ("gens:(1,2,3,4,5);(1,2)", None, []),
+    # the formula search stops at its cap C(2, 1) = 2 below the oracle's
+    # base sizes 3 and 4; the oracle's results are still written
+    ("sn:2/wreath:3", None, ["formula comparison skipped: no count reaching "
+                             "3 found up to l=2"]),
+    ("sn:2/wreath:5", None, ["formula comparison skipped: no count reaching "
+                             "5 found up to l=2"]),
 )
 
 
@@ -484,11 +490,11 @@ def test_wreath_order_checked_before_listing_top_group(capsys, monkeypatch):
 
 def test_gens_degree_checked_before_parsing(capsys, monkeypatch):
     # The degree is the largest point named, so it is bounded before any
-    # permutation of that length is built.
-    def no_parsing(*args):
-        raise AssertionError("cycles parsed")
+    # row of that length is built.
+    def no_rows(*args):
+        raise AssertionError("generator rows built")
 
-    monkeypatch.setattr(oracle, "parse_cycles", no_parsing)
+    monkeypatch.setattr(oracle, "_cycle_rows", no_rows)
     code, doc, err = run_cli(capsys, "verify", "--group", "gens:(1,2000000)")
     assert code == 3
     assert doc is None
@@ -513,6 +519,8 @@ HOSTILE_INPUTS = (
     (("verify", "--group", "sn:5/subsets:2/wreath:2"), 0),
     (("wreath", "--n", "5", "--k", "2", "--dist", "0"), 2),
     (("orbits", "--n", "0", "--k", "1", "--l", "1"), 2),
+    # A_1 = S_1: o_K = 2E/n! holds only for n >= 2
+    (("orbits", "--n", "1", "--k", "1", "--l", "5"), 2),
     (("orbits", "--n", "70", "--k", "1", "--l", "1"), 3),
     (("orbits", "--n", "40", "--k", "2", "--l", "1600"), 3),
     (("orbits", "--n", "64", "--k", "2", "--l", "1500"), 3),

@@ -8,8 +8,7 @@ from basechar import oracle
 from basechar.errors import CapacityError, ConsistencyError, InputError
 from basechar.oracle import (MAX_TUPLE_LENGTH, InducedAction, act_on_subsets,
                              act_on_uniform_partitions, alternating_group,
-                             closure, compose, identity_perm,
-                             is_base_controlling,
+                             closure, is_base_controlling,
                              label_homomorphism_spot_check, parse_cycles,
                              parse_group_spec, pgl2, product_action_wreath,
                              symmetric_group, tuple_orbit_counts,
@@ -18,6 +17,10 @@ from reference_impls import (blind_orbit_data, burnside_orbit_count,
                              distinguishing_number, first_all_plus_chain, has_all_plus_stabilizer,
                              partitions_action_table, perm_sign,
                              subsets_action_table, wreath_action_table)
+
+
+def identity_perm(degree):
+    return tuple(range(degree))
 
 
 def elements(group):
@@ -34,7 +37,6 @@ def orbit_rows(action, l_max):
 
 
 def test_perm_primitives():
-    assert compose((1, 0, 2), (0, 2, 1)) == (2, 0, 1)  # left factor first
     assert perm_sign((1, 0, 2, 3)) == -1
     assert perm_sign((1, 2, 0)) == 1
     assert perm_sign(identity_perm(6)) == 1
@@ -64,6 +66,8 @@ def test_closure_trivial_and_errors(monkeypatch):
         closure([])
     with pytest.raises(InputError):
         closure([(0, 1, 2), (1, 0)])  # mixed degrees
+    with pytest.raises(InputError, match="degree must be positive"):
+        closure([()])
     with pytest.raises(InputError):
         closure([(0, 2, 1)], labels=[-1, 1])  # label count mismatch
     with pytest.raises(InputError):
@@ -75,20 +79,33 @@ def test_closure_trivial_and_errors(monkeypatch):
 
 def test_closure_refuses_a_large_table_as_it_grows(monkeypatch):
     # A 1,000-cycle generates 1,000 elements of degree 1,000; with a cap of
-    # 10^4 table cells the closure must stop after about ten compositions,
-    # not list the whole group first.
+    # 10^4 table cells the closure must stop after listing about ten
+    # elements, each checked as it is listed, not list the whole group first.
     monkeypatch.setattr(oracle, "MAX_TABLE_CELLS", 10 ** 4)
-    calls = []
+    listed = []
+    check = oracle._check_table_capacity
 
-    def counted(p, q):
-        calls.append(None)
-        return compose(p, q)
+    def counted(order, degree):
+        listed.append(order)
+        check(order, degree)
 
-    monkeypatch.setattr(oracle, "compose", counted)
+    monkeypatch.setattr(oracle, "_check_table_capacity", counted)
     cycle = tuple(range(1, 1000)) + (0,)
     with pytest.raises(CapacityError, match="action table too large"):
         closure([cycle])
-    assert len(calls) <= 10 ** 4 // 1000 + 1
+    assert len(listed) <= 10 ** 4 // 1000 + 1
+    assert max(listed) == 10 ** 4 // 1000 + 1  # refused at the first too many
+
+
+def test_closure_of_a_cycle_and_a_transposition_is_symmetric():
+    for n in range(2, 9):
+        cycle = tuple(range(1, n)) + (0,)
+        transposition = (1, 0) + tuple(range(2, n))
+        generated = closure([cycle, transposition],
+                            labels=[(-1) ** (n - 1), -1])
+        group = symmetric_group(n)
+        assert np.array_equal(generated.table, group.table)
+        assert np.array_equal(generated.labels, group.labels)
 
 
 def test_closure_inconsistent_labels():
@@ -125,10 +142,16 @@ def test_vectorised_signs_match_perm_sign():
 
 def test_rows_in_strict_lexicographic_order():
     gens = [parse_cycles("(1,3)(2,4)", 4), parse_cycles("(1,2,3)", 4)]
+    # the dihedral group of degree 257: two bytes per point, where sorting
+    # the rows' bytes would put 256 right after 0
+    rotation = tuple(range(1, 257)) + (0,)
+    reflection = tuple(-i % 257 for i in range(257))
+    dihedral = closure([rotation, reflection])
+    assert dihedral.table.dtype == np.uint16 and dihedral.order == 514
     for group in (closure(gens), closure([identity_perm(3)]),
                   symmetric_group(4),
                   alternating_group(5), pgl2(5), pgl2(7), pgl2(23),
-                  with_sign_labels(closure(gens))):
+                  with_sign_labels(closure(gens)), dihedral):
         rows = elements(group)
         assert all(a < b for a, b in zip(rows, rows[1:]))
 

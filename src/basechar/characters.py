@@ -8,12 +8,12 @@ A count depends on a permutation only through its sign and its character
 value, so a CharVector holds one term (value, all, even) per distinct
 value of chi: all permutations take that value, even of them are even.
 The k-subset character depends only on the numbers c_1..c_k of cycles of
-length at most k, so its terms are built from these vectors, each with
-the number of ways to place the remaining points in cycles longer than
-k, split by sign; no class is listed.  At n = 40, k = 2 the vectors give
-725 signed terms against p(40) = 37,338 classes, holding 261 distinct
-values; at n = 36, k = 3, 2,231 terms hold 610.  The partition character
-is computed per class and also keeps each class's cycle type and value.
+length at most k, so its terms are built from these vectors, each valued
+by one packed-integer product and weighted by the ways to put the other
+points in cycles longer than k, split by sign; no class is listed.  At
+n = 40, k = 2 the vectors give 725 signed terms against p(40) = 37,338
+classes, holding 261 distinct values; at n = 36, k = 3, 2,231 terms hold
+610.  The partition character is computed and kept class by class.
 
 Every count is one loop over the terms: T = sum of all * chi^l and
 E = sum of even * chi^l give o = T/n! orbits of S_n and o_K = 2E/n!
@@ -25,7 +25,7 @@ from input.
 """
 
 from collections import namedtuple
-from math import comb, factorial
+from math import comb, factorial, perm
 from operator import mul
 
 from .errors import CapacityError, ConsistencyError, InputError
@@ -60,29 +60,25 @@ def _add(distribution, value, weight, even):
     distribution[value] = total + weight, evens + even
 
 
-def _times_one_plus(poly, j):
-    # poly * (1 + x^j), truncated to the length of poly.
-    return poly[:j] + [a + b for a, b in zip(poly[j:], poly)]
-
-
 def _long_cycle_counts(n, k):
     """Even and odd permutations of m points, m = 0..n, whose cycles are
     all longer than k.
 
     The unsigned count D(m) and the signed count S(m), in which a j-cycle
     counts (-1)^(j-1), come from the cycle through the last point: it has
-    length j > k and (m-1)!/(m-j)! ways to fill it, so
-    D(m) = sum over j > k of (m-1)!/(m-j)! D(m-j), and S(m) alike with
-    each term signed (Flajolet and Sedgewick, Analytic Combinatorics,
+    length j > k and (m-1)!/(m-j)! ways to fill it, a running product over
+    j, so D(m) = sum over j > k of (m-1)!/(m-j)! D(m-j), and S(m) alike
+    with each term signed (Flajolet and Sedgewick, Analytic Combinatorics,
     II.4).  Returns the lists D, (D + S)/2 and (D - S)/2.
     """
     unsigned = [1] + [0] * n
     signed = [1] + [0] * n
     for m in range(k + 1, n + 1):
+        ways = perm(m - 1, k)
         for j in range(k + 1, m + 1):
-            ways = factorial(m - 1) // factorial(m - j)
             unsigned[m] += ways * unsigned[m - j]
             signed[m] += (ways if j % 2 else -ways) * signed[m - j]
+            ways *= m - j
     return (unsigned, [(d + s) // 2 for d, s in zip(unsigned, signed)],
             [(d - s) // 2 for d, s in zip(unsigned, signed)])
 
@@ -93,8 +89,15 @@ def char_vector_subsets(n, k):
     The vector (c_1..c_k) leaves m = n - sum j c_j points, which must lie
     in cycles longer than k, so m is 0 or above k.  It holds
     n! / (prod j^c_j c_j! * m!) * D(m) permutations, D(m) from
-    _long_cycle_counts split by sign, all with one value.  The k-subset
-    and (n - k)-subset characters are equal, so the smaller k is used.
+    _long_cycle_counts split by sign, all with one value; the weight
+    before D(m) rides down the recursion, one exact division per cycle.
+    The value, the x^k coefficient of prod over cycles of (1 + x^j), is
+    read off a truncated polynomial packed into one int with B = n + 2
+    bits per coefficient (Kronecker substitution; von zur Gathen and
+    Gerhard, Modern Computer Algebra, 8.4).  Each slot, also of the
+    product with (1 + x)^c at a leaf, counts subsets of [n], so it is
+    below 2^n and never carries into the next.  The k-subset and
+    (n - k)-subset characters are equal, so the smaller k is used.
     """
     if not 1 <= k <= n:
         raise InputError(f"k must be in 1..{n}, got {k}")
@@ -103,32 +106,33 @@ def char_vector_subsets(n, k):
     action, domain = f"subsets:{k}", comb(n, k)
     k = min(k, n - k)
     unsigned, even, odd = _long_cycle_counts(n, k)
-    order = factorial(n)
+    bits = n + 2
+    mask, slot = (1 << bits * (k + 1)) - 1, (1 << bits) - 1
+    binom = [1]  # binom[c] is (1 + x)^c, packed and truncated
+    for _ in range(n):
+        binom.append((binom[-1] + (binom[-1] << bits)) & mask)
     distribution = {}
 
-    def place(j, used, denom, sign, poly):
-        # Choose c_j, c_(j-1), ..., c_1; poly[d] counts the fixed d-subsets
-        # made of the cycles chosen so far.
+    def place(j, rest, weight, sign, poly):
+        # Choose c_j, c_(j-1), ..., c_1; slot d of poly counts fixed d-subsets
         if j > 1:
-            for c in range((n - used) // j + 1):
-                place(j - 1, used + j * c, denom * j ** c * factorial(c),
+            for c in range(rest // j + 1):
+                if c:  # one more j-cycle
+                    weight = weight * perm(rest, j) // (j * c)
+                    rest -= j
+                    poly = (poly + (poly << bits * j)) & mask
+                place(j - 1, rest, weight,
                       -sign if j % 2 == 0 and c % 2 else sign, poly)
-                poly = _times_one_plus(poly, j)
             return
-        # c_1 leaves m = n - used - c_1 points, so c_1 < n - k - used or
-        # c_1 = n - used.  For k = 0 every cycle is long.
-        rest = n - used
-        # sign is that of the short cycles, so the long ones must match it
+        # c_1 = c leaves m = rest - c points, so c < rest - k or c = rest
+        # (k = 0: all long); the long cycles must match the short ones' sign
         matching = even if sign > 0 else odd
         for c in [*range(rest - k), rest] if k else [0]:
-            m = rest - c
-            value = sum(comb(c, i) * poly[k - i]
-                        for i in range(min(c, k) + 1))
-            weight = order // (denom * factorial(c) * factorial(m))
-            _add(distribution, value, weight * unsigned[m],
-                 weight * matching[m])
+            m, count = rest - c, weight * comb(rest, c)
+            _add(distribution, (poly * binom[c] >> bits * k) & slot,
+                 count * unsigned[m], count * matching[m])
 
-    place(k, 0, 1, 1, [1] + [0] * k)
+    place(k, n, 1, 1, 1)
     return CharVector(n, action, domain,
                       tuple((v, *c) for v, c in distribution.items()))
 
@@ -194,12 +198,14 @@ def char_vector_uniform_partitions(n, r, s):
                       cycle_types, tuple(values))
 
 
-def _exact_quotient(total, order, what):
+def _exact_quotient(total, order, name, chi, l):
     q, rem = divmod(total, order)
     if rem:
-        raise ConsistencyError(f"{what}: class sum {total} not divisible by n!")
+        raise ConsistencyError(f"{name} of ({chi.action})^{l}: class sum "
+                               f"{total} not divisible by n!")
     if q < 0:
-        raise ConsistencyError(f"{what}: negative orbit count {q}")
+        raise ConsistencyError(
+            f"{name} of ({chi.action})^{l}: negative orbit count {q}")
     return q
 
 
@@ -224,12 +230,11 @@ def iter_inner_products(chi, l=1):
     while True:
         total = sum(map(mul, alls, powers))
         even = sum(map(mul, evens, powers))
-        what = f"({chi.action})^{l}"
-        o = _exact_quotient(total, order, f"o of {what}")
-        o_k = _exact_quotient(2 * even, order, f"o_K of {what}")
+        o = _exact_quotient(total, order, "o", chi, l)
+        o_k = _exact_quotient(2 * even, order, "o_K", chi, l)
         if o_k < o:
-            raise ConsistencyError(
-                f"<sgn, {what}>: negative orbit count {o_k - o}")
+            raise ConsistencyError(f"<sgn, ({chi.action})^{l}>: negative "
+                                   f"orbit count {o_k - o}")
         yield l, o, o_k
         l += 1
         powers = list(map(mul, powers, values))

@@ -72,11 +72,6 @@ def _cycle_rows(texts, cycles, degree):
     return rows
 
 
-def parse_cycles(text, degree):
-    """Parse 1-based cycle notation like ``(1,2)(3,4)`` at a fixed degree."""
-    return tuple(_cycle_rows([text], [_cycle_points(text)], degree)[0].tolist())
-
-
 # ---------------------------------------------------------------------------
 # groups
 
@@ -655,16 +650,16 @@ class ParsedGroup:
 
 
 def _parse_base(token):
-    """The base group of a spec, with its auto labels, and its tag."""
+    """The base group of a spec, its tag, and whether its labels are signs."""
     if token.startswith("sn:"):
         n = _parse_int(token[3:], "sn degree")
-        return symmetric_group(n), ("sn", n)
+        return symmetric_group(n), ("sn", n), True
     if token.startswith("an:"):
         n = _parse_int(token[3:], "an degree")
-        return alternating_group(n), ("an", n)
+        return alternating_group(n), ("an", n), False
     if token.startswith("pgl2:"):
         q = _parse_int(token[5:], "pgl2 parameter")
-        return pgl2(q), ("pgl2", q)
+        return pgl2(q), ("pgl2", q), False
     if token.startswith("gens:"):
         parts = [part.strip() for part in token[5:].split(";")]
         if not any(parts):
@@ -678,9 +673,9 @@ def _parse_base(token):
             raise InputError("cannot infer degree from identity generators")
         _check_table_capacity(1, degree)  # before any row of that length
         gens = _cycle_rows(bodies, cycles, degree)
-        if -1 not in signs:  # unmarked: each generator carries its sign
-            signs = _signs(gens).tolist()
-        return closure(gens, labels=signs), ("gens",)
+        unmarked = -1 not in signs  # then every element carries its sign
+        return (closure(gens, _signs(gens).tolist() if unmarked else signs),
+                ("gens",), unmarked)
     raise InputError(f"unknown group spec: {token!r}")
 
 
@@ -700,13 +695,13 @@ def parse_group_spec(spec, labels_mode="auto"):
     partitions only directly on the base group). ``labels_mode`` is ``auto``
     (sign for sn, none for an, determinant class for pgl2, explicit ``!``
     marks for gens, else the sign) or ``sgn`` (permutation sign of the base
-    elements in every case; the labels of sn already are).
+    elements in every case; those of sn and unmarked gens already are).
     """
     if labels_mode not in ("auto", "sgn"):
         raise InputError(f"unknown labels mode: {labels_mode!r}")
     parts = spec.strip().split("/")
-    group, base_tag = _parse_base(parts[0].strip())
-    if labels_mode == "sgn" and base_tag[0] != "sn":
+    group, base_tag, signed = _parse_base(parts[0].strip())
+    if labels_mode == "sgn" and not signed:
         group = with_sign_labels(group)
     action = None
     tags = [base_tag]

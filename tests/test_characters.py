@@ -8,7 +8,7 @@ from basechar.characters import (char_vector_subsets,
                                  char_vector_uniform_partitions,
                                  iter_inner_products, orbit_counts)
 from basechar.errors import CapacityError, ConsistencyError, InputError
-from basechar.partitions import class_size, enumerate_cycle_types
+from basechar.partitions import class_size, enumerate_cycle_types, sign_of
 from reference_impls import (chi_subsets, count_fixed_subsets,
                              count_fixed_uniform, merge_by_value,
                              perm_shortest_first, subsets_class_values,
@@ -323,6 +323,36 @@ def test_collapsed_term_counts():
     assert len(char_vector_subsets(36, 3).terms) == 610
     # The k-subset and (n - k)-subset characters are the same.
     assert char_vector_subsets(30, 20).terms == char_vector_subsets(30, 10).terms
+
+
+def test_large_subset_builds_keep_exact_invariants():
+    # Past the per-class reference: the identity is the largest value and
+    # the widest packed slot, the weights add up to n! and n!/2, and S_n
+    # has rank min(k, n - k) + 1 on k-subsets.
+    for n, k in ((64, 2), (64, 3), (64, 5), (40, 20), (32, 16)):
+        chi = char_vector_subsets(n, k)
+        assert max(chi.terms) == (comb(n, k), 1, 1)
+        assert sum(weight for _, weight, _ in chi.terms) == factorial(n)
+        assert sum(even for _, _, even in chi.terms) == factorial(n) // 2
+        assert [orbit_counts(chi, l)[0] for l in range(3)] == \
+            [1, 1, min(k, n - k) + 1], (n, k)
+
+
+def test_long_cycle_counts_match_class_sizes():
+    # D(m) and its even and odd parts against the classes of S_m whose
+    # cycles all exceed k, summed one by one; S_0 is the empty permutation.
+    classes = [[((), 1, 1)]] + [
+        [(parts, class_size(parts), sign_of(parts))
+         for parts in enumerate_cycle_types(m)] for m in range(1, 17)]
+    for k in range(17):
+        long_only = [[(size, sign) for parts, size, sign in of_m
+                      if all(part > k for part in parts)] for of_m in classes]
+        expected = ([sum(size for size, _ in c) for c in long_only],
+                    [sum(size for size, s in c if s > 0) for c in long_only],
+                    [sum(size for size, s in c if s < 0) for c in long_only])
+        for n in range(k, 17):
+            assert characters._long_cycle_counts(n, k) == \
+                tuple(column[:n + 1] for column in expected), (n, k)
 
 
 def test_subset_vector_n_limit():

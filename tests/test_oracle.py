@@ -9,10 +9,9 @@ from basechar.errors import CapacityError, ConsistencyError, InputError
 from basechar.oracle import (MAX_TUPLE_LENGTH, InducedAction, act_on_subsets,
                              act_on_uniform_partitions, alternating_group,
                              closure, is_base_controlling,
-                             label_homomorphism_spot_check, parse_cycles,
-                             parse_group_spec, pgl2, product_action_wreath,
-                             symmetric_group, tuple_orbit_counts,
-                             with_sign_labels)
+                             label_homomorphism_spot_check, parse_group_spec,
+                             pgl2, product_action_wreath, symmetric_group,
+                             tuple_orbit_counts, with_sign_labels)
 from reference_impls import (blind_orbit_data, burnside_orbit_count,
                              distinguishing_number, first_all_plus_chain, has_all_plus_stabilizer,
                              partitions_action_table, perm_sign,
@@ -21,6 +20,13 @@ from reference_impls import (blind_orbit_data, burnside_orbit_count,
 
 def identity_perm(degree):
     return tuple(range(degree))
+
+
+def parse_cycles(text, degree):
+    """1-based cycle notation like ``(1,2)(3,4)`` at a fixed degree, as a
+    tuple of 0-based images, read the way a ``gens:`` spec reads it."""
+    rows = oracle._cycle_rows([text], [oracle._cycle_points(text)], degree)
+    return tuple(rows[0].tolist())
 
 
 def elements(group):
@@ -658,6 +664,47 @@ def test_gens_auto_labels_are_element_signs(monkeypatch):
         assert group.order == order
         assert group.labels.dtype == np.int8
         assert group.labels.tolist() == [perm_sign(e) for e in elements(group)]
+
+
+@pytest.fixture
+def signs_calls(monkeypatch):
+    """The row count of every table _signs is called on."""
+    signs = oracle._signs
+    rows = []
+
+    def counted(table):
+        rows.append(len(table))
+        return signs(table)
+
+    monkeypatch.setattr(oracle, "_signs", counted)
+    return rows
+
+
+def test_sgn_mode_keeps_the_signs_of_unmarked_gens(signs_calls):
+    # closure already labels an unmarked spec by sign, so --labels sgn
+    # reads the signs of the generators only, never of the whole table
+    for spec, generators, order in (
+            ("gens:(1,2,3,4,5,6);(1,2)", 2, 720),
+            ("gens:(1,2)(3,4);(1,2,3,4,5)", 2, 60),
+            ("gens:(1,2,3,4,5,6,7);(1,2)(3,4);(1,5)", 3, 5040)):
+        signs_calls.clear()
+        group = parse_group_spec(spec, labels_mode="sgn").base_group
+        assert signs_calls == [generators]
+        assert group.order == order
+        auto = parse_group_spec(spec).base_group
+        assert np.array_equal(group.labels, auto.labels)
+        assert group.labels.tolist() == [perm_sign(e) for e in elements(group)]
+
+
+def test_sgn_mode_relabels_marked_gens(signs_calls):
+    # (1,2)(3,4) marked odd and (1,2) unmarked even are not the signs
+    spec = "gens:!(1,2)(3,4);(1,2)"
+    auto = parse_group_spec(spec).base_group
+    assert signs_calls == []
+    assert auto.labels.tolist() == [1, -1, 1, -1]  # 1, (34), (12), (12)(34)
+    group = parse_group_spec(spec, labels_mode="sgn").base_group
+    assert signs_calls == [4]
+    assert group.labels.tolist() == [perm_sign(e) for e in elements(group)]
 
 
 def test_parse_group_spec_errors():

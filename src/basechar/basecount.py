@@ -11,7 +11,7 @@ from collections import namedtuple
 import math
 
 from .characters import (char_vector_subsets, char_vector_uniform_partitions,
-                         iter_inner_products)
+                         check_n_limit, iter_inner_products)
 from .errors import CapacityError, InputError
 
 # Published base size of the symmetric group on 15 points acting on the
@@ -56,6 +56,12 @@ def validate_l_limit(l_limit):
         raise InputError(f"the l limit must be at least 1, got {l_limit}")
 
 
+def _not_reached(threshold, cap):
+    bits = threshold.bit_length()
+    shown = threshold if bits <= 64 else f"a {bits}-bit threshold"
+    return CapacityError(f"no count reaching {shown} found up to l={cap}")
+
+
 def _min_l_search(chi, threshold, cap):
     trace = []
     for l, o, o_k in iter_inner_products(chi):
@@ -63,23 +69,35 @@ def _min_l_search(chi, threshold, cap):
         if o_k - o >= threshold:
             return l, tuple(trace)
         if l >= cap:
-            bits = threshold.bit_length()
-            shown = threshold if bits <= 64 else f"a {bits}-bit threshold"
-            raise CapacityError(
-                f"no count reaching {shown} found up to l={cap}")
+            raise _not_reached(threshold, cap)
+
+
+def _least_nonzero_l(n, k):
+    """L0, the least l with C(n, k)^l >= n!. Every regular orbit of S_n on
+    l-tuples of k-subsets holds n! tuples, so below L0 there is none and
+    <sgn, chi^l> is 0."""
+    order, domain = math.factorial(n), math.comb(n, k)
+    l, tuples = 0, 1
+    while tuples < order:
+        l, tuples = l + 1, tuples * domain
+    return l
 
 
 def base_size_subsets(n, k, threshold=1, max_l=None):
     """Least l <= max_l (default C(n, k)) with <sgn, chi^l> >= threshold for
     S_n on k-subsets: its base size at threshold 1, and at threshold D the
     base size of its wreath product, in product action, with a top group of
-    distinguishing number D."""
+    distinguishing number D. A cap below L0 is refused before the build,
+    with the message the search would give at its cap."""
     _validate_subsets(n, k)
     if threshold < 1:
         raise InputError("distinguishing number must be positive")
     validate_l_limit(max_l)
-    chi = char_vector_subsets(n, k)
+    check_n_limit(n)
     cap = math.comb(n, k) if max_l is None else max_l
+    if cap < _least_nonzero_l(n, k):
+        raise _not_reached(threshold, cap)
+    chi = char_vector_subsets(n, k)
     base, trace = _min_l_search(chi, threshold, cap)
     return BaseSizeReport(base, trace)
 
@@ -94,7 +112,10 @@ def large_base_bounds(m, k, r):
     """
     if r < 1:
         raise InputError("r must be positive")
-    # (m, k) is invalid only where (m - 1, k) is, with the same message
+    # both sizes are checked before either search starts
+    for n in (m - 1, m):
+        _validate_subsets(n, k)
+        check_n_limit(n)
     lower = base_size_subsets(m - 1, k).base_size
     upper = base_size_subsets(m, k, threshold=r).base_size
     return lower, upper

@@ -83,6 +83,12 @@ def _long_cycle_counts(n, k):
             [(d - s) // 2 for d, s in zip(unsigned, signed)])
 
 
+def check_n_limit(n):
+    """Refuse a degree past the limit of the k-subset build."""
+    if n > DEFAULT_N_LIMIT:
+        raise CapacityError(f"n = {n} exceeds the limit {DEFAULT_N_LIMIT}")
+
+
 def char_vector_subsets(n, k):
     """Character of S_n on k-subsets, built through (c_1..c_k).
 
@@ -101,8 +107,7 @@ def char_vector_subsets(n, k):
     """
     if not 1 <= k <= n:
         raise InputError(f"k must be in 1..{n}, got {k}")
-    if n > DEFAULT_N_LIMIT:
-        raise CapacityError(f"n = {n} exceeds the limit {DEFAULT_N_LIMIT}")
+    check_n_limit(n)
     action, domain = f"subsets:{k}", comb(n, k)
     k = min(k, n - k)
     unsigned, even, odd = _long_cycle_counts(n, k)

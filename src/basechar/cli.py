@@ -247,8 +247,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "verify":
-        # The oracle needs numpy; importing it here, before the clock,
-        # keeps it out of the timing and of every formula command.
+        # Importing the oracle here, before the clock, keeps its import out
+        # of the timing and out of every formula command.
         from . import oracle  # noqa: F401
     started = time.perf_counter()
     try:

@@ -1,39 +1,149 @@
 """Brute-force permutation-group engine used as ground truth.
 
 Every group is its own natural action: an action table with one row per
-element, the rows in lexicographic order, one byte per point (two past 256
-points), and its {+1,-1} labels, when it has any, as an int8 array (no
-stabilizer chains). Induced actions carry one table row per parent
-element, so stabilizers are sets of element indices and labels stay
-well-defined even when the action is not faithful. The lattice of tuple
-stabilizers, each expanded once, gives the base size, the orbit counts o
-and o_K of the group and of its label kernel, the regular-orbit counts for
-every l, and whether the labels are base-controlling. Everything here is
-deliberately simple and slow; the fast formula code is validated against
-it, never the other way around.
+element, the rows in lexicographic order (no stabilizer chains). A table
+is one row-major bytes object with one byte per point, or an array('H')
+past 256 points; column p is table[p::degree], and applying a permutation
+after every row is one translate. Labels, when present, are bytes with
+one byte per row: 0 for +1 and 1 for -1, so the label of a product is the
+exclusive or. Induced actions carry one table row per parent element, so
+a stabilizer is a set of rows and labels stay well-defined even when the
+action is not faithful. The lattice of tuple stabilizers, each expanded
+once, gives the base size, the orbit counts o and o_K of the group and of
+its label kernel, the regular-orbit counts for every l, and whether the
+labels are base-controlling. Everything here is deliberately simple and
+slow; the fast formula code is validated against it, never the other way
+around.
 """
 
+from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, replace
-from functools import cached_property
-from itertools import combinations, permutations
+from collections import namedtuple
+from functools import cache, cached_property
+from itertools import chain, combinations, permutations, product
 import math
+from operator import eq
 import random
 import re
-
-import numpy as np
+from struct import iter_unpack
 
 from .errors import CapacityError, ConsistencyError, InputError
 
 MAX_CLOSURE_ORDER = 10 ** 6
 MAX_INDUCED_DEGREE = 10 ** 4
 MAX_TABLE_CELLS = 5 * 10 ** 7
-MAX_GATHER_CELLS = 1 << 18
 # The longest tuple the orbit walk accepts as an explicit limit. A faithful
 # action of a group of order at most MAX_CLOSURE_ORDER has a base of at
 # most 19 points (each base point at least halves the stabilizer), so the
 # default limit of base size + 1 stays far below this cap.
 MAX_TUPLE_LENGTH = 64
+
+
+# ---------------------------------------------------------------------------
+# tables: bytes up to 256 points, array('H') past
+
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # negates every label
+
+
+def _pack(values, degree):
+    """A table, or a row, of points of a domain of the given degree."""
+    return bytes(values) if degree <= 256 else array("H", values)
+
+
+def _join(parts, like):
+    """Tables or rows (bytes, 'H' arrays or tuples), one after the other,
+    as one table of the type of like."""
+    if isinstance(like, bytes):
+        return b"".join(parts)
+    out = array("H")
+    for part in parts:
+        out.extend(part)
+    return out
+
+
+def _apply(rows, image):
+    """image after every entry of rows: each entry x becomes image[x]."""
+    if isinstance(rows, bytes):
+        return rows.translate(bytes(image) + bytes(range(len(image), 256)))
+    return array("H", map(image.__getitem__, rows))
+
+
+@cache
+def _equal_table(value):
+    """Translation table: 1 for the byte value, 0 for every other."""
+    table = bytearray(256)
+    table[value] = 1
+    return bytes(table)
+
+
+def _equal_mask(column, point):
+    """One byte per entry of column, 1 where the entry is point."""
+    if isinstance(column, bytes):
+        return column.translate(_equal_table(point))
+    return bytes(map(point.__eq__, column))
+
+
+def _gather(table, width, mask):
+    """The rows (of width entries) of table whose mask byte is 1, in order,
+    copied one run of consecutive rows at a time."""
+    parts = []
+    start = mask.find(1)
+    while start >= 0:
+        stop = mask.find(0, start)
+        stop = len(mask) if stop < 0 else stop
+        parts.append(table[start * width:stop * width])
+        start = mask.find(1, stop)
+    return _join(parts, table)
+
+
+def _rows(table, degree):
+    """The rows of a table: bytes objects for a bytes table, tuples for an
+    'H' array; hashable either way, and sorted in lexicographic order."""
+    if isinstance(table, bytes):
+        return chain.from_iterable(iter_unpack(f"{degree}s", table))
+    return zip(*[iter(table)] * degree)
+
+
+def _fixed_points(table, degree):
+    """Mask over the points, 1 where every row of table fixes the point;
+    only the points the last row fixes have their columns read."""
+    rows = len(table) // degree
+    fixed = bytearray(map(eq, table[-degree:], range(degree)))
+    point = fixed.find(1)
+    while point >= 0:
+        fixed[point] = table[point::degree].count(point) == rows
+        point = fixed.find(1, point + 1)
+    return bytes(fixed)
+
+
+def _orbit(column, seen):
+    """The points of column, the images of one point, which are one orbit
+    and none of them seen yet. A bytes column longer than the degree is
+    searched for each unseen point, a scan that stops at the first hit,
+    rather than read in full into a set."""
+    if isinstance(column, bytes) and len(column) > len(seen):
+        return [point for point in range(len(seen))
+                if not seen[point] and point in column]
+    return set(column)
+
+
+def _signs(rows):
+    """Label byte of each row's permutation sign: 1 when it is odd, that is
+    when degree minus its number of cycles is odd."""
+    bits = bytearray()
+    for row in rows:
+        seen = bytearray(len(row))
+        cycles = 0
+        for start in range(len(row)):
+            if not seen[start]:
+                cycles += 1
+                point = start
+                while not seen[point]:
+                    seen[point] = 1
+                    point = row[point]
+        bits.append((len(row) - cycles) & 1)
+    return bytes(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -54,12 +164,13 @@ def _cycle_points(text):
 
 
 def _cycle_rows(texts, cycles, degree):
-    """One row of images per text, each its cycles (from _cycle_points)
+    """One list of images per text, each its cycles (from _cycle_points)
     written into the identity of the given degree."""
-    rows = np.tile(np.arange(degree), (len(texts), 1))
-    for row, text, body_cycles in zip(rows, texts, cycles):
+    rows = []
+    for text, body_cycles in zip(texts, cycles):
         if _CYCLE_RE.sub("", text.replace(" ", "")):
             raise InputError(f"malformed cycle notation: {text!r}")
+        row = list(range(degree))
         for points in body_cycles:
             if len(set(points)) != len(points):
                 raise InputError(f"repeated point in cycle: {text!r}")
@@ -68,7 +179,9 @@ def _cycle_rows(texts, cycles, degree):
                     raise InputError(f"point out of range in {text!r}")
                 if row[point] != point:
                     raise InputError(f"point repeated across cycles: {text!r}")
-            row[points] = points[1:] + points[:1]
+            for point, image in zip(points, points[1:] + points[:1]):
+                row[point] = image
+        rows.append(row)
     return rows
 
 
@@ -76,30 +189,29 @@ def _cycle_rows(texts, cycles, degree):
 # groups
 
 
-@dataclass
 class InducedAction:
     """Action table with one row per group element.
 
     A group is its own natural action, rows in lexicographic order. Rows of
     an induced action may repeat when it is not faithful; stabilizers are
-    sets of row indices, so parent labels carry over unchanged.
+    sets of rows, so parent labels carry over unchanged. There is one
+    point name per point.
     """
 
-    table: np.ndarray
-    labels: np.ndarray | None
-    point_names: tuple
-
-    def __post_init__(self):
-        if self.labels is not None and len(self.labels) != len(self.table):
+    def __init__(self, table, labels, point_names):
+        self.table, self.labels, self.point_names = table, labels, point_names
+        if len(self.table) % self.degree:
+            raise InputError("table length is not a multiple of the degree")
+        if self.labels is not None and len(self.labels) != self.order:
             raise InputError("labels and table rows differ in length")
 
     @property
     def order(self):
-        return self.table.shape[0]
+        return len(self.table) // self.degree
 
     @property
     def degree(self):
-        return self.table.shape[1]
+        return len(self.point_names)
 
     @cached_property
     def signed(self):
@@ -108,36 +220,29 @@ class InducedAction:
         anything else is a ConsistencyError."""
         if self.labels is None:
             return False
-        plus = int(np.count_nonzero(self.labels == 1))
-        if np.count_nonzero(self.labels == -1) + plus != self.order:
+        minus = self.labels.count(1)
+        if self.labels.count(0) + minus != self.order:
             raise ConsistencyError("labels must be +1 or -1")
-        if 2 * plus not in (2 * self.order, self.order):
+        if 2 * minus not in (0, self.order):
             raise ConsistencyError(
                 "labels with a -1 must put exactly half the rows at +1")
-        return plus < self.order
+        return minus > 0
 
     @cached_property
     def kernel(self):
-        """(kernel order, mask of the points every row fixes), both built
-        one column at a time from where the rows fix that column's point."""
-        rows = np.ones(self.order, dtype=bool)
-        fixed = np.empty(self.degree, dtype=bool)
-        for point in range(self.degree):
-            column = self.table[:, point] == point
-            rows &= column
-            fixed[point] = column.all()
-        return int(np.count_nonzero(rows)), fixed
+        """(kernel order, mask of the points every row fixes); the kernel is
+        found by keeping, point by point, the rows that fix it."""
+        rows, degree = self.table, self.degree
+        for point in range(degree):
+            column = rows[point::degree]
+            if column.count(point) < len(column):
+                rows = _gather(rows, degree, _equal_mask(column, point))
+        return len(rows) // degree, _fixed_points(self.table, degree)
 
     @cached_property
     def lattice(self):
         """The stabilizer lattice, read by the orbit walk and the verdict."""
         return _stabilizer_lattice(self)
-
-
-def _point_dtype(degree):
-    """The narrowest unsigned dtype that holds every point of a table:
-    uint8 up to 256 points, uint16 up to MAX_INDUCED_DEGREE."""
-    return np.uint8 if degree <= 256 else np.uint16
 
 
 def _check_table_capacity(order, degree):
@@ -148,11 +253,10 @@ def _check_table_capacity(order, degree):
         raise CapacityError("action table too large")
 
 
-def _natural(table, labels=None):
+def _natural(table, degree, labels=None):
     """The group whose elements are the rows of a lexicographically sorted
     table, as its natural action."""
-    order, degree = table.shape
-    _check_table_capacity(order, degree)
+    _check_table_capacity(len(table) // degree, degree)
     names = tuple(str(i + 1) for i in range(degree))
     return InducedAction(table, labels, names)
 
@@ -168,175 +272,178 @@ def _bounded_factorial(n, refusal):
     return order
 
 
-def _signs(table):
-    """Sign of every row, +1 even and -1 odd, from its inversion parity."""
-    inversions = np.zeros(table.shape[0], dtype=np.int64)
-    for i in range(table.shape[1] - 1):
-        inversions += np.count_nonzero(table[:, i + 1:] < table[:, i:i + 1],
-                                       axis=1)
-    return (1 - 2 * (inversions % 2)).astype(np.int8)
-
-
 def closure(generators, labels=None):
     """Close a generator list under composition, propagating labels.
 
-    Breadth first over numpy rows: each round maps the rows first reached
-    in the round before through each generator, one gather per generator,
-    and keeps the images not yet in the table, a dict from row bytes to
-    label. Labels, when given, ride along multiplicatively; reaching the
+    Breadth first: each round applies each generator after every row first
+    reached in the round before, one translate per generator, and keeps the
+    images not yet found, a dict from row to label byte. Labels, when given
+    (as +1 or -1 per generator), ride along multiplicatively; reaching the
     same element with both signs means the labeling is not a homomorphism.
     The table size is checked before each new element is listed, so a
     group too large to tabulate is refused as soon as it outgrows the cap.
     """
-    generators = [np.asarray(g, dtype=np.int64) for g in generators]
+    generators = [tuple(g) for g in generators]
     if not generators:
         raise InputError("empty generator list")
     for g in generators:
-        if not np.array_equal(np.sort(g), np.arange(len(g))):
-            raise InputError(f"not a permutation: {tuple(g.tolist())!r}")
+        if sorted(g) != list(range(len(g))):
+            raise InputError(f"not a permutation: {g!r}")
     degree = len(generators[0])
     if any(len(g) != degree for g in generators):
         raise InputError("generators have mixed degrees")
     if degree == 0:
         raise InputError("degree must be positive")
+    bits = [0] * len(generators)
     if labels is not None:
-        labels = [int(x) for x in labels]
         if len(labels) != len(generators):
             raise InputError("one label per generator required")
         if any(x not in (1, -1) for x in labels):
             raise InputError("labels must be +1 or -1")
-    gens = np.array(generators, dtype=_point_dtype(degree))
-    key_type = np.dtype((np.void, gens.itemsize * degree))
-    rows = [np.arange(degree, dtype=gens.dtype)[None]]
-    row_labels = [np.ones(1, dtype=np.int8)]
-    found = {rows[0].tobytes(): 1}
-    while len(rows[-1]):
-        frontier, frontier_labels = rows[-1], row_labels[-1]
-        fresh, fresh_labels = [], []
-        for g, sign in zip(gens, labels or [1] * len(gens)):
-            images, image_labels = g[frontier], frontier_labels * sign
-            new = []
-            for i, (key, label) in enumerate(zip(
-                    images.view(key_type).ravel().tolist(),
-                    image_labels.tolist())):
-                known = found.get(key)
+        bits = [int(x == -1) for x in labels]
+    frontier, frontier_bits = _pack(range(degree), degree), b"\0"
+    found = dict.fromkeys(_rows(frontier, degree), 0)
+    while frontier:
+        fresh, fresh_bits = [], bytearray()
+        for g, bit in zip(generators, bits):
+            image_bits = frontier_bits.translate(_FLIP) if bit else frontier_bits
+            for row, label in zip(_rows(_apply(frontier, g), degree),
+                                  image_bits):
+                known = found.get(row)
                 if known is None:
                     if len(found) >= MAX_CLOSURE_ORDER:
                         raise CapacityError(
                             f"group order exceeds {MAX_CLOSURE_ORDER}")
                     _check_table_capacity(len(found) + 1, degree)
-                    found[key] = label
-                    new.append(i)
+                    found[row] = label
+                    fresh.append(row)
+                    fresh_bits.append(label)
                 elif known != label:
                     raise InputError(
                         "generator labels do not define a homomorphism")
-            fresh.append(images[new])
-            fresh_labels.append(image_labels[new])
-        rows.append(np.concatenate(fresh))
-        row_labels.append(np.concatenate(fresh_labels))
-    table = np.concatenate(rows)
-    order = np.lexsort(table.T[::-1])  # column 0 is the first key
-    return _natural(table[order],
-                    np.concatenate(row_labels)[order] if labels else None)
+        frontier, frontier_bits = _join(fresh, frontier), bytes(fresh_bits)
+    rows = sorted(found)
+    return _natural(_join(rows, frontier), degree,
+                    bytes(map(found.__getitem__, rows))
+                    if labels is not None else None)
 
 
 def with_sign_labels(group):
     """Relabel every element with its permutation sign."""
-    return replace(group, labels=_signs(group.table))
+    rows = list(_rows(group.table, group.degree))
+    return InducedAction(group.table, _signs(rows), group.point_names)
 
 
 def symmetric_group(n):
     """S_n labeled by sign, table and signs built together.
 
-    In lexicographic order the rows of S_m are, for each first image i in
-    turn, i followed by a row of S_(m-1) with every entry >= i shifted up
-    by one. The first entry adds i inversions and the shift keeps the
-    relative order of the rest, so the row's sign is (-1)^i times the sign
-    of the S_(m-1) row.
+    In lexicographic order the rows of S_(m+1) are, for each first image i
+    in turn, i followed by a row of S_m with every entry >= i shifted up by
+    one. The table starts as one row of n placeholders and holds S_m on its
+    last m columns; each step translates it once per first image i, which
+    writes i where the placeholder was and shifts the entries, so no column
+    is ever inserted. The first entry adds i inversions and the shift keeps
+    the relative order of the rest, so the row's sign is (-1)^i times the
+    sign of the S_m row.
     """
     if n < 1:
         raise InputError("degree must be positive")
     _bounded_factorial(n, f"order {n}! exceeds {MAX_CLOSURE_ORDER}")
-    table = np.zeros((1, 0), dtype=_point_dtype(n))
-    signs = np.ones(1, dtype=np.int8)
-    for m in range(1, n + 1):
-        firsts = np.arange(m, dtype=table.dtype)[:, None, None]
-        rest = table[None] + (table[None] >= firsts)
-        table = np.concatenate(
-            [np.broadcast_to(firsts, (m, len(table), 1)), rest],
-            axis=2).reshape(-1, m)
-        signs = (np.where(firsts[:, 0] % 2, -1, 1) * signs).astype(
-            np.int8).ravel()
-    return _natural(table, signs)
+    table, signs = bytes(range(n)), b"\0"
+    for m in range(n):
+        # S_m is written as base + 1 + v, the placeholder of column base
+        # is the value base, and the columns before it keep theirs
+        base = n - m - 1
+        blocks, block_signs = [], []
+        for i in range(m + 1):
+            image = bytearray(range(256))
+            image[base:base + i + 1] = [base + i] + list(range(base, base + i))
+            blocks.append(table.translate(image))
+            block_signs.append(signs.translate(_FLIP) if i % 2 else signs)
+        table, signs = b"".join(blocks), b"".join(block_signs)
+    return _natural(table, n, signs)
 
 
 def alternating_group(n):
     """The even rows of S_n, unlabeled."""
     group = symmetric_group(n)
-    return _natural(group.table[group.labels == 1])
+    return _natural(_gather(group.table, n, group.labels.translate(_FLIP)), n)
 
 
 def pgl2(q):
     """PGL_2(q) as Moebius maps on the projective line over F_q.
 
-    Points 0..q-1 are field elements, point q is infinity. Each element is
-    built once, in one array pass, from the matrix (a b; c d) scaled to
-    bottom row (0, 1) or (1, d). It is labeled +1 iff its determinant is a
-    nonzero square mod q (scaling multiplies the determinant by a square);
-    the kernel of that labeling is PSL_2(q). PGL_2(q) is sharply
-    3-transitive, so the images of 0, 1 and 2 fix a row, and the rows are
-    sorted by those three images as one integer; keys that do not strictly
-    increase would mean two matrices gave one map, or the rows were not
-    those of PGL_2(q).
+    Points 0..q-1 are field elements, point q is infinity. A map is either
+    affine, x -> e x + a with determinant e, or x -> a + e / (x + d) with
+    determinant -e (the matrix (a, ad + e; 1, d)); so every row is the
+    identity or R_d: x -> 1 / (x + d), then M_e: x -> e x, then T_a:
+    x -> x + a, and the table is q - 1 translates of the q + 1 rows of the
+    identity and R_d, then q translates of those. A row is labeled +1 iff
+    its determinant is a nonzero square mod q; the kernel of that labeling
+    is PSL_2(q). The rows are then sorted; two equal rows would mean two
+    matrices gave one map, or the rows were not those of PGL_2(q).
     """
     if q not in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         raise InputError("q must be an odd prime at most 31")
-    x = np.arange(q, dtype=np.int32)
-    a, b, bottom = (v.ravel() for v in np.meshgrid(
-        x, x, np.arange(q + 1, dtype=np.int32)))
-    c, d = np.minimum(bottom, 1), np.where(bottom, bottom - 1, 1)
-    det = (a * d - b * c) % q
-    a, b, c, d, det = (v[det != 0] for v in (a, b, c, d, det))
-    den = (c[:, None] * x + d[:, None]) % q
-    inverses = np.array([0] + [pow(int(v), q - 2, q) for v in x[1:]],
-                        dtype=np.int32)
-    finite = np.where(den, (a[:, None] * x + b[:, None]) * inverses[den] % q, q)
-    key = (finite[:, 0] * (q + 1) + finite[:, 1]) * (q + 1) + finite[:, 2]
-    order = np.argsort(key)
-    if not (np.diff(key[order]) > 0).all():
+    infinity, degree = q, q + 1
+    inverse = [0] + [pow(x, q - 2, q) for x in range(1, q)]
+    squares = {x * x % q for x in range(1, q)}
+
+    def fixing_infinity(images):
+        return bytes(images) + bytes([infinity]) + bytes(range(degree, 256))
+
+    starts = bytes(range(degree)) + bytes(chain.from_iterable(
+        [inverse[(x + d) % q] if (x + d) % q else infinity
+         for x in range(q)] + [0] for d in range(q)))
+    scaled = b"".join(starts.translate(fixing_infinity(e * x % q
+                                                       for x in range(q)))
+                      for e in range(1, q))
+    bits = [bit for e in range(1, q)
+            for bit in [e not in squares] + [-e % q not in squares] * q]
+    labels = {}
+    for a in range(q):
+        moved = scaled.translate(fixing_infinity((x + a) % q
+                                                 for x in range(q)))
+        labels.update(zip(_rows(moved, degree), bits))
+    if len(labels) != q ** 3 - q:
         raise ConsistencyError("two normalised matrices give one map")
-    table = np.column_stack([finite, np.where(c, a, q)])[order].astype(
-        _point_dtype(q + 1))
-    square = np.isin(det[order], x * x % q)
-    return _natural(table, np.where(square, 1, -1).astype(np.int8))
+    rows = sorted(labels)
+    return _natural(b"".join(rows), degree,
+                    bytes(map(labels.__getitem__, rows)))
 
 
 # ---------------------------------------------------------------------------
 # induced actions
 
 
-def _sets_table(table, *levels):
-    """Action table on sets (of sets), a chunk of rows at a time.
+class _SortedIndex(dict):
+    """Index of each point, a sorted tuple; an image tuple that is not
+    sorted is sorted and looked up once, then remembered."""
 
-    Each level's points are sorted tuples of indices into the level before
-    (the first indexes the domain), of one length, in lexicographic order.
-    A level maps its tuples through the rows, sorts each image and looks it
-    up among its points, each tuple one big-endian bytes scalar, so bytes
-    compare in lexicographic order and no entry is packed into a wider int.
+    def __missing__(self, image):
+        point = tuple(sorted(image))
+        if point == image:
+            raise KeyError(image)
+        self[image] = index = self[point]
+        return index
+
+
+def _sets_table(table, degree, points):
+    """Action table on points that are sorted tuples, of one length, of
+    points of table, given in lexicographic order.
+
+    Built one column at a time: zipping the columns of a point's members
+    gives each row's image tuple, which _SortedIndex turns into the index of
+    the image point.
     """
-    levels = [np.array(points, dtype=">i4") for points in levels]
-    out = np.empty((len(table), len(levels[-1])),
-                   dtype=_point_dtype(len(levels[-1])))
-    step = max(1, MAX_GATHER_CELLS // max(points.size for points in levels))
-    for start in range(0, len(table), step):
-        images = table[start:start + step]
-        for points in levels:
-            key = f"V{points.itemsize * points.shape[1]}"
-            mapped = np.sort(images[:, points]).astype(">i4", order="C")
-            images = np.searchsorted(points.view(key)[:, 0],
-                                     mapped.view(key)[..., 0])
-        out[start:start + step] = images
-    return out
+    size = len(points)
+    index = _SortedIndex((point, i) for i, point in enumerate(points))
+    cells = len(table) // degree * size
+    out = bytearray(cells) if size <= 256 else array("H", bytes(2 * cells))
+    for i, point in enumerate(points):
+        out[i::size] = _pack(map(index.__getitem__, zip(
+            *(table[x::degree] for x in point))), size)
+    return bytes(out) if isinstance(out, bytearray) else out
 
 
 def act_on_subsets(group, k):
@@ -346,7 +453,8 @@ def act_on_subsets(group, k):
     _check_table_capacity(group.order, math.comb(group.degree, k))
     points = list(combinations(range(group.degree), k))
     names = tuple("{" + ",".join(str(x + 1) for x in s) + "}" for s in points)
-    return InducedAction(_sets_table(group.table, points), group.labels, names)
+    return InducedAction(_sets_table(group.table, group.degree, points),
+                         group.labels, names)
 
 
 def _uniform_partitions(free, s):
@@ -371,8 +479,9 @@ def act_on_uniform_partitions(group, r, s):
     points = _uniform_partitions(tuple(range(n)), s)
     blocks = list(combinations(range(n), s))
     index = {block: i for i, block in enumerate(blocks)}
-    table = _sets_table(group.table, blocks,
-                        [[index[block] for block in part] for part in points])
+    table = _sets_table(_sets_table(group.table, n, blocks), len(blocks),
+                        [tuple(index[block] for block in part)
+                         for part in points])
     names = tuple("|".join("".join(str(x + 1) for x in block)
                            for block in part) for part in points)
     return InducedAction(table, group.labels, names)
@@ -383,8 +492,10 @@ def product_action_wreath(base, r):
     base points.
 
     An element (g_1, ..., g_r; sigma) maps coordinate i of a tuple to the
-    g_{sigma^-1(i)} image of coordinate sigma^-1(i). Base labels, when
-    present, carry over as the product of the per-coordinate labels.
+    g_{sigma^-1(i)} image of coordinate sigma^-1(i): the bottom (g_1, ...,
+    g_r) acting coordinatewise, then sigma moving coordinate sigma^-1(i) to
+    coordinate i. Base labels, when present, carry over as the product of
+    the per-coordinate labels.
     """
     if r < 1:
         raise InputError("r must be positive")
@@ -400,35 +511,36 @@ def product_action_wreath(base, r):
 
     m = base.degree
     weights = [m ** (r - 1 - i) for i in range(r)]
-    digits = np.empty((degree, r), dtype=np.int32)
-    for i in range(r):
-        digits[:, i] = (np.arange(degree) // weights[i]) % m
-    names = tuple("(" + ",".join(base.point_names[d] for d in row) + ")"
-                  for row in digits.tolist())
+    points = list(product(range(m), repeat=r))
+    names = tuple("(" + ",".join(base.point_names[d] for d in x) + ")"
+                  for x in points)
 
-    # bottom (g_1, ..., g_r) acting coordinatewise, bottoms in product order
-    bottoms = np.zeros((1, 1), dtype=np.int32)
-    for _ in range(r):
-        bottoms = (bottoms[:, None, :, None] * m
-                   + base.table[None, :, None, :]).reshape(
-                       bottoms.shape[0] * base.order, -1)
-    # sigma moving coordinate sigma^-1(i) to coordinate i
-    top = np.array(list(permutations(range(r))), dtype=np.int32)
-    inverses = np.argsort(top, axis=1)
-    moved = np.zeros((len(inverses), degree), dtype=np.int32)
-    for i in range(r):
-        moved += weights[i] * digits.T[inverses[:, i]]
-    # row b * |top| + s is bottom b followed by sigma s
-    table = moved.astype(_point_dtype(degree))[
-        np.arange(len(inverses))[:, None], bottoms[:, None, :]]
-    table = table.reshape(order, degree)
-    labels = None
-    if base.labels is not None:
-        labels = np.ones(1, dtype=np.int8)
-        for _ in range(r):
-            labels = np.outer(labels, base.labels).ravel()
-        labels = np.repeat(labels, len(inverses))
-    return InducedAction(table, labels, names)
+    # the bottoms in product order, built from the last coordinate back:
+    # each base row, embedded at coordinate i, is applied after every
+    # bottom so far, and the label bytes follow
+    base_bits = base.labels or bytes(base.order)
+    bottoms, bits = _pack(range(degree), degree), b"\0"
+    for i in reversed(range(r)):
+        blocks, block_bits = [], []
+        for row, bit in zip(_rows(base.table, m), base_bits):
+            blocks.append(_apply(bottoms, _pack(
+                [j + (row[x[i]] - x[i]) * weights[i]
+                 for j, x in enumerate(points)], degree)))
+            block_bits.append(bits.translate(_FLIP) if bit else bits)
+        bottoms, bits = _join(blocks, bottoms), b"".join(block_bits)
+
+    # row b * |top| + s is bottom b followed by sigma s, which moves the
+    # coordinate source[i] = sigma^-1(i) of a point to coordinate i
+    tops = []
+    for sigma in permutations(range(r)):
+        source = [sigma.index(i) for i in range(r)]
+        tops.append(_rows(_apply(bottoms, _pack(
+            [sum(x[source[i]] * weights[i] for i in range(r)) for x in points],
+            degree)), degree))
+    labels = (None if base.labels is None
+              else bytes(chain.from_iterable(zip(*[bits] * len(tops)))))
+    return InducedAction(_join(chain.from_iterable(zip(*tops)), bottoms),
+                         labels, names)
 
 
 # ---------------------------------------------------------------------------
@@ -445,45 +557,54 @@ def check_tuple_length(l_max):
 
 
 def _stabilizer_lattice(action):
-    """{key: (rows, depth, regular orbits on points, {child key: orbits},
-    all +1)} for every tuple stabilizer, expanded once each, breadth first
-    from the whole group: depth is the shortest tuple with that stabilizer,
-    and the last entry says whether every row of it is labelled +1.
+    """{key: (depth, regular orbits on points, {child key: orbits}, all
+    +1)} for every tuple stabilizer, expanded once each, breadth first from
+    the whole group: depth is the shortest tuple with that stabilizer, and
+    the last entry says whether every row of it is labelled +1.
 
     A tuple's stabilizer G_S is also the pointwise stabilizer of its own
-    fixed-point set F (it fixes F, and S lies in F), so F, as the bytes of a
-    mask over the points, is its key; stabilizers are sets of row indices,
-    so this holds for non-faithful actions too. Each non-regular orbit on
-    points leads to the key of its point stabilizer.
+    fixed-point set F (it fixes F, and S lies in F), so F, as a mask over
+    the points, is its key; stabilizers are sets of rows, so this holds for
+    non-faithful actions too. Each non-regular orbit on points leads to the
+    key of its point stabilizer, whose rows (and label bytes) are gathered
+    from the rows fixing that point.
     """
-    table, labels = action.table, action.labels
-    points = np.arange(action.degree, dtype=table.dtype)
-    root = action.kernel[1].tobytes()
-    found = {root: (np.arange(action.order), 0)}
+    degree = action.degree
+    labels = action.labels if action.labels is not None else b""
+    root = action.kernel[1]
+    pending = {root: (action.table, labels, 0)}  # None once expanded
     lattice = {}
     queue = [root]
     for key in queue:
-        stab, depth = found[key]
-        sub = table if depth == 0 else table[stab]  # the root: every row
-        seen = np.zeros(len(points), dtype=bool)
+        sub, sub_labels, depth = pending[key]
+        pending[key] = None
+        rows = len(sub) // degree
+        seen = bytearray(degree)
         regular = 0
         children = {}
-        for point in range(len(points)):
+        for point in range(degree):
             if seen[point]:
                 continue
-            column = sub[:, point]
-            seen[column] = True
-            fixed = column == point
-            if np.count_nonzero(fixed) == 1:
+            column = sub[point::degree]
+            for image in _orbit(column, seen):
+                seen[image] = 1
+            fixed = column.count(point)
+            if fixed == 1:
                 regular += 1
                 continue
-            child = (sub[fixed] == points).all(axis=0).tobytes()
+            if fixed == rows:  # every row fixes the point: the same key
+                children[key] = children.get(key, 0) + 1
+                continue
+            mask = _equal_mask(column, point)
+            child_rows = _gather(sub, degree, mask)
+            child = _fixed_points(child_rows, degree)
             children[child] = children.get(child, 0) + 1
-            if child not in found:
-                found[child] = (stab[fixed], depth + 1)
+            if child not in pending:
+                pending[child] = (child_rows, _gather(sub_labels, 1, mask),
+                                  depth + 1)
                 queue.append(child)
-        plus = labels is not None and bool((labels[stab] == 1).all())
-        lattice[key] = (stab, depth, regular, children, plus)
+        plus = action.labels is not None and 1 not in sub_labels
+        lattice[key] = (depth, regular, children, plus)
     return lattice
 
 
@@ -511,7 +632,7 @@ def tuple_orbit_counts(action, l_max=None):
     labels, degree, lattice = action.labels, action.degree, action.lattice
     kernel, root = action.kernel
     base = (0 if action.order == 1 else None if kernel > 1 else 1 + min(
-        depth for _, depth, regular, _, _ in lattice.values() if regular))
+        depth for depth, regular, _, _ in lattice.values() if regular))
     if l_max is None:
         l_max = 2 if base is None else base + 1
 
@@ -519,7 +640,7 @@ def tuple_orbit_counts(action, l_max=None):
     # K, and the regular orbits first reached there; level 0 is the one
     # orbit of the empty tuple
     nonregular, inside, fresh = (0, 0, 1) if base == 0 else (1, 0, 0)
-    frontier = {} if base == 0 else {root.tobytes(): 1}
+    frontier = {} if base == 0 else {root: 1}
     rows = []
     regular = 0
     for l in range(l_max + 1):
@@ -531,11 +652,11 @@ def tuple_orbit_counts(action, l_max=None):
         nonregular = inside = fresh = 0
         nxt = {}
         for key, count in frontier.items():
-            _, _, key_regular, children, _ = lattice[key]
+            _, key_regular, children, _ = lattice[key]
             fresh += count * key_regular
             for child, orbits in children.items():
                 nonregular += count * orbits
-                inside += count * orbits * lattice[child][4]  # all +1
+                inside += count * orbits * lattice[child][3]  # all +1
                 nxt[child] = nxt.get(child, 0) + count * orbits
         frontier = nxt
     return base, rows
@@ -545,8 +666,10 @@ def tuple_orbit_counts(action, l_max=None):
 # base-controlling verification
 
 
-@dataclass(frozen=True)
-class ControllingVerdict:
+class ControllingVerdict(namedtuple(
+        "ControllingVerdict",
+        "controlling counterexample stabilizer_order label_image",
+        defaults=(None, None, None))):
     """Outcome of the base-controlling check.
 
     A violation is a point set with a nontrivial stabilizer whose labels are
@@ -554,10 +677,7 @@ class ControllingVerdict:
     image {+1} by definition.
     """
 
-    controlling: bool
-    counterexample: tuple | None = None
-    stabilizer_order: int | None = None
-    label_image: tuple | None = None
+    __slots__ = ()
 
 
 def is_base_controlling(action):
@@ -567,36 +687,44 @@ def is_base_controlling(action):
     off the lattice keys' +1 flags, one key per stabilizer up to conjugacy.
     Only a violation runs the depth-first search over increasing point
     chains, in lexicographic order, that names the first one. It skips a
-    stabilizer (a set of rows) whose subtree already held no violation: a
-    violating superset of that stabilizer's points would have a sorted
-    chain either in that subtree or before it, so it is found either way.
+    stabilizer (a set of rows, kept as the bytes of their indices) whose
+    subtree already held no violation: a violating superset of that
+    stabilizer's points would have a sorted chain either in that subtree
+    or before it, so it is found either way.
     """
     if action.labels is None:
         raise InputError("labels required")
     if not action.signed:
         raise InputError(
             "labels are all +1: degenerate, controls only the trivial group")
-    if not any(node[4] for node in action.lattice.values()):
+    if not any(node[3] for node in action.lattice.values()):
         return ControllingVerdict(True)
+    degree = action.degree
+    indices = array("I", range(action.order))
+    width = indices.itemsize
     cleared = set()
 
-    def walk(stab, start, chosen):
-        if not (action.labels[stab] == -1).any():
+    def walk(sub, sub_labels, rows, start, chosen):
+        if 1 not in sub_labels:
             return ControllingVerdict(
                 False, tuple(action.point_names[i] for i in chosen),
-                int(stab.shape[0]), (1,))
-        sub = action.table[stab]
-        for point in range(start, action.degree):
-            child = stab[sub[:, point] == point]
-            key = child.tobytes()
-            if child.shape[0] in (1, stab.shape[0]) or key in cleared:
+                len(sub_labels), (1,))
+        for point in range(start, degree):
+            column = sub[point::degree]
+            if column.count(point) in (1, len(sub_labels)):
                 continue
-            verdict = walk(child, point + 1, chosen + (point,))
+            mask = _equal_mask(column, point)
+            child = _gather(rows, width, mask)
+            if child in cleared:
+                continue
+            verdict = walk(_gather(sub, degree, mask),
+                           _gather(sub_labels, 1, mask), child, point + 1,
+                           chosen + (point,))
             if verdict is not None:
                 return verdict
-            cleared.add(key)
+            cleared.add(child)
 
-    verdict = walk(np.arange(action.order), 0, ())
+    verdict = walk(action.table, action.labels, indices.tobytes(), 0, ())
     if verdict is None:
         raise ConsistencyError("subset search missed the lattice violation")
     return verdict
@@ -618,15 +746,19 @@ def label_homomorphism_spot_check(group, samples=50, seed=0):
     if group.labels is None:
         raise InputError("group carries no labels")
     rng = random.Random(seed)
-    rows = group.table
+    table, degree, labels = group.table, group.degree, group.labels
+
+    def row(k):
+        return table[k * degree:(k + 1) * degree]
+
     for _ in range(samples):
         i = rng.randrange(group.order)
         j = rng.randrange(group.order)
-        product = tuple(rows[j][rows[i]].tolist())  # rows[i], then rows[j]
-        k = bisect_left(rows, product, key=tuple)
-        if k == group.order or tuple(rows[k].tolist()) != product:
+        product = _apply(row(i), row(j))  # row i, then row j
+        k = bisect_left(range(group.order), product, key=row)
+        if k == group.order or row(k) != product:
             raise ConsistencyError("product of two elements is not a row")
-        if group.labels[k] != group.labels[i] * group.labels[j]:
+        if labels[k] != labels[i] ^ labels[j]:
             raise ConsistencyError("labels are not multiplicative")
     return samples
 
@@ -635,8 +767,7 @@ def label_homomorphism_spot_check(group, samples=50, seed=0):
 # group specification mini-format
 
 
-@dataclass(frozen=True)
-class ParsedGroup:
+class ParsedGroup(namedtuple("ParsedGroup", "action tags base_group")):
     """A parsed group spec: the induced action plus what it was built from.
 
     tags holds one parsed tuple per spec part, in order. The first names
@@ -644,9 +775,7 @@ class ParsedGroup:
     suffix follows as ("subsets", k), ("partitions", r, s) or ("wreath", r).
     """
 
-    action: InducedAction
-    tags: tuple
-    base_group: InducedAction
+    __slots__ = ()
 
 
 def _parse_base(token):
@@ -674,8 +803,9 @@ def _parse_base(token):
         _check_table_capacity(1, degree)  # before any row of that length
         gens = _cycle_rows(bodies, cycles, degree)
         unmarked = -1 not in signs  # then every element carries its sign
-        return (closure(gens, _signs(gens).tolist() if unmarked else signs),
-                ("gens",), unmarked)
+        if unmarked:
+            signs = [-1 if bit else 1 for bit in _signs(gens)]
+        return closure(gens, signs), ("gens",), unmarked
     raise InputError(f"unknown group spec: {token!r}")
 
 

@@ -223,6 +223,19 @@ def subsets_inner_product(n, k, l):
     return int(total)
 
 
+def as_arrays(action):
+    """(table, labels) of an oracle action as numpy arrays: one int32 row
+    per element, and its labels as +1 and -1 (None without labels). The
+    oracle keeps a table as one row-major run of points, and a label as
+    one byte per row, 0 for +1 and 1 for -1."""
+    table = np.fromiter(action.table, dtype=np.int32).reshape(
+        action.order, action.degree)
+    if action.labels is None:
+        return table, None
+    return table, 1 - 2 * np.frombuffer(action.labels, dtype=np.uint8).astype(
+        np.int32)
+
+
 def blind_orbit_data(table, l):
     """All orbits on tuples by raw enumeration: list of (orbit size, stab size)."""
     order, degree = table.shape
@@ -344,7 +357,7 @@ def distinguishing_number(group):
     m = group.degree
     if m > MAX_DISTINGUISHING_POINTS:
         raise CapacityError(f"degree {m} exceeds {MAX_DISTINGUISHING_POINTS}")
-    table = group.table
+    table, _ = as_arrays(group)
     if group.order == 1:
         return 1
 

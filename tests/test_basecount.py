@@ -5,7 +5,7 @@ from basechar.basecount import (base_size_partitions_action,
                                 base_size_subsets, large_base_bounds)
 from basechar.characters import char_vector_subsets, orbit_counts
 from basechar.errors import CapacityError, InputError
-from reference_impls import subsets_inner_product
+from reference_impls import as_arrays, subsets_inner_product
 
 
 def oracle_base(action):
@@ -110,6 +110,43 @@ def test_bounds_validation():
         large_base_bounds(5, 1, 0)
 
 
+def no_build(n, k):
+    raise AssertionError("character built")
+
+
+def test_bounds_checks_both_sizes_before_any_search(monkeypatch):
+    # (64, 26) is a valid size that takes seconds to search; (65, 26) is
+    # past the limit, so nothing is built
+    monkeypatch.setattr(basecount, "char_vector_subsets", no_build)
+    with pytest.raises(CapacityError, match="n = 65 exceeds the limit 64"):
+        large_base_bounds(65, 26, 2)
+
+
+def test_cap_below_least_nonzero_l_refused_before_the_build(monkeypatch):
+    # C(6, 2)^2 = 225 < 6! = 720 <= 15^3, so L0 = 3: below it no orbit on
+    # l-tuples is regular. The search, run to the cap, gives the message
+    # the early refusal gives.
+    assert basecount._least_nonzero_l(6, 2) == 3
+    assert basecount._least_nonzero_l(64, 25) == 6
+    with pytest.raises(CapacityError) as early:
+        with monkeypatch.context() as patch:
+            patch.setattr(basecount, "char_vector_subsets", no_build)
+            base_size_subsets(6, 2, max_l=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(basecount, "_least_nonzero_l", lambda n, k: 1)
+        with pytest.raises(CapacityError) as searched:
+            base_size_subsets(6, 2, max_l=2)
+    assert str(early.value) == str(searched.value) == \
+        "no count reaching 1 found up to l=2"
+    # from the cap L0 on the search runs; the base size is 4
+    with pytest.raises(CapacityError, match="found up to l=3"):
+        base_size_subsets(6, 2, max_l=3)
+    assert base_size_subsets(6, 2, max_l=4).base_size == 4
+    monkeypatch.setattr(basecount, "char_vector_subsets", no_build)
+    with pytest.raises(CapacityError, match="reaching 2 found up to l=2"):
+        base_size_subsets(6, 2, threshold=2, max_l=2)
+
+
 def test_partitions_action_six_points():
     report = base_size_partitions_action(6, 3, 2)
     assert report.base_size == 4
@@ -139,9 +176,10 @@ def test_partitions_candidate_never_overshoots_oracle():
         if not controlling:
             chosen = [action.point_names.index(name)
                       for name in verdict.counterexample]
-            stab = (action.table[:, chosen] == chosen).all(axis=1)
+            table, labels = as_arrays(action)
+            stab = (table[:, chosen] == chosen).all(axis=1)
             assert verdict.stabilizer_order == stab.sum() > 1, (r, s)
-            assert (action.labels[stab] == 1).all(), (r, s)
+            assert (labels[stab] == 1).all(), (r, s)
 
 
 def test_partitions_action_known_value_comparison(monkeypatch):

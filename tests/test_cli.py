@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from basechar import basecount, cli, oracle
-from reference_impls import burnside_orbit_count
+from reference_impls import as_arrays, burnside_orbit_count
 
 
 def run_cli(capsys, *argv):
@@ -278,8 +278,7 @@ def test_verify_sn_sign_labels_not_recomputed(capsys, monkeypatch):
     assert code == 0
     assert doc["outputs"] == auto["outputs"]
     parsed = oracle.parse_group_spec("sn:9", labels_mode="sgn")
-    assert parsed.action.labels.tolist() == \
-        oracle.symmetric_group(9).labels.tolist()
+    assert parsed.action.labels == oracle.symmetric_group(9).labels
 
 
 def test_verify_formula_comparison_skipped(capsys):
@@ -440,12 +439,13 @@ def test_verify_deep_l_max_without_base(capsys):
     code, doc, _ = run_cli(capsys, "verify", "--group",
                            "sn:4/partitions:2x2", "--l-max", "64")
     assert code == 0
-    action = oracle.parse_group_spec("sn:4/partitions:2x2").action
-    kernel = action.table[action.labels == 1]
+    table, labels = as_arrays(
+        oracle.parse_group_spec("sn:4/partitions:2x2").action)
+    kernel = table[labels == 1]
     rows = doc["outputs"]["orbit_counts"]
     assert [int(l) for l, _, _ in rows] == list(range(1, 65))
     for l, o, o_k in rows:
-        assert int(o) == burnside_orbit_count(action.table, int(l))
+        assert int(o) == burnside_orbit_count(table, int(l))
         assert int(o_k) == burnside_orbit_count(kernel, int(l))
 
 
@@ -528,6 +528,10 @@ HOSTILE_INPUTS = (
     # after the sum, when the counts are written
     (("orbits", "--n", "3", "--k", "1", "--l", "9014"), 3),
     (("basesize", "--n", "65", "--k", "2"), 3),
+    # refused before the (64, 26) search, which takes seconds
+    (("bounds", "--m", "65", "--k", "26", "--r", "2"), 3),
+    # --max-l below L0 = 6: refused before the (64, 25) build
+    (("basesize", "--n", "64", "--k", "25", "--max-l", "4"), 3),
     (("partitions-action", "--n", "0", "--r", "0", "--s", "0"), 2),
     # a 4,001-digit threshold: the search runs to its cap l = C(40, 2)
     (("wreath", "--n", "40", "--k", "2", "--dist", "1" + "0" * 4000), 3),
@@ -654,27 +658,27 @@ FORMULA_RUNS = (
 
 
 def test_only_verify_loads_the_oracle():
-    # numpy and the oracle stay out of the start-up and the run of every
-    # formula command; verify loads both. dataclasses, and inspect through
-    # it, stay out of every formula command too. A fresh interpreter, since
+    # The oracle stays out of the start-up and the run of every formula
+    # command, and verify loads it. numpy, dataclasses, and inspect through
+    # it, load under no command, verify included. A fresh interpreter, since
     # this test process has imported them already.
     script = f"""
 import contextlib, io, sys
 from basechar import cli
-HEAVY = ("numpy", "basechar.oracle")
-FORMULA_FREE = HEAVY + ("dataclasses", "inspect")
+WATCHED = ("basechar.oracle", "numpy", "dataclasses", "inspect")
 
-def loaded(names=FORMULA_FREE):
-    return [name for name in names if name in sys.modules]
+def loaded():
+    return [name for name in WATCHED if name in sys.modules]
 
 assert loaded() == [], ("import", loaded())
 for argv in {FORMULA_RUNS!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(list(argv)) == 0, argv
     assert loaded() == [], (argv, loaded())
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["verify", "--group", "sn:3"]) == 0
-assert loaded(HEAVY) == list(HEAVY), ("verify", loaded(HEAVY))
+for spec in ("sn:3", "pgl2:5/wreath:2", "gens:!(1,2);(1,2,3)/subsets:2"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--group", spec, "--seed", "1"]) == 0
+    assert loaded() == ["basechar.oracle"], (spec, loaded())
 """
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,

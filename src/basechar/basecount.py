@@ -1,10 +1,14 @@
 """Base sizes and regular-orbit counts from exact character sums.
 
-Every search walks l = 1, 2, ... with incrementally updated value powers and
-stops at the first l whose inner product crosses the wanted threshold. For
-k-subset actions of the symmetric group the sign homomorphism is
-base-controlling, so the minimum is the base size; for uniform-partition
-actions it is only a candidate and the report says so.
+Every search walks l = L, L + 1, ... with incrementally updated value powers
+and stops at the first l whose inner product crosses the wanted threshold.
+For k-subset actions of the symmetric group the sign homomorphism is
+base-controlling, so the minimum is the base size, and the search starts at
+L = L0, below which no orbit on l-tuples is regular; the trace entries
+below L0 are zeros read off that bound, not class sums.  For
+uniform-partition actions a stabilizer inside A_n need not be trivial, so
+the bound does not hold, the search starts at L = 1, and the minimum is
+only a candidate, as the report says.
 """
 
 from collections import namedtuple
@@ -29,10 +33,11 @@ class BaseSizeReport(namedtuple("BaseSizeReport", "base_size "
                                 "character", defaults=(None, None, None))):
     """Minimum-l search outcome with its full witness trace.
 
-    witness_l_values holds (l, <sgn, chi^l>) for l = 1..base_size;
-    counts are below the search threshold strictly before base_size and
-    reach it there (the threshold is 1 for a base size, the distinguishing
-    number of the top group for a wreath product). base_size None means
+    witness_l_values holds (l, <sgn, chi^l>) for l = 1..base_size, the
+    zeros below L0 of a k-subset action read off the bound; counts are
+    below the search threshold strictly before base_size and reach it
+    there (the threshold is 1 for a base size, the distinguishing number
+    of the top group for a wreath product). base_size None means
     the action has no base (nontrivial kernel).  character is the
     CharVector of a partition action, None otherwise.
     """
@@ -62,9 +67,10 @@ def _not_reached(threshold, cap):
     return CapacityError(f"no count reaching {shown} found up to l={cap}")
 
 
-def _min_l_search(chi, threshold, cap):
-    trace = []
-    for l, o, o_k in iter_inner_products(chi):
+def _min_l_search(chi, threshold, cap, start=1):
+    # every count below start is known to be 0, so it is not summed
+    trace = [(l, 0) for l in range(1, start)]
+    for l, o, o_k in iter_inner_products(chi, start):
         trace.append((l, o_k - o))
         if o_k - o >= threshold:
             return l, tuple(trace)
@@ -72,13 +78,17 @@ def _min_l_search(chi, threshold, cap):
             raise _not_reached(threshold, cap)
 
 
-def _least_nonzero_l(n, k):
-    """L0, the least l with C(n, k)^l >= n!. Every regular orbit of S_n on
-    l-tuples of k-subsets holds n! tuples, so below L0 there is none and
-    <sgn, chi^l> is 0."""
-    order, domain = math.factorial(n), math.comb(n, k)
+def _least_nonzero_l(n, k, threshold=1, cap=None):
+    """The least l with C(n, k)^l >= threshold * n!, or cap + 1 if that l
+    is past cap; at threshold 1 this is L0.
+
+    Every regular orbit of S_n on l-tuples of k-subsets holds n! tuples,
+    so a count <sgn, chi^l> of at least threshold needs threshold * n!
+    tuples, and below L0 the count is 0.  The power grows one factor per
+    step, so a huge cap is never an exponent."""
+    need, domain = threshold * math.factorial(n), math.comb(n, k)
     l, tuples = 0, 1
-    while tuples < order:
+    while tuples < need and (cap is None or l <= cap):
         l, tuples = l + 1, tuples * domain
     return l
 
@@ -87,18 +97,19 @@ def base_size_subsets(n, k, threshold=1, max_l=None):
     """Least l <= max_l (default C(n, k)) with <sgn, chi^l> >= threshold for
     S_n on k-subsets: its base size at threshold 1, and at threshold D the
     base size of its wreath product, in product action, with a top group of
-    distinguishing number D. A cap below L0 is refused before the build,
-    with the message the search would give at its cap."""
+    distinguishing number D. A cap below the least l with C(n, k)^l >=
+    D * n! is refused before the build, with the message the search would
+    give at its cap; the search starts at L0."""
     _validate_subsets(n, k)
     if threshold < 1:
         raise InputError("distinguishing number must be positive")
     validate_l_limit(max_l)
     check_n_limit(n)
     cap = math.comb(n, k) if max_l is None else max_l
-    if cap < _least_nonzero_l(n, k):
+    if _least_nonzero_l(n, k, threshold, cap) > cap:
         raise _not_reached(threshold, cap)
     chi = char_vector_subsets(n, k)
-    base, trace = _min_l_search(chi, threshold, cap)
+    base, trace = _min_l_search(chi, threshold, cap, _least_nonzero_l(n, k))
     return BaseSizeReport(base, trace)
 
 

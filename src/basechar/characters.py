@@ -65,20 +65,23 @@ def _long_cycle_counts(n, k):
     all longer than k.
 
     The unsigned count D(m) and the signed count S(m), in which a j-cycle
-    counts (-1)^(j-1), come from the cycle through the last point: it has
-    length j > k and (m-1)!/(m-j)! ways to fill it, a running product over
-    j, so D(m) = sum over j > k of (m-1)!/(m-j)! D(m-j), and S(m) alike
-    with each term signed (Flajolet and Sedgewick, Analytic Combinatorics,
-    II.4).  Returns the lists D, (D + S)/2 and (D - S)/2.
+    counts (-1)^(j-1), have the exponential generating functions
+    f = exp(sum over j > k of x^j / j) and g alike with each term signed
+    (Flajolet and Sedgewick, Analytic Combinatorics, II.4).  Then
+    (1 - x) f' = x^k f and (1 + x) g' = (-1)^k x^k g, whose coefficients
+    are the linear recurrences
+    D(m+1) = m D(m) + m!/(m-k)! D(m-k) and
+    S(m+1) = -m S(m) + (-1)^k m!/(m-k)! S(m-k),
+    from D(0) = S(0) = 1 and D(m) = S(m) = 0 for 0 < m <= k.
+    Returns the lists D, (D + S)/2 and (D - S)/2.
     """
     unsigned = [1] + [0] * n
     signed = [1] + [0] * n
-    for m in range(k + 1, n + 1):
-        ways = perm(m - 1, k)
-        for j in range(k + 1, m + 1):
-            unsigned[m] += ways * unsigned[m - j]
-            signed[m] += (ways if j % 2 else -ways) * signed[m - j]
-            ways *= m - j
+    for m in range(k, n):
+        ways = perm(m, k)
+        unsigned[m + 1] = m * unsigned[m] + ways * unsigned[m - k]
+        signed[m + 1] = (-m * signed[m]
+                         + (-ways if k % 2 else ways) * signed[m - k])
     return (unsigned, [(d + s) // 2 for d, s in zip(unsigned, signed)],
             [(d - s) // 2 for d, s in zip(unsigned, signed)])
 
@@ -221,9 +224,10 @@ def iter_inner_products(chi, l=1):
     T sums all * chi^l and E sums even * chi^l, o = T/n! and o_K = 2E/n!.
     o_K - o = <sgn, chi^l> counts the orbits that split over A_n, the
     regular ones among them, so it is the regular-orbit count when the
-    sign is controlling; min-l searches start at l = 1.  A_n has index 2
-    only for n >= 2, so a smaller n is refused.  Powers are updated
-    incrementally, one multiply per value per step.
+    sign is controlling; a min-l search starts where a count can first be
+    nonzero, see basecount.  A_n has index 2 only for n >= 2, so a smaller
+    n is refused.  Powers are updated incrementally, one multiply per value
+    per step.
     """
     if l < 0:
         raise InputError(f"l must be nonnegative, got {l}")

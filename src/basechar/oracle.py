@@ -825,13 +825,18 @@ def parse_group_spec(spec, labels_mode="auto"):
     partitions only directly on the base group). ``labels_mode`` is ``auto``
     (sign for sn, none for an, determinant class for pgl2, explicit ``!``
     marks for gens, else the sign) or ``sgn`` (permutation sign of the base
-    elements in every case; those of sn and unmarked gens already are).
+    elements in every case; those of sn and unmarked gens already are, and
+    those of an are all +1).
     """
     if labels_mode not in ("auto", "sgn"):
         raise InputError(f"unknown labels mode: {labels_mode!r}")
     parts = spec.strip().split("/")
     group, base_tag, signed = _parse_base(parts[0].strip())
-    if labels_mode == "sgn" and not signed:
+    if labels_mode == "sgn" and base_tag[0] == "an":
+        # the even rows of S_n: every sign is +1, no cycle is counted
+        group = InducedAction(group.table, bytes(group.order),
+                              group.point_names)
+    elif labels_mode == "sgn" and not signed:
         group = with_sign_labels(group)
     action = None
     tags = [base_tag]

@@ -4,7 +4,8 @@ Nothing here imports the package's combinatorics: partition counting uses the
 pentagonal-number recurrence, class data comes from sympy, fixed-point counts
 are plain itertools enumeration (for uniform partitions also a search that
 lists only the fixed ones) or, for k-subsets, one product of
-(1 + x^length) per class, the value distribution of a character merges
+(1 + x^length) per class, permutations with all cycles long are counted
+by the cycle through the last point, the value distribution of a character merges
 these per-class values, orbit counts on tuples come from Burnside's
 lemma, representatives lay cycles out shortest first (the package uses
 longest first, so agreement also exercises class invariance), induced
@@ -173,6 +174,27 @@ def count_invariant_partitions(perm, s):
         return total
 
     return search(list(range(len(perm))))
+
+
+def long_cycle_counts(n, k):
+    """Even and odd permutations of m points, m = 0..n, whose cycles are
+    all longer than k, as characters._long_cycle_counts returns them.
+
+    The cycle through the last point has length j > k and (m-1)!/(m-j)!
+    ways to fill it, a running product over j, so D(m) = sum over j > k
+    of (m-1)!/(m-j)! D(m-j), and S(m) alike with a j-cycle signed
+    (-1)^(j-1). Returns the lists D, (D + S)/2 and (D - S)/2.
+    """
+    unsigned = [1] + [0] * n
+    signed = [1] + [0] * n
+    for m in range(k + 1, n + 1):
+        ways = factorial(m - 1) // factorial(m - 1 - k)
+        for j in range(k + 1, m + 1):
+            unsigned[m] += ways * unsigned[m - j]
+            signed[m] += (ways if j % 2 else -ways) * signed[m - j]
+            ways *= m - j
+    return (unsigned, [(d + s) // 2 for d, s in zip(unsigned, signed)],
+            [(d - s) // 2 for d, s in zip(unsigned, signed)])
 
 
 def subsets_class_values(n, k):

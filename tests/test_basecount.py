@@ -3,7 +3,8 @@ import pytest
 from basechar import basecount, oracle
 from basechar.basecount import (base_size_partitions_action,
                                 base_size_subsets, large_base_bounds)
-from basechar.characters import char_vector_subsets, orbit_counts
+from basechar.characters import (char_vector_subsets, iter_inner_products,
+                                 orbit_counts)
 from basechar.errors import CapacityError, InputError
 from reference_impls import as_arrays, subsets_inner_product
 
@@ -45,6 +46,30 @@ def test_trace_shape():
         assert [l for l, _ in trace] == list(range(1, report.base_size + 1))
         assert all(value == 0 for _, value in trace[:-1])
         assert trace[-1][1] > 0
+
+
+def test_search_from_l0_writes_the_trace_of_a_search_from_one(monkeypatch):
+    # Every size with n <= 30: a plain loop from l = 1 finds <sgn, chi^l> = 0
+    # at every l < L0, so the search that starts at L0 and writes those
+    # zeros from the bound gives the same trace, entry for entry. Each
+    # vector is built once and read by both.
+    built = {}
+    monkeypatch.setattr(basecount, "char_vector_subsets",
+                        lambda n, k: built[n, k])
+    sizes = [(n, k) for n in range(2, 31) for k in range(1, n)
+             if k == 1 or n > 2 * k]
+    assert len(sizes) == 211
+    for n, k in sizes:
+        start = basecount._least_nonzero_l(n, k)
+        built[n, k] = chi = char_vector_subsets(n, k)
+        trace = []
+        for l, o, o_k in iter_inner_products(chi):
+            trace.append((l, o_k - o))
+            if o_k > o:
+                break
+        assert all(count == 0 for l, count in trace if l < start), (n, k)
+        assert base_size_subsets(n, k).witness_l_values == tuple(trace), \
+            (n, k)
 
 
 def test_subsets_validation():
@@ -133,7 +158,8 @@ def test_cap_below_least_nonzero_l_refused_before_the_build(monkeypatch):
             patch.setattr(basecount, "char_vector_subsets", no_build)
             base_size_subsets(6, 2, max_l=2)
     with monkeypatch.context() as patch:
-        patch.setattr(basecount, "_least_nonzero_l", lambda n, k: 1)
+        patch.setattr(basecount, "_least_nonzero_l",
+                      lambda n, k, threshold=1, cap=None: 1)
         with pytest.raises(CapacityError) as searched:
             base_size_subsets(6, 2, max_l=2)
     assert str(early.value) == str(searched.value) == \

@@ -10,8 +10,8 @@ from basechar.characters import (char_vector_subsets,
 from basechar.errors import CapacityError, ConsistencyError, InputError
 from basechar.partitions import class_size, enumerate_cycle_types, sign_of
 from reference_impls import (chi_subsets, count_fixed_subsets,
-                             count_fixed_uniform, merge_by_value,
-                             perm_shortest_first, subsets_class_values,
+                             count_fixed_uniform, long_cycle_counts,
+                             merge_by_value, perm_shortest_first, subsets_class_values,
                              subsets_inner_product, uniform_class_values,
                              uniform_partitions_frozen)
 
@@ -353,6 +353,15 @@ def test_long_cycle_counts_match_class_sizes():
         for n in range(k, 17):
             assert characters._long_cycle_counts(n, k) == \
                 tuple(column[:n + 1] for column in expected), (n, k)
+
+
+def test_long_cycle_recurrence_matches_the_double_loop():
+    # the linear recurrence from (1 - x) f' = x^k f against the sum over
+    # the length of the cycle through the last point, up to the n limit
+    for n in range(partitions.DEFAULT_N_LIMIT + 1):
+        for k in range(n + 1):
+            assert characters._long_cycle_counts(n, k) == \
+                long_cycle_counts(n, k), (n, k)
 
 
 def test_subset_vector_n_limit():

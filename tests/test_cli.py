@@ -533,7 +533,8 @@ HOSTILE_INPUTS = (
     # --max-l below L0 = 6: refused before the (64, 25) build
     (("basesize", "--n", "64", "--k", "25", "--max-l", "4"), 3),
     (("partitions-action", "--n", "0", "--r", "0", "--s", "0"), 2),
-    # a 4,001-digit threshold: the search runs to its cap l = C(40, 2)
+    # a 4,001-digit threshold needs C(40, 2)^l >= 10^4000 * 40!, so
+    # l >= 1,400, past the cap C(40, 2) = 780: refused before the build
     (("wreath", "--n", "40", "--k", "2", "--dist", "1" + "0" * 4000), 3),
 )
 
@@ -559,6 +560,24 @@ def test_hostile_inputs(capsys, argv, expected):
         assert captured.err.startswith(("error:", "capacity error:"))
     assert "Traceback" not in captured.err
     assert len(captured.err) < 300  # no echo of a huge number in full
+
+
+def test_hopeless_threshold_refused_before_the_build(capsys, monkeypatch):
+    # Each regular orbit holds 40! tuples, so 10^4000 of them need l >= 1,400
+    # > 780 = C(40, 2); the refusal gives the message of the search at its
+    # cap without building the character.
+    def no_build(n, k):
+        raise AssertionError("character built")
+
+    monkeypatch.setattr(basecount, "char_vector_subsets", no_build)
+    code, doc, err = run_cli(capsys, "wreath", "--n", "40", "--k", "2",
+                             "--dist", "1" + "0" * 4000)
+    assert code == 3 and doc is None
+    assert err == ("capacity error: no count reaching a 13288-bit threshold "
+                   "found up to l=780\n")
+    assert basecount._least_nonzero_l(40, 2, 10 ** 4000) == 1400
+    # the bound stops one step past the cap, however far the power is off
+    assert basecount._least_nonzero_l(40, 2, 10 ** 4000, cap=5) == 6
 
 
 def test_unprintable_counts_refused_before_the_sum(monkeypatch, capsys):

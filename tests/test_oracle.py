@@ -1,10 +1,13 @@
+import json
 from array import array
 from itertools import permutations, product
+from math import factorial
 
 import numpy as np
 import pytest
 
-from basechar import oracle
+from basechar import cli, oracle
+from basechar.basecount import large_base_bounds
 from basechar.errors import CapacityError, ConsistencyError, InputError
 from basechar.oracle import (MAX_TUPLE_LENGTH, InducedAction, act_on_subsets,
                              act_on_uniform_partitions, alternating_group,
@@ -373,6 +376,35 @@ def test_wreath_rows_match_definition():
     assert next(rows, None) is None
 
 
+def alternating_power(m, r):
+    """A_m^r in product action on the r-tuples of [m], closed from the
+    3-cycles (1 2 i) acting on one coordinate each."""
+    points = list(product(range(m), repeat=r))
+    index = {point: i for i, point in enumerate(points)}
+    gens = []
+    for c in range(r):
+        for i in range(2, m):
+            cycle = {0: 1, 1: i, i: 0}
+            gens.append(tuple(
+                index[x[:c] + (cycle.get(x[c], x[c]),) + x[c + 1:]]
+                for x in points))
+    return closure(gens)
+
+
+def test_bounds_hold_at_both_ends_of_the_sandwich():
+    # bounds(m, 1, r) claims lower <= b(G) <= upper for every G between
+    # A_m^r and S_m wr S_r in product action; the oracle builds both ends
+    for (m, r), ends in {(4, 2): (2, 4), (4, 3): (2, 4),
+                         (5, 2): (3, 5)}.items():
+        lower, upper = large_base_bounds(m, 1, r)
+        power = alternating_power(m, r)
+        assert power.order == (factorial(m) // 2) ** r
+        wreath = product_action_wreath(symmetric_group(m), r)
+        smallest, largest = base_size(power), base_size(wreath)
+        assert lower <= smallest and largest <= upper, (m, r)
+        assert (smallest, largest) == (lower, upper) == ends, (m, r)
+
+
 def test_capacity_errors_on_induced_actions():
     with pytest.raises(CapacityError):
         product_action_wreath(symmetric_group(5), 3)  # order 120^3 * 6
@@ -717,6 +749,32 @@ def test_sgn_mode_relabels_marked_gens(signs_calls):
     group = parse_group_spec(spec, labels_mode="sgn").base_group
     assert signs_calls == [4]
     assert signs(group) == [perm_sign(e) for e in elements(group)]
+
+
+def test_sgn_mode_labels_an_even_without_counting_cycles(signs_calls,
+                                                        capsys):
+    # the rows of an:n are the even rows of S_n, so --labels sgn writes
+    # +1 for each and never counts a cycle
+    for n, order in ((1, 1), (2, 1), (5, 60), (9, 181440)):
+        group = parse_group_spec(f"an:{n}", labels_mode="sgn").base_group
+        assert signs_calls == []
+        assert group.order == order
+        assert group.labels == oracle._signs(list(oracle._rows(group.table,
+                                                               n)))
+        signs_calls.clear()
+    # verify reports what the same group and labels give when they come
+    # from a closure of 3-cycles labelled by sign
+    for n in (5, 6):
+        docs = []
+        for spec in (f"an:{n}",
+                     "gens:" + ";".join(f"(1,2,{i})" for i in range(3, n + 1))):
+            assert cli.main(["verify", "--group", spec,
+                             "--labels", "sgn"]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        an, generated = docs
+        assert an["outputs"] == generated["outputs"]
+        assert an["warnings"] == generated["warnings"] == [
+            "labels are all +1, base-controlling check skipped"]
 
 
 def test_parse_group_spec_errors():

@@ -78,14 +78,16 @@ def _min_l_search(chi, threshold, cap, start=1):
             raise _not_reached(threshold, cap)
 
 
-def _least_nonzero_l(n, k, threshold=1, cap=None):
-    """The least l with C(n, k)^l >= threshold * n!, or cap + 1 if that l
-    is past cap; at threshold 1 this is L0.
+def least_l_holding(n, k, threshold=1, cap=None):
+    """The least l whose C(n, k)^l tuples can hold threshold orbits of n!
+    tuples each, C(n, k)^l >= threshold * n!, or cap + 1 if that l is past
+    cap; at threshold 1 this is L0.
 
-    Every regular orbit of S_n on l-tuples of k-subsets holds n! tuples,
-    so a count <sgn, chi^l> of at least threshold needs threshold * n!
-    tuples, and below L0 the count is 0.  The power grows one factor per
-    step, so a huge cap is never an exponent."""
+    Every orbit of S_n on l-tuples of k-subsets holds at most n! tuples,
+    so o >= C(n, k)^l / n!; a regular one holds exactly n!, so a count
+    <sgn, chi^l> of at least threshold needs this l, and below L0 it is 0.
+    The power grows one factor per step, so a huge cap is never an
+    exponent; without a cap, C(n, k) must exceed 1."""
     need, domain = threshold * math.factorial(n), math.comb(n, k)
     l, tuples = 0, 1
     while tuples < need and (cap is None or l <= cap):
@@ -106,10 +108,10 @@ def base_size_subsets(n, k, threshold=1, max_l=None):
     validate_l_limit(max_l)
     check_n_limit(n)
     cap = math.comb(n, k) if max_l is None else max_l
-    if _least_nonzero_l(n, k, threshold, cap) > cap:
+    if least_l_holding(n, k, threshold, cap) > cap:
         raise _not_reached(threshold, cap)
     chi = char_vector_subsets(n, k)
-    base, trace = _min_l_search(chi, threshold, cap, _least_nonzero_l(n, k))
+    base, trace = _min_l_search(chi, threshold, cap, least_l_holding(n, k))
     return BaseSizeReport(base, trace)
 
 

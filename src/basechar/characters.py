@@ -29,8 +29,10 @@ from math import comb, factorial, perm
 from operator import mul
 
 from .errors import CapacityError, ConsistencyError, InputError
-from .partitions import (DEFAULT_N_LIMIT, class_size, enumerate_cycle_types,
-                         sign_of)
+from .partitions import class_size, enumerate_cycle_types, sign_of
+
+# Largest n for the k-subset action, checked by check_n_limit.
+DEFAULT_N_LIMIT = 64
 
 # Largest n for the uniform-partition action.  The closed form costs about
 # as much as p(n) classes, so this is a bound on time only.

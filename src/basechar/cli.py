@@ -11,13 +11,12 @@ failure.
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 
 from . import basecount
-from .characters import char_vector_subsets, orbit_counts
+from .characters import char_vector_subsets, check_n_limit, orbit_counts
 from .errors import CapacityError, ConsistencyError, InputError
 
 
@@ -47,24 +46,18 @@ def cmd_basesize(args):
     return outputs, []
 
 
-def _check_printable(chi, l):
-    """Refuse before any class sum an l whose o cannot be printed: an orbit
-    holds at most n! tuples, so o >= |Omega|^l / n!, and this bound may
-    already have more digits than Python prints.  l stays an int here, so
-    no l is too large to compare; one digit of slack covers rounding."""
-    limit = sys.get_int_max_str_digits()
-    log_order = math.lgamma(chi.n + 1) / math.log(10)
-    if limit and chi.domain_size > 1 and (
-            l > (limit + 1 + log_order) / math.log10(chi.domain_size)):
-        raise CapacityError(
-            f"o has more decimal digits at l = {l} than Python prints "
-            f"({limit})")
-
-
 def cmd_orbits(args):
-    chi = char_vector_subsets(args.n, args.k)
-    _check_printable(chi, args.l)
-    o, o_k = orbit_counts(chi, args.l)
+    n, k, l = args.n, args.k, args.l
+    # o >= C(n, k)^l / n!, so an l whose o has more digits than Python
+    # prints is refused before the build, from the exact bound; an (n, k)
+    # the build refuses keeps its message, and k = n has one point
+    limit = sys.get_int_max_str_digits()
+    if limit and 1 <= k < n:
+        check_n_limit(n)
+        if basecount.least_l_holding(n, k, 10 ** (limit + 1), l) <= l:
+            raise CapacityError(f"o has more decimal digits at l = {l} "
+                                f"than Python prints ({limit})")
+    o, o_k = orbit_counts(char_vector_subsets(n, k), l)
     return {"regular": o_k - o, "o": o, "o_K": o_k}, []
 
 

@@ -11,14 +11,12 @@ mathematical depends on the order, but output alignment and work
 splitting do, so it is fixed here once.
 
 All counts are plain Python integers; class sizes exceed 64 bits well
-before the limit of n = 64.
+below the limits on n, which the actions set in characters.
 """
 
 from math import factorial
 
-from .errors import CapacityError, ConsistencyError, InputError
-
-DEFAULT_N_LIMIT = 64
+from .errors import ConsistencyError, InputError
 
 
 def _parts_desc(n, max_part):
@@ -40,8 +38,6 @@ def enumerate_cycle_types(n):
     """
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
-    if n > DEFAULT_N_LIMIT:
-        raise CapacityError(f"n = {n} exceeds the limit {DEFAULT_N_LIMIT}")
     yield from _parts_desc(n, n)
 
 

@@ -12,15 +12,18 @@ longest first, so agreement also exercises class invariance), induced
 tables (subsets, uniform partitions and the wreath product action) are
 built one element and one point at a time, the base-controlling verdict
 tries every set of points, the first counterexample comes from a
-depth-first search with nothing memoised, and
+depth-first search with nothing memoised,
 the distinguishing number of a group (the threshold of a wreath product
-over it) comes from a search over the set partitions of its domain.
+over it) comes from a search over the set partitions of its domain, the
+regular orbits on tuples of k-subsets are counted as sets of distinct
+membership vectors, with no character at all, and the least l whose
+orbit count has more digits than Python prints comes from logarithms.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, lgamma, log, log10
 
 import numpy as np
 
@@ -243,6 +246,39 @@ def subsets_inner_product(n, k, l):
         total += Fraction(sign * size * chi ** l, factorial(n))
     assert total.denominator == 1
     return int(total)
+
+
+def least_unprintable_l(n, k, limit):
+    """Least l at which the bound o >= C(n, k)^l / n! has more than
+    limit + 1 digits, in floating point: the least integer l above
+    (limit + 1 + log10 n!) / log10 C(n, k). C(n, k) must exceed 1."""
+    return int((limit + 1 + lgamma(n + 1) / log(10))
+               / log10(comb(n, k))) + 1
+
+
+def distinct_vector_sets(n, k, l):
+    """Regular orbits of S_n on l-tuples of k-subsets of [n], counted
+    without a character.
+
+    Point p of a tuple (A_1..A_l) has the membership vector in {0,1}^l
+    whose i-th entry says whether p lies in A_i, so a tuple is a map from
+    the points to vectors whose coordinate sums are all k, and an orbit is
+    the multiset of its vectors. The stabilizer is trivial exactly when the
+    n vectors are distinct, so a regular orbit is a set of n distinct
+    vectors with every coordinate sum k. A dict over the states
+    (coordinate sums, points used) takes each of the 2^l vectors in turn
+    or leaves it out.
+    """
+    states = {((0,) * l, 0): 1}
+    for vector in product((0, 1), repeat=l):
+        grown = dict(states)
+        for (sums, used), count in states.items():
+            taken = tuple(map(sum, zip(sums, vector)))
+            if used < n and max(taken, default=0) <= k:
+                key = (taken, used + 1)
+                grown[key] = grown.get(key, 0) + count
+        states = grown
+    return states.get(((k,) * l, n), 0)
 
 
 def as_arrays(action):

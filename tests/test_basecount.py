@@ -60,7 +60,7 @@ def test_search_from_l0_writes_the_trace_of_a_search_from_one(monkeypatch):
              if k == 1 or n > 2 * k]
     assert len(sizes) == 211
     for n, k in sizes:
-        start = basecount._least_nonzero_l(n, k)
+        start = basecount.least_l_holding(n, k)
         built[n, k] = chi = char_vector_subsets(n, k)
         trace = []
         for l, o, o_k in iter_inner_products(chi):
@@ -151,14 +151,14 @@ def test_cap_below_least_nonzero_l_refused_before_the_build(monkeypatch):
     # C(6, 2)^2 = 225 < 6! = 720 <= 15^3, so L0 = 3: below it no orbit on
     # l-tuples is regular. The search, run to the cap, gives the message
     # the early refusal gives.
-    assert basecount._least_nonzero_l(6, 2) == 3
-    assert basecount._least_nonzero_l(64, 25) == 6
+    assert basecount.least_l_holding(6, 2) == 3
+    assert basecount.least_l_holding(64, 25) == 6
     with pytest.raises(CapacityError) as early:
         with monkeypatch.context() as patch:
             patch.setattr(basecount, "char_vector_subsets", no_build)
             base_size_subsets(6, 2, max_l=2)
     with monkeypatch.context() as patch:
-        patch.setattr(basecount, "_least_nonzero_l",
+        patch.setattr(basecount, "least_l_holding",
                       lambda n, k, threshold=1, cap=None: 1)
         with pytest.raises(CapacityError) as searched:
             base_size_subsets(6, 2, max_l=2)

@@ -10,7 +10,8 @@ from basechar.characters import (char_vector_subsets,
 from basechar.errors import CapacityError, ConsistencyError, InputError
 from basechar.partitions import class_size, enumerate_cycle_types, sign_of
 from reference_impls import (chi_subsets, count_fixed_subsets,
-                             count_fixed_uniform, long_cycle_counts,
+                             count_fixed_uniform, distinct_vector_sets,
+                             long_cycle_counts,
                              merge_by_value, perm_shortest_first, subsets_class_values,
                              subsets_inner_product, uniform_class_values,
                              uniform_partitions_frozen)
@@ -355,10 +356,26 @@ def test_long_cycle_counts_match_class_sizes():
                 tuple(column[:n + 1] for column in expected), (n, k)
 
 
+
+# <sgn, chi^l> counted as sets of n distinct membership vectors in {0,1}^l
+# with every coordinate sum k, past the oracle's S_9. (11, 2, 7) and
+# (12, 3, 6) are left out: they take seconds.
+DISTINCT_VECTOR_SETS = {(6, 2, 3): 0, (6, 2, 4): 28, (6, 2, 5): 728,
+                        (9, 3, 4): 3, (9, 3, 5): 2910, (10, 2, 5): 0,
+                        (10, 2, 6): 15, (12, 3, 5): 0}
+
+
+def test_regular_orbits_are_sets_of_distinct_vectors():
+    for (n, k, l), count in DISTINCT_VECTOR_SETS.items():
+        assert distinct_vector_sets(n, k, l) == count, (n, k, l)
+        assert split_count(char_vector_subsets(n, k), l) == count, (n, k, l)
+    # so b(S_10 on 2-subsets) = 6 = ceil(2 * 9 / 3), as Halasi gives it
+    assert basecount.base_size_subsets(10, 2).base_size == 6
+
 def test_long_cycle_recurrence_matches_the_double_loop():
     # the linear recurrence from (1 - x) f' = x^k f against the sum over
     # the length of the cycle through the last point, up to the n limit
-    for n in range(partitions.DEFAULT_N_LIMIT + 1):
+    for n in range(characters.DEFAULT_N_LIMIT + 1):
         for k in range(n + 1):
             assert characters._long_cycle_counts(n, k) == \
                 long_cycle_counts(n, k), (n, k)

@@ -2,13 +2,15 @@ import ast
 import json
 import os
 from pathlib import Path
+import random
 import subprocess
 import sys
 
 import pytest
 
 from basechar import basecount, cli, oracle
-from reference_impls import as_arrays, burnside_orbit_count
+from reference_impls import (as_arrays, burnside_orbit_count,
+                             least_unprintable_l)
 
 
 def run_cli(capsys, *argv):
@@ -524,6 +526,8 @@ HOSTILE_INPUTS = (
     (("orbits", "--n", "70", "--k", "1", "--l", "1"), 3),
     (("orbits", "--n", "40", "--k", "2", "--l", "1600"), 3),
     (("orbits", "--n", "64", "--k", "2", "--l", "1500"), 3),
+    # refused before the (64, 25) build, which takes seconds
+    (("orbits", "--n", "64", "--k", "25", "--l", "100000"), 3),
     # o_K has 4,301 digits where the lower bound on o gives 4,300: refused
     # after the sum, when the counts are written
     (("orbits", "--n", "3", "--k", "1", "--l", "9014"), 3),
@@ -575,9 +579,9 @@ def test_hopeless_threshold_refused_before_the_build(capsys, monkeypatch):
     assert code == 3 and doc is None
     assert err == ("capacity error: no count reaching a 13288-bit threshold "
                    "found up to l=780\n")
-    assert basecount._least_nonzero_l(40, 2, 10 ** 4000) == 1400
+    assert basecount.least_l_holding(40, 2, 10 ** 4000) == 1400
     # the bound stops one step past the cap, however far the power is off
-    assert basecount._least_nonzero_l(40, 2, 10 ** 4000, cap=5) == 6
+    assert basecount.least_l_holding(40, 2, 10 ** 4000, cap=5) == 6
 
 
 def test_unprintable_counts_refused_before_the_sum(monkeypatch, capsys):
@@ -597,6 +601,191 @@ def test_unprintable_counts_refused_before_the_sum(monkeypatch, capsys):
     code, doc, _ = run_cli(capsys, "orbits", "--n", "40", "--k", "2",
                            "--l", "1500")
     assert code == 0 and len(doc["outputs"]["o_K"]) == 4291
+
+
+
+UNPRINTABLE = ("capacity error: o has more decimal digits at l = {} than "
+               "Python prints (4300)\n")
+
+
+@pytest.mark.parametrize("n, k, l", ((64, 25, "100000"), (60, 20, "100000"),
+                                     (64, 25, "1" + "0" * 400)),
+                         ids=("64-25", "60-20", "400-zeros"))
+def test_unprintable_l_refused_before_the_build(capsys, monkeypatch, n, k, l):
+    # The builds take seconds; the exact bound C(n, k)^l >= 10^4301 n!
+    # refuses first, with the message the refusal after the build gave.
+    def no_build(n, k):
+        raise AssertionError("character built")
+
+    monkeypatch.setattr(cli, "char_vector_subsets", no_build)
+    code, doc, err = run_cli(capsys, "orbits", "--n", str(n), "--k", str(k),
+                             "--l", l)
+    assert code == 3 and doc is None
+    assert err == UNPRINTABLE.format(l)
+
+
+
+def test_printable_bound_skips_what_the_build_decides(capsys, monkeypatch):
+    # An (n, k) the build refuses keeps the build's message, and k = n has
+    # one point, so its counts are all 1 at any l: no bound is computed.
+    def no_bound(*args):
+        raise AssertionError("bound computed")
+
+    monkeypatch.setattr(basecount, "least_l_holding", no_bound)
+    huge = "1" + "0" * 400
+    for n, k, code, err in (
+            ("70", "1", 3, "capacity error: n = 70 exceeds the limit 64\n"),
+            ("5", "6", 2, "error: k must be in 1..5, got 6\n"),
+            ("5", "0", 2, "error: k must be in 1..5, got 0\n"),
+            ("1", "1", 2, "error: orbit counts over A_n need n >= 2, "
+                          "got n = 1\n")):
+        assert run_cli(capsys, "orbits", "--n", n, "--k", k, "--l", huge) \
+            == (code, None, err)
+    code, doc, _ = run_cli(capsys, "orbits", "--n", "5", "--k", "5",
+                           "--l", huge)
+    assert code == 0
+    assert doc["outputs"] == {"regular": "0", "o": "1", "o_K": "1"}
+
+def test_printable_bound_matches_the_float_formula(capsys, monkeypatch):
+    # For every 1 <= k < n <= 64 the exact bound first refuses at the l
+    # where the logarithms first did; at the boundary the command refuses
+    # there and builds one step below it.
+    limit = sys.get_int_max_str_digits()
+    for n in range(2, 65):
+        for k in range(1, n):
+            assert basecount.least_l_holding(n, k, 10 ** (limit + 1)) == \
+                least_unprintable_l(n, k, limit), (n, k)
+
+    class Built(Exception):
+        pass
+
+    def built(n, k):
+        raise Built
+
+    monkeypatch.setattr(cli, "char_vector_subsets", built)
+    for n, k in ((2, 1), (3, 1), (40, 2), (64, 32), (64, 63)):
+        l = least_unprintable_l(n, k, limit)
+        code, _, err = run_cli(capsys, "orbits", "--n", str(n), "--k", str(k),
+                               "--l", str(l))
+        assert code == 3 and err == UNPRINTABLE.format(l)
+        with pytest.raises(Built):
+            cli.main(["orbits", "--n", str(n), "--k", str(k),
+                      "--l", str(l - 1)])
+
+
+
+def _value(rng):
+    # a flag value: small (half the draws), at the n limit, or huge
+    kind = rng.randrange(4)
+    if kind < 2:
+        return str(rng.randint(-2, 12))
+    if kind == 2:
+        return str(rng.choice((63, 64, 65)))
+    return str(rng.choice((10 ** 6, 2 ** 64, 10 ** 400)))
+
+
+def _group_spec(rng):
+    base = rng.choice(("sn", "an", "pgl2", "gens"))
+    if base == "gens":
+        spec = "gens:" + ";".join(
+            rng.choice(("", "!")) + "".join(
+                "(" + ",".join(_value(rng) for _ in range(rng.randint(1, 4)))
+                + ")" for _ in range(rng.randint(1, 2)))
+            for _ in range(rng.randint(1, 3)))
+    else:
+        spec = f"{base}:{_value(rng)}"
+    for _ in range(rng.randint(0, 2)):
+        suffix = rng.choice(("subsets", "partitions", "wreath"))
+        if suffix == "partitions":
+            spec += f"/partitions:{_value(rng)}x{_value(rng)}"
+        else:
+            spec += f"/{suffix}:{_value(rng)}"
+    return spec
+
+
+def _draw_argv(rng):
+    """One argv that argparse accepts: the flags are fixed, their values
+    drawn."""
+    command = rng.choice(("basesize", "orbits", "wreath", "bounds",
+                          "partitions-action", "verify"))
+    argv = [command]
+    if command == "basesize":
+        argv += ["--n", _value(rng), "--k", _value(rng)]
+        if rng.random() < 0.5:
+            argv += ["--max-l", _value(rng)]
+        if rng.random() < 0.5:
+            argv += ["--trace"]
+    elif command == "orbits":
+        argv += ["--n", _value(rng), "--k", _value(rng), "--l", _value(rng)]
+    elif command == "wreath":
+        argv += ["--n", _value(rng), "--k", _value(rng),
+                 rng.choice(("--r", "--dist")), _value(rng)]
+    elif command == "bounds":
+        argv += ["--m", _value(rng), "--k", _value(rng), "--r", _value(rng)]
+    elif command == "partitions-action":
+        r, s = _value(rng), _value(rng)
+        n = str(int(r) * int(s)) if rng.random() < 0.5 else _value(rng)
+        argv += ["--n", n, "--r", r, "--s", s]
+        if rng.random() < 0.5:
+            argv += ["--l-max", _value(rng)]
+    else:
+        argv += ["--group", _group_spec(rng),
+                 "--labels", rng.choice(("auto", "sgn"))]
+        if rng.random() < 0.5:
+            argv += ["--l-max", _value(rng)]
+        if rng.random() < 0.5:
+            argv += ["--seed", _value(rng)]
+    return argv
+
+
+GENERATED_SEED, GENERATED_COUNT = 20261019, 300
+
+# The argvs the seed draws that take over 0.25 s, skipped until a time
+# budget per argv can refuse them, each with its time in seconds, one
+# in-process run on a shared 2-core machine, and its exit code. All but two
+# are legal work at n = 63 or 64; those two are refused late, after a build.
+KNOWN_SLOW = {
+    "bounds --m 64 --k 4 --r 64": 0.3,  # exit 0
+    "basesize --n 63 --k 5 --max-l 65": 0.4,  # exit 0
+    "basesize --n 63 --k 6": 0.5,  # exit 0
+    # the subset action of S_9 is built before the wreath order is checked
+    "verify --group sn:9/subsets:2/wreath:6 --labels auto": 1.1,  # exit 3
+    "wreath --n 64 --k 5 --r <401 chars>": 1.3,  # exit 0
+    "orbits --n 63 --k 8 --l 65": 1.4,  # exit 0
+    # the sign of l is checked after the build
+    "orbits --n 64 --k 8 --l -2": 1.6,  # exit 2
+    "basesize --n 64 --k 8": 2.1,  # exit 0
+    "orbits --n 63 --k 9 --l 65": 2.7,  # exit 0
+    "basesize --n 63 --k 10 --max-l 63": 2.7,  # exit 0
+    "orbits --n 63 --k 12 --l 64": 3.1,  # exit 0
+    "wreath --n 63 --k 12 --dist 12": 3.2,  # exit 0
+    "bounds --m 63 --k 8 --r 63": 3.8,  # exit 0
+    "orbits --n 64 --k 12 --l 64": 4.7,  # exit 0
+}
+
+
+def test_generated_argvs_exit_cleanly(capsys):
+    # exit 0, 2 or 3; one JSON document on stdout exactly when the exit is
+    # 0, else one line on stderr
+    rng = random.Random(GENERATED_SEED)
+    drawn = [_draw_argv(rng) for _ in range(GENERATED_COUNT)]
+    skipped = set()
+    for argv in drawn:
+        key = _case_id(argv)
+        if key in KNOWN_SLOW:
+            skipped.add(key)
+            continue
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3), (argv, captured.err)
+        if code == 0:
+            json.loads(captured.out)
+            assert captured.err == "", argv
+        else:
+            assert captured.out == "", argv
+            assert captured.err.endswith("\n"), argv
+            assert captured.err.count("\n") == 1, argv
+    assert skipped == set(KNOWN_SLOW)
 
 
 # Parameters whose refusal must not wait on work growing with them (a huge
@@ -704,3 +893,29 @@ for spec in ("sn:3", "pgl2:5/wreath:2", "gens:!(1,2);(1,2,3)/subsets:2"):
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert done.returncode == 0, done.stderr
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_block(section, language):
+    # the first fenced block of the given language in a "## " section
+    text = README.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return text.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_command_lines_succeed(capsys):
+    lines = [line.split() for line in
+             _readme_block("Command line", "sh").splitlines()
+             if line.startswith("basechar ")]
+    assert len(lines) == 7
+    for argv in lines:
+        code, doc, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (argv, err)
+        assert doc["command"] == argv[1]
+
+
+def test_readme_python_api_runs():
+    # the block checks itself against the oracle with its own asserts
+    exec(compile(_readme_block("Python API", "python"), "README.md", "exec"),
+         {})

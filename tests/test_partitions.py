@@ -4,7 +4,7 @@ import pytest
 
 from basechar import cli, partitions
 from basechar.characters import char_vector_uniform_partitions
-from basechar.errors import CapacityError, ConsistencyError, InputError
+from basechar.errors import ConsistencyError, InputError
 from basechar.partitions import class_size, enumerate_cycle_types, sign_of
 from reference_impls import partition_count, sympy_class_data
 
@@ -50,8 +50,6 @@ def test_enumerate_range_errors():
         list(enumerate_cycle_types(0))
     with pytest.raises(InputError):
         list(enumerate_cycle_types(-2))
-    with pytest.raises(CapacityError):
-        list(enumerate_cycle_types(65))
 
 
 def test_class_size_examples():

@@ -94,6 +94,12 @@ def check_n_limit(n):
         raise CapacityError(f"n = {n} exceeds the limit {DEFAULT_N_LIMIT}")
 
 
+def check_power(l):
+    """Refuse a negative tuple length l."""
+    if l < 0:
+        raise InputError(f"l must be nonnegative, got {l}")
+
+
 def char_vector_subsets(n, k):
     """Character of S_n on k-subsets, built through (c_1..c_k).
 
@@ -231,8 +237,7 @@ def iter_inner_products(chi, l=1):
     n is refused.  Powers are updated incrementally, one multiply per value
     per step.
     """
-    if l < 0:
-        raise InputError(f"l must be nonnegative, got {l}")
+    check_power(l)
     if chi.n < 2:
         raise InputError(f"orbit counts over A_n need n >= 2, got n = {chi.n}")
     order = factorial(chi.n)

@@ -16,7 +16,8 @@ import sys
 import time
 
 from . import basecount
-from .characters import char_vector_subsets, check_n_limit, orbit_counts
+from .characters import (char_vector_subsets, check_n_limit, check_power,
+                         orbit_counts)
 from .errors import CapacityError, ConsistencyError, InputError
 
 
@@ -48,13 +49,14 @@ def cmd_basesize(args):
 
 def cmd_orbits(args):
     n, k, l = args.n, args.k, args.l
-    # o >= C(n, k)^l / n!, so an l whose o has more digits than Python
-    # prints is refused before the build, from the exact bound; an (n, k)
-    # the build refuses keeps its message, and k = n has one point
-    limit = sys.get_int_max_str_digits()
-    if limit and 1 <= k < n:
+    # refused before the build: a negative l, and one whose o >= C(n, k)^l /
+    # n! has more digits than Python prints; other k are left to the build
+    if 1 <= k < n:
         check_n_limit(n)
-        if basecount.least_l_holding(n, k, 10 ** (limit + 1), l) <= l:
+        check_power(l)
+        limit = sys.get_int_max_str_digits()
+        printable = 10 ** (limit + 1)
+        if limit and basecount.least_l_holding(n, k, printable, l) <= l:
             raise CapacityError(f"o has more decimal digits at l = {l} "
                                 f"than Python prints ({limit})")
     o, o_k = orbit_counts(char_vector_subsets(n, k), l)

@@ -129,20 +129,16 @@ def _orbit(column, seen):
 
 
 def _signs(rows):
-    """Label byte of each row's permutation sign: 1 when it is odd, that is
-    when degree minus its number of cycles is odd."""
+    """Label byte of each row: 1 when it sorts in an odd number of swaps."""
     bits = bytearray()
     for row in rows:
-        seen = bytearray(len(row))
-        cycles = 0
-        for start in range(len(row)):
-            if not seen[start]:
-                cycles += 1
-                point = start
-                while not seen[point]:
-                    seen[point] = 1
-                    point = row[point]
-        bits.append((len(row) - cycles) & 1)
+        row, swaps = list(row), 0
+        for point in range(len(row)):
+            while row[point] != point:  # each swap puts image in place
+                image = row[point]
+                row[point], row[image] = row[image], image
+                swaps += 1
+        bits.append(swaps & 1)
     return bytes(bits)
 
 
@@ -328,12 +324,6 @@ def closure(generators, labels=None):
                     if labels is not None else None)
 
 
-def with_sign_labels(group):
-    """Relabel every element with its permutation sign."""
-    rows = list(_rows(group.table, group.degree))
-    return InducedAction(group.table, _signs(rows), group.point_names)
-
-
 def symmetric_group(n):
     """S_n labeled by sign, table and signs built together.
 
@@ -382,6 +372,12 @@ def pgl2(q):
     its determinant is a nonzero square mod q; the kernel of that labeling
     is PSL_2(q). The rows are then sorted; two equal rows would mean two
     matrices gave one map, or the rows were not those of PGL_2(q).
+
+    These labels are the signs. The translations x -> x + a and their
+    conjugates generate PSL_2(q); each is a q-cycle fixing infinity, q is
+    odd, so PSL_2(q) lies in A_(q+1). x -> w x, w a primitive root, fixes
+    0 and infinity and is one (q - 1)-cycle, so odd, and its determinant w
+    is a non-square; PSL_2(q) has index 2, so sgn is the label.
     """
     if q not in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         raise InputError("q must be an odd prime at most 31")
@@ -778,22 +774,25 @@ class ParsedGroup(namedtuple("ParsedGroup", "action tags base_group")):
     __slots__ = ()
 
 
-def _parse_base(token):
-    """The base group of a spec, its tag, and whether its labels are signs."""
+def _parse_base(token, sign_labels):
+    """The base group of a spec, labelled as it is built, and its tag;
+    sign_labels asks for the permutation sign of every element."""
     if token.startswith("sn:"):
         n = _parse_int(token[3:], "sn degree")
-        return symmetric_group(n), ("sn", n), True
+        return symmetric_group(n), ("sn", n)
     if token.startswith("an:"):
         n = _parse_int(token[3:], "an degree")
-        return alternating_group(n), ("an", n), False
+        group = alternating_group(n)  # even rows: every sign is +1
+        labels = bytes(group.order) if sign_labels else None
+        return InducedAction(group.table, labels, group.point_names), ("an", n)
     if token.startswith("pgl2:"):
         q = _parse_int(token[5:], "pgl2 parameter")
-        return pgl2(q), ("pgl2", q), False
+        return pgl2(q), ("pgl2", q)  # its determinant labels are the signs
     if token.startswith("gens:"):
         parts = [part.strip() for part in token[5:].split(";")]
         if not any(parts):
             raise InputError("empty generator list")
-        signs = [-1 if part.startswith("!") else 1 for part in parts]
+        marks = [part.startswith("!") for part in parts]
         bodies = [part.removeprefix("!") for part in parts]
         cycles = [_cycle_points(body) for body in bodies]
         degree = max([0] + [point + 1 for body_cycles in cycles
@@ -802,10 +801,8 @@ def _parse_base(token):
             raise InputError("cannot infer degree from identity generators")
         _check_table_capacity(1, degree)  # before any row of that length
         gens = _cycle_rows(bodies, cycles, degree)
-        unmarked = -1 not in signs  # then every element carries its sign
-        if unmarked:
-            signs = [-1 if bit else 1 for bit in _signs(gens)]
-        return closure(gens, signs), ("gens",), unmarked
+        bits = _signs(gens) if sign_labels or not any(marks) else marks
+        return closure(gens, [-1 if bit else 1 for bit in bits]), ("gens",)
     raise InputError(f"unknown group spec: {token!r}")
 
 
@@ -822,22 +819,17 @@ def parse_group_spec(spec, labels_mode="auto"):
 
     The base group comes first; ``/subsets:<k>``, ``/partitions:<r>x<s>``
     and ``/wreath:<r>`` apply induced actions in order (subsets and
-    partitions only directly on the base group). ``labels_mode`` is ``auto``
+    partitions only directly on the base group). The base group is
+    labelled as it is built, never relabelled. ``labels_mode`` is ``auto``
     (sign for sn, none for an, determinant class for pgl2, explicit ``!``
-    marks for gens, else the sign) or ``sgn`` (permutation sign of the base
-    elements in every case; those of sn and unmarked gens already are, and
-    those of an are all +1).
+    marks for gens, else the sign) or ``sgn`` (permutation sign of every
+    base element: pgl2's determinant classes already are the signs, an is
+    all +1, and gens carry their generators' signs, ``!`` marks unread).
     """
     if labels_mode not in ("auto", "sgn"):
         raise InputError(f"unknown labels mode: {labels_mode!r}")
     parts = spec.strip().split("/")
-    group, base_tag, signed = _parse_base(parts[0].strip())
-    if labels_mode == "sgn" and base_tag[0] == "an":
-        # the even rows of S_n: every sign is +1, no cycle is counted
-        group = InducedAction(group.table, bytes(group.order),
-                              group.point_names)
-    elif labels_mode == "sgn" and not signed:
-        group = with_sign_labels(group)
+    group, base_tag = _parse_base(parts[0].strip(), labels_mode == "sgn")
     action = None
     tags = [base_tag]
     for suffix in parts[1:]:

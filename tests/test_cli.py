@@ -283,6 +283,21 @@ def test_verify_sn_sign_labels_not_recomputed(capsys, monkeypatch):
     assert parsed.action.labels == oracle.symmetric_group(9).labels
 
 
+def test_verify_sgn_mode_reads_no_marks(capsys):
+    # under --labels sgn a ! mark is not read, so a mark that is no
+    # homomorphism is refused only under auto
+    code, doc, _ = run_cli(capsys, "verify", "--group", "gens:!(1,2,3)",
+                           "--labels", "sgn")
+    assert code == 0
+    _, unmarked, _ = run_cli(capsys, "verify", "--group", "gens:(1,2,3)")
+    assert doc["outputs"] == unmarked["outputs"]
+    assert doc["outputs"]["order"] == "3"
+    assert doc["warnings"] == [
+        "labels are all +1, base-controlling check skipped"]
+    assert run_cli(capsys, "verify", "--group", "gens:!(1,2,3)") == (
+        2, None, "error: generator labels do not define a homomorphism\n")
+
+
 def test_verify_formula_comparison_skipped(capsys):
     # S_4 on 2-subsets violates the formula precondition n > 2k; the oracle
     # still runs and the comparison is skipped with a warning
@@ -528,6 +543,8 @@ HOSTILE_INPUTS = (
     (("orbits", "--n", "64", "--k", "2", "--l", "1500"), 3),
     # refused before the (64, 25) build, which takes seconds
     (("orbits", "--n", "64", "--k", "25", "--l", "100000"), 3),
+    # refused before the (64, 8) build, which takes over a second
+    (("orbits", "--n", "64", "--k", "8", "--l", "-2"), 2),
     # o_K has 4,301 digits where the lower bound on o gives 4,300: refused
     # after the sum, when the counts are written
     (("orbits", "--n", "3", "--k", "1", "--l", "9014"), 3),
@@ -623,6 +640,23 @@ def test_unprintable_l_refused_before_the_build(capsys, monkeypatch, n, k, l):
     assert code == 3 and doc is None
     assert err == UNPRINTABLE.format(l)
 
+
+def test_negative_l_refused_before_the_build(capsys, monkeypatch):
+    # The sign of l is checked right after the n limit, with the message
+    # the sum gives; k = n still leaves it to the sum, after a cheap build.
+    def no_build(n, k):
+        raise AssertionError("character built")
+
+    monkeypatch.setattr(cli, "char_vector_subsets", no_build)
+    for n, k, code, err in (
+            ("64", "8", 2, "error: l must be nonnegative, got -2\n"),
+            ("2", "1", 2, "error: l must be nonnegative, got -2\n"),
+            ("65", "8", 3, "capacity error: n = 65 exceeds the limit 64\n")):
+        assert run_cli(capsys, "orbits", "--n", n, "--k", k, "--l", "-2") \
+            == (code, None, err)
+    monkeypatch.undo()
+    assert run_cli(capsys, "orbits", "--n", "5", "--k", "5", "--l", "-2") \
+        == (2, None, "error: l must be nonnegative, got -2\n")
 
 
 def test_printable_bound_skips_what_the_build_decides(capsys, monkeypatch):
@@ -742,8 +776,8 @@ GENERATED_SEED, GENERATED_COUNT = 20261019, 300
 
 # The argvs the seed draws that take over 0.25 s, skipped until a time
 # budget per argv can refuse them, each with its time in seconds, one
-# in-process run on a shared 2-core machine, and its exit code. All but two
-# are legal work at n = 63 or 64; those two are refused late, after a build.
+# in-process run on a shared 2-core machine, and its exit code. All but one
+# are legal work at n = 63 or 64; that one is refused late, after a build.
 KNOWN_SLOW = {
     "bounds --m 64 --k 4 --r 64": 0.3,  # exit 0
     "basesize --n 63 --k 5 --max-l 65": 0.4,  # exit 0
@@ -752,8 +786,6 @@ KNOWN_SLOW = {
     "verify --group sn:9/subsets:2/wreath:6 --labels auto": 1.1,  # exit 3
     "wreath --n 64 --k 5 --r <401 chars>": 1.3,  # exit 0
     "orbits --n 63 --k 8 --l 65": 1.4,  # exit 0
-    # the sign of l is checked after the build
-    "orbits --n 64 --k 8 --l -2": 1.6,  # exit 2
     "basesize --n 64 --k 8": 2.1,  # exit 0
     "orbits --n 63 --k 9 --l 65": 2.7,  # exit 0
     "basesize --n 63 --k 10 --max-l 63": 2.7,  # exit 0
@@ -837,6 +869,34 @@ def test_package_has_no_assert_statements():
         found = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.Assert)]
         assert found == [], (path.name, found)
+
+
+def _package_imports(name):
+    """The basechar modules that module name imports, relatively or not."""
+    path = Path(__file__).resolve().parents[1] / "src" / "basechar"
+    tree = ast.parse((path / f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("basechar." * (node.level > 0)) + (node.module or "")
+            dotted = [module.rstrip(".") + "." + alias.name
+                      for alias in node.names]
+        else:
+            continue
+        found.update(part.split(".")[1] for part in dotted
+                     if part.startswith("basechar."))
+    return found
+
+
+def test_oracle_shares_no_code_with_the_formula_lane():
+    # The oracle is the formula lane's independent check: it imports
+    # nothing of the package but the errors, and no formula module
+    # imports it.
+    assert _package_imports("oracle") == {"errors"}
+    for name in ("partitions", "characters", "basecount"):
+        assert "oracle" not in _package_imports(name), name
 
 
 # Every case the benchmark can draw, with the output recorded for it. The

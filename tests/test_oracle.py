@@ -14,7 +14,7 @@ from basechar.oracle import (MAX_TUPLE_LENGTH, InducedAction, act_on_subsets,
                              closure, is_base_controlling,
                              label_homomorphism_spot_check, parse_group_spec,
                              pgl2, product_action_wreath, symmetric_group,
-                             tuple_orbit_counts, with_sign_labels)
+                             tuple_orbit_counts)
 from reference_impls import (as_arrays, blind_orbit_data,
                              burnside_orbit_count, distinguishing_number,
                              first_all_plus_chain, has_all_plus_stabilizer,
@@ -154,10 +154,11 @@ def test_symmetric_and_alternating():
 
 def test_vectorised_signs_match_perm_sign():
     gens = [parse_cycles("(1,2,3,4,5,6)", 6), parse_cycles("(1,2)(3,5)", 6)]
-    for group in (with_sign_labels(alternating_group(5)),
-                  with_sign_labels(pgl2(7)), with_sign_labels(closure(gens))):
-        assert isinstance(group.labels, bytes)
-        assert signs(group) == [perm_sign(e) for e in elements(group)]
+    for group in (alternating_group(5), pgl2(7), closure(gens)):
+        rows = elements(group)
+        bits = oracle._signs(rows)
+        assert isinstance(bits, bytes)
+        assert [1 - 2 * bit for bit in bits] == [perm_sign(e) for e in rows]
 
 
 def test_rows_in_strict_lexicographic_order():
@@ -168,10 +169,12 @@ def test_rows_in_strict_lexicographic_order():
     reflection = tuple(-i % 257 for i in range(257))
     dihedral = closure([rotation, reflection])
     assert bytes_per_point(dihedral) == 2 and dihedral.order == 514
+    sign_labelled = [parse_group_spec(spec, "sgn").base_group
+                     for spec in ("gens:!(1,3)(2,4);(1,2,3)", "an:5")]
     for group in (closure(gens), closure([identity_perm(3)]),
                   symmetric_group(4),
                   alternating_group(5), pgl2(5), pgl2(7), pgl2(23),
-                  with_sign_labels(closure(gens)), dihedral):
+                  *sign_labelled, dihedral):
         rows = elements(group)
         assert all(a < b for a, b in zip(rows, rows[1:]))
 
@@ -693,18 +696,17 @@ def test_signed_rejects_labels_off_a_homomorphism():
     assert not InducedAction(s4.table, bytes(24), s4.point_names).signed
 
 
-def test_gens_auto_labels_are_element_signs(monkeypatch):
-    # unmarked generators carry their signs through the closure, so the
-    # whole table is never relabelled
-    def no_relabel(group):
-        raise AssertionError("table relabelled")
-
-    monkeypatch.setattr(oracle, "with_sign_labels", no_relabel)
-    for spec, order in (("gens:(1,2,3,4,5,6);(1,2)(3,5)", 720),
-                        ("gens:(1,2)(3,4);(1,2,3,4,5)", 60),
-                        ("gens:(1,2,3,4,5,6,7);(1,2)", 5040),
-                        ("gens:(1,2)(3,4,5)", 6)):
+def test_gens_auto_labels_are_element_signs(signs_calls):
+    # unmarked generators carry their signs through the closure, so only
+    # the generators' cycles are counted, never the whole table's
+    for spec, generators, order in (
+            ("gens:(1,2,3,4,5,6);(1,2)(3,5)", 2, 720),
+            ("gens:(1,2)(3,4);(1,2,3,4,5)", 2, 60),
+            ("gens:(1,2,3,4,5,6,7);(1,2)", 2, 5040),
+            ("gens:(1,2)(3,4,5)", 1, 6)):
+        signs_calls.clear()
         group = parse_group_spec(spec).base_group
+        assert signs_calls == [generators]
         assert group.order == order
         assert isinstance(group.labels, bytes)
         assert signs(group) == [perm_sign(e) for e in elements(group)]
@@ -747,8 +749,32 @@ def test_sgn_mode_relabels_marked_gens(signs_calls):
     assert signs_calls == []
     assert signs(auto) == [1, -1, 1, -1]  # 1, (34), (12), (12)(34)
     group = parse_group_spec(spec, labels_mode="sgn").base_group
-    assert signs_calls == [4]
+    assert signs_calls == [2]  # the generators, not the 4 rows
     assert signs(group) == [perm_sign(e) for e in elements(group)]
+
+
+def test_sgn_mode_counts_cycles_of_generators_only(signs_calls):
+    # every base group is labelled by sign as it is built: sn and an from
+    # S_n's construction, pgl2 by its determinant classes, and gens from
+    # its generators' signs, so no _signs call sees more rows than a spec
+    # has generators
+    for spec, generators in (
+            ("sn:6", 0), ("an:6", 0), ("pgl2:7", 0), ("pgl2:31", 0),
+            ("gens:(1,2,3,4,5,6);(1,2)", 2),
+            ("gens:!(1,2)(3,4);(1,2)", 2),
+            ("gens:!(1,2);!(1,2,3,4,5,6,7,8)", 2),
+            ("gens:!(6,7);(1,2,3,4,5);(1,2)", 3)):
+        signs_calls.clear()
+        parse_group_spec(spec, "sgn")
+        assert all(rows <= generators for rows in signs_calls), spec
+
+
+def test_pgl2_determinant_labels_are_the_signs():
+    # the theorem in pgl2's docstring, for every allowed q
+    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        group = pgl2(q)
+        rows = list(oracle._rows(group.table, group.degree))
+        assert group.labels == oracle._signs(rows), q
 
 
 def test_sgn_mode_labels_an_even_without_counting_cycles(signs_calls,

@@ -4,8 +4,9 @@ Every search walks l = L, L + 1, ... with incrementally updated value powers
 and stops at the first l whose inner product crosses the wanted threshold.
 For k-subset actions of the symmetric group the sign homomorphism is
 base-controlling, so the minimum is the base size, and the search starts at
-L = L0, below which no orbit on l-tuples is regular; the trace entries
-below L0 are zeros read off that bound, not class sums.  For
+L = L1, below which n distinct membership vectors cannot weigh k * l in
+all, so no orbit on l-tuples is regular (see least_l_distinct); the trace
+entries below L1 are zeros read off that bound, not class sums.  For
 uniform-partition actions a stabilizer inside A_n need not be trivial, so
 the bound does not hold, the search starts at L = 1, and the minimum is
 only a candidate, as the report says.
@@ -34,7 +35,7 @@ class BaseSizeReport(namedtuple("BaseSizeReport", "base_size "
     """Minimum-l search outcome with its full witness trace.
 
     witness_l_values holds (l, <sgn, chi^l>) for l = 1..base_size, the
-    zeros below L0 of a k-subset action read off the bound; counts are
+    zeros below L1 of a k-subset action read off the bound; counts are
     below the search threshold strictly before base_size and reach it
     there (the threshold is 1 for a base size, the distinguishing number
     of the top group for a wreath product). base_size None means
@@ -95,23 +96,49 @@ def least_l_holding(n, k, threshold=1, cap=None):
     return l
 
 
+def least_l_distinct(n, k):
+    """L1, the least l with W(n, l) <= k * l, where W(n, l) is the least
+    total weight of n distinct vectors in {0,1}^l: the weight-0, weight-1,
+    ... vectors taken in turn, none while 2^l < n.
+
+    A base (S_1..S_l) of k-subsets gives each point its membership vector
+    in {0,1}^l. Two points x != y with one vector would have (x y) fixing
+    every S_i, so the n vectors are distinct and their weights sum to
+    |S_1| + ... + |S_l| = k * l. Hence <sgn, chi^l> = 0 for every l < L1.
+    At l = n - 1 the zero vector and the n - 1 unit vectors weigh n - 1, so
+    L1 <= n - 1."""
+    l = 0
+    while True:
+        l += 1
+        weight, left = 0, n
+        for w in range(l + 1):
+            take = min(left, math.comb(l, w))
+            weight, left = weight + w * take, left - take
+            if not left:
+                break
+        if not left and weight <= k * l:
+            return l
+
+
 def base_size_subsets(n, k, threshold=1, max_l=None):
     """Least l <= max_l (default C(n, k)) with <sgn, chi^l> >= threshold for
     S_n on k-subsets: its base size at threshold 1, and at threshold D the
     base size of its wreath product, in product action, with a top group of
-    distinguishing number D. A cap below the least l with C(n, k)^l >=
-    D * n! is refused before the build, with the message the search would
-    give at its cap; the search starts at L0."""
+    distinguishing number D. A cap below L1 or below the least l with
+    C(n, k)^l >= D * n! is refused before the build, with the message the
+    search would give at its cap; the search starts at L1, every count
+    from there on a class sum."""
     _validate_subsets(n, k)
     if threshold < 1:
         raise InputError("distinguishing number must be positive")
     validate_l_limit(max_l)
     check_n_limit(n)
     cap = math.comb(n, k) if max_l is None else max_l
-    if least_l_holding(n, k, threshold, cap) > cap:
+    start = least_l_distinct(n, k)
+    if max(least_l_holding(n, k, threshold, cap), start) > cap:
         raise _not_reached(threshold, cap)
     chi = char_vector_subsets(n, k)
-    base, trace = _min_l_search(chi, threshold, cap, least_l_holding(n, k))
+    base, trace = _min_l_search(chi, threshold, cap, start)
     return BaseSizeReport(base, trace)
 
 

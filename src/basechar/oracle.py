@@ -442,11 +442,18 @@ def _sets_table(table, degree, points):
     return bytes(out) if isinstance(out, bytearray) else out
 
 
+def _subsets_size(order, degree, k):
+    """The (order, degree) of the action on k-subsets, refused if too big."""
+    if not 1 <= k <= degree:
+        raise InputError("k out of range")
+    size = math.comb(degree, k)
+    _check_table_capacity(order, size)
+    return order, size
+
+
 def act_on_subsets(group, k):
     """Induced action on the k-element subsets of the domain."""
-    if not 1 <= k <= group.degree:
-        raise InputError("k out of range")
-    _check_table_capacity(group.order, math.comb(group.degree, k))
+    _subsets_size(group.order, group.degree, k)
     points = list(combinations(range(group.degree), k))
     names = tuple("{" + ",".join(str(x + 1) for x in s) + "}" for s in points)
     return InducedAction(_sets_table(group.table, group.degree, points),
@@ -464,14 +471,22 @@ def _uniform_partitions(free, s):
                 tuple(p for p in free[1:] if p not in others), s)]
 
 
+def _partitions_size(order, degree, r, s):
+    """The (order, degree) of the action on partitions into r blocks of
+    size s, refused if too big."""
+    if r < 1 or s < 1 or r * s != degree:
+        raise InputError("need degree = r*s with positive r, s")
+    size = math.factorial(degree) // (math.factorial(s) ** r
+                                      * math.factorial(r))
+    _check_table_capacity(order, size)
+    return order, size
+
+
 def act_on_uniform_partitions(group, r, s):
     """Induced action on partitions of the domain into r blocks of size s,
     each the sorted tuple of its blocks' indices among the s-subsets."""
     n = group.degree
-    if r < 1 or s < 1 or r * s != n:
-        raise InputError("need degree = r*s with positive r, s")
-    _check_table_capacity(group.order, math.factorial(n) // (
-        math.factorial(s) ** r * math.factorial(r)))
+    _partitions_size(group.order, n, r, s)
     points = _uniform_partitions(tuple(range(n)), s)
     blocks = list(combinations(range(n), s))
     index = {block: i for i, block in enumerate(blocks)}
@@ -481,6 +496,22 @@ def act_on_uniform_partitions(group, r, s):
     names = tuple("|".join("".join(str(x + 1) for x in block)
                            for block in part) for part in points)
     return InducedAction(table, group.labels, names)
+
+
+def _wreath_size(order, degree, r):
+    """The (order, degree) of the wreath product with top group S_r in
+    product action, order^r * r! and degree^r, refused if too big."""
+    if r < 1:
+        raise InputError("r must be positive")
+    # bounded before the r! permutations are listed
+    top_order = _bounded_factorial(
+        r, f"wreath order exceeds {MAX_CLOSURE_ORDER}: the top group "
+           f"S_{r} alone has order {r}!")
+    order, degree = order ** r * top_order, degree ** r
+    if order > MAX_CLOSURE_ORDER:
+        raise CapacityError(f"wreath order {order} exceeds {MAX_CLOSURE_ORDER}")
+    _check_table_capacity(order, degree)
+    return order, degree
 
 
 def product_action_wreath(base, r):
@@ -493,18 +524,7 @@ def product_action_wreath(base, r):
     coordinate i. Base labels, when present, carry over as the product of
     the per-coordinate labels.
     """
-    if r < 1:
-        raise InputError("r must be positive")
-    # bounded before the r! permutations are listed
-    top_order = _bounded_factorial(
-        r, f"wreath order exceeds {MAX_CLOSURE_ORDER}: the top group "
-           f"S_{r} alone has order {r}!")
-    degree = base.degree ** r
-    order = base.order ** r * top_order
-    if order > MAX_CLOSURE_ORDER:
-        raise CapacityError(f"wreath order {order} exceeds {MAX_CLOSURE_ORDER}")
-    _check_table_capacity(order, degree)
-
+    _, degree = _wreath_size(base.order, base.degree, r)
     m = base.degree
     weights = [m ** (r - 1 - i) for i in range(r)]
     points = list(product(range(m), repeat=r))
@@ -825,23 +845,26 @@ def parse_group_spec(spec, labels_mode="auto"):
     marks for gens, else the sign) or ``sgn`` (permutation sign of every
     base element: pgl2's determinant classes already are the signs, an is
     all +1, and gens carry their generators' signs, ``!`` marks unread).
+    Every suffix is read and sized from the running order and degree
+    before any induced row is built, so a refusal costs no build.
     """
     if labels_mode not in ("auto", "sgn"):
         raise InputError(f"unknown labels mode: {labels_mode!r}")
     parts = spec.strip().split("/")
     group, base_tag = _parse_base(parts[0].strip(), labels_mode == "sgn")
-    action = None
-    tags = [base_tag]
+    size = group.order, group.degree
+    tags, builds = [base_tag], []
     for suffix in parts[1:]:
         suffix = suffix.strip()
         if suffix.startswith("subsets:"):
-            if action is not None:
+            if builds:
                 raise InputError("subsets action must come first")
             k = _parse_int(suffix[8:], "subset size")
-            action = act_on_subsets(group, k)
+            size = _subsets_size(*size, k)
+            builds.append((act_on_subsets, k))
             tags.append(("subsets", k))
         elif suffix.startswith("partitions:"):
-            if action is not None:
+            if builds:
                 raise InputError("partitions action must come first")
             body = suffix[len("partitions:"):]
             if "x" not in body:
@@ -849,15 +872,17 @@ def parse_group_spec(spec, labels_mode="auto"):
             r_text, s_text = body.split("x", 1)
             r = _parse_int(r_text, "block count")
             s = _parse_int(s_text, "block size")
-            action = act_on_uniform_partitions(group, r, s)
+            size = _partitions_size(*size, r, s)
+            builds.append((act_on_uniform_partitions, r, s))
             tags.append(("partitions", r, s))
         elif suffix.startswith("wreath:"):
             r = _parse_int(suffix[7:], "wreath arity")
-            action = product_action_wreath(
-                action if action is not None else group, r)
+            size = _wreath_size(*size, r)
+            builds.append((product_action_wreath, r))
             tags.append(("wreath", r))
         else:
             raise InputError(f"unknown action suffix: {suffix!r}")
-    if action is None:
-        action = group
+    action = group
+    for build, *args in builds:
+        action = build(action, *args)
     return ParsedGroup(action, tuple(tags), group)

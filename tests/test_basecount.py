@@ -49,18 +49,19 @@ def test_trace_shape():
 
 
 def test_search_from_l0_writes_the_trace_of_a_search_from_one(monkeypatch):
-    # Every size with n <= 30: a plain loop from l = 1 finds <sgn, chi^l> = 0
-    # at every l < L0, so the search that starts at L0 and writes those
-    # zeros from the bound gives the same trace, entry for entry. Each
-    # vector is built once and read by both.
+    # Every size with n <= 30, and three larger ones: a plain loop from
+    # l = 1 finds <sgn, chi^l> = 0 at every l < L1 (least_l_distinct), so
+    # the search that starts at L1 and writes those zeros from the bound
+    # gives the same trace, entry for entry. Each vector is built once and
+    # read by both.
     built = {}
     monkeypatch.setattr(basecount, "char_vector_subsets",
                         lambda n, k: built[n, k])
     sizes = [(n, k) for n in range(2, 31) for k in range(1, n)
              if k == 1 or n > 2 * k]
     assert len(sizes) == 211
-    for n, k in sizes:
-        start = basecount.least_l_holding(n, k)
+    for n, k in sizes + [(40, 2), (36, 3), (64, 5)]:
+        start = basecount.least_l_distinct(n, k)
         built[n, k] = chi = char_vector_subsets(n, k)
         trace = []
         for l, o, o_k in iter_inner_products(chi):
@@ -70,6 +71,29 @@ def test_search_from_l0_writes_the_trace_of_a_search_from_one(monkeypatch):
         assert all(count == 0 for l, count in trace if l < start), (n, k)
         assert base_size_subsets(n, k).witness_l_values == tuple(trace), \
             (n, k)
+
+
+def test_distinct_vector_bound_is_at_least_l0():
+    # At every valid size with n <= 64 the search's start L1 is never below
+    # L0, the least l with C(n, k)^l >= n!: starting at L1 skips every
+    # class sum that starting at L0 would.
+    sizes = [(n, k) for n in range(2, 65) for k in range(1, n)
+             if k == 1 or n > 2 * k]
+    assert len(sizes) == 993
+    for n, k in sizes:
+        assert basecount.least_l_distinct(n, k) >= \
+            basecount.least_l_holding(n, k), (n, k)
+
+
+def test_distinct_vector_bound_values():
+    # k = 1: n distinct vectors weigh at least n - 1, so L1 = n - 1, the
+    # base size; k = 2: Halasi's ceil(2(n - 1)/3) at every n checked
+    for n in range(2, 65):
+        assert basecount.least_l_distinct(n, 1) == n - 1
+    for n in range(5, 65):
+        assert basecount.least_l_distinct(n, 2) == -(-2 * (n - 1) // 3), n
+    assert basecount.least_l_distinct(6, 2) == 4
+    assert basecount.least_l_distinct(64, 5) == 21
 
 
 def test_subsets_validation():
@@ -148,25 +172,28 @@ def test_bounds_checks_both_sizes_before_any_search(monkeypatch):
 
 
 def test_cap_below_least_nonzero_l_refused_before_the_build(monkeypatch):
-    # C(6, 2)^2 = 225 < 6! = 720 <= 15^3, so L0 = 3: below it no orbit on
-    # l-tuples is regular. The search, run to the cap, gives the message
-    # the early refusal gives.
+    # C(6, 2)^2 = 225 < 6! = 720 <= 15^3, so L0 = 3, and six distinct
+    # vectors in {0,1}^3 weigh at least 0 + 3 + 2*2 = 7 > 2*3, so L1 = 4:
+    # below it no orbit on l-tuples is regular. The search, with both
+    # bounds patched to 1 and run to the cap, gives the message the early
+    # refusal gives.
     assert basecount.least_l_holding(6, 2) == 3
+    assert basecount.least_l_distinct(6, 2) == 4
     assert basecount.least_l_holding(64, 25) == 6
-    with pytest.raises(CapacityError) as early:
+    for cap in (2, 3):
+        with pytest.raises(CapacityError) as early:
+            with monkeypatch.context() as patch:
+                patch.setattr(basecount, "char_vector_subsets", no_build)
+                base_size_subsets(6, 2, max_l=cap)
         with monkeypatch.context() as patch:
-            patch.setattr(basecount, "char_vector_subsets", no_build)
-            base_size_subsets(6, 2, max_l=2)
-    with monkeypatch.context() as patch:
-        patch.setattr(basecount, "least_l_holding",
-                      lambda n, k, threshold=1, cap=None: 1)
-        with pytest.raises(CapacityError) as searched:
-            base_size_subsets(6, 2, max_l=2)
-    assert str(early.value) == str(searched.value) == \
-        "no count reaching 1 found up to l=2"
-    # from the cap L0 on the search runs; the base size is 4
-    with pytest.raises(CapacityError, match="found up to l=3"):
-        base_size_subsets(6, 2, max_l=3)
+            patch.setattr(basecount, "least_l_holding",
+                          lambda n, k, threshold=1, cap=None: 1)
+            patch.setattr(basecount, "least_l_distinct", lambda n, k: 1)
+            with pytest.raises(CapacityError) as searched:
+                base_size_subsets(6, 2, max_l=cap)
+        assert str(early.value) == str(searched.value) == \
+            f"no count reaching 1 found up to l={cap}"
+    # from the cap L1 on the search runs; the base size is 4
     assert base_size_subsets(6, 2, max_l=4).base_size == 4
     monkeypatch.setattr(basecount, "char_vector_subsets", no_build)
     with pytest.raises(CapacityError, match="reaching 2 found up to l=2"):

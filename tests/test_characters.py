@@ -269,6 +269,24 @@ def test_one_class_pass_per_command(monkeypatch, capsys):
         assert calls.count(int(argv[2])) == expected, (argv, calls)
 
 
+def test_one_class_sum_per_base_size(monkeypatch, capsys):
+    # The search starts at L1, which is the base size here, so the loop
+    # takes one step; every trace entry below it comes from the bound.
+    steps = []
+
+    def counted(chi, l=1):
+        for step in iter_inner_products(chi, l):
+            steps.append(step[0])
+            yield step
+
+    monkeypatch.setattr(basecount, "iter_inner_products", counted)
+    for n, k, base in (("40", "2", 26), ("36", "3", 18)):
+        steps.clear()
+        assert cli.main(["basesize", "--n", n, "--k", k]) == 0
+        capsys.readouterr()
+        assert steps == [base], (n, k, steps)
+
+
 def check_distribution(chi, classes):
     """chi's terms against per-class (size, sign, value) triples: the
     same merged distribution, and the same o and o_K for l = 0..6."""

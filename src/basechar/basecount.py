@@ -1,23 +1,21 @@
 """Base sizes and regular-orbit counts from exact character sums.
 
 Every search walks l = L, L + 1, ... with incrementally updated value powers
-and stops at the first l whose inner product crosses the wanted threshold.
-For k-subset actions of the symmetric group the sign homomorphism is
-base-controlling, so the minimum is the base size, and the search starts at
-L = L1, below which n distinct membership vectors cannot weigh k * l in
-all, so no orbit on l-tuples is regular (see least_l_distinct); the trace
-entries below L1 are zeros read off that bound, not class sums.  For
-uniform-partition actions a stabilizer inside A_n need not be trivial, so
-the bound does not hold, the search starts at L = 1, and the minimum is
-only a candidate, as the report says.
+and stops at the first l whose inner product crosses the wanted threshold,
+by a proven bound (see _min_l_search).  For k-subset actions of S_n the sign
+homomorphism is base-controlling, so the minimum is the base size, and the
+search starts at L = L1 (see least_l_distinct), the trace entries below it
+zeros read off that bound.  For uniform-partition actions a stabilizer
+inside A_n need not be trivial, so L1 does not hold, the search starts at
+L = 1, and the minimum is only a candidate, as the report says.
 """
 
 from collections import namedtuple
-import math
+from math import comb, factorial
 
 from .characters import (char_vector_subsets, char_vector_uniform_partitions,
                          check_n_limit, iter_inner_products)
-from .errors import CapacityError, InputError
+from .errors import CapacityError, ConsistencyError, InputError
 
 # Published base size of the symmetric group on 15 points acting on the
 # uniform partitions into 3 blocks of size 5, cited for comparison against
@@ -38,9 +36,9 @@ class BaseSizeReport(namedtuple("BaseSizeReport", "base_size "
     zeros below L1 of a k-subset action read off the bound; counts are
     below the search threshold strictly before base_size and reach it
     there (the threshold is 1 for a base size, the distinguishing number
-    of the top group for a wreath product). base_size None means
-    the action has no base (nontrivial kernel).  character is the
-    CharVector of a partition action, None otherwise.
+    of the top group for a wreath product), by the bound of _min_l_search.
+    base_size None means the action has no base (nontrivial kernel).
+    character is the CharVector of a partition action, None otherwise.
     """
 
     __slots__ = ()
@@ -62,21 +60,26 @@ def validate_l_limit(l_limit):
         raise InputError(f"the l limit must be at least 1, got {l_limit}")
 
 
-def _not_reached(threshold, cap):
+def _not_reached(threshold, l):
     bits = threshold.bit_length()
     shown = threshold if bits <= 64 else f"a {bits}-bit threshold"
-    return CapacityError(f"no count reaching {shown} found up to l={cap}")
+    return f"no count reaching {shown} found up to l={l}"
 
 
 def _min_l_search(chi, threshold, cap, start=1):
-    # every count below start is known to be 0, so it is not summed
-    trace = [(l, 0) for l in range(1, start)]
+    # A faithful action of S_n has a base of at most log2 n! points (each
+    # halves the stabilizer), and D > 1 regular orbits on k-subsets follow
+    # within ceil(log2 D) more steps (the count grows C(n, k) >= 2 fold).
+    bound = factorial(chi.n).bit_length() - 1 + (threshold - 1).bit_length()
+    trace = [(l, 0) for l in range(1, start)]  # known zeros
     for l, o, o_k in iter_inner_products(chi, start):
         trace.append((l, o_k - o))
         if o_k - o >= threshold:
             return l, tuple(trace)
-        if l >= cap:
-            raise _not_reached(threshold, cap)
+        if l >= bound:
+            raise ConsistencyError(_not_reached(threshold, l) + " (the bound)")
+        if l == cap:
+            raise CapacityError(_not_reached(threshold, cap))
 
 
 def least_l_holding(n, k, threshold=1, cap=None):
@@ -89,7 +92,7 @@ def least_l_holding(n, k, threshold=1, cap=None):
     <sgn, chi^l> of at least threshold needs this l, and below L0 it is 0.
     The power grows one factor per step, so a huge cap is never an
     exponent; without a cap, C(n, k) must exceed 1."""
-    need, domain = threshold * math.factorial(n), math.comb(n, k)
+    need, domain = threshold * factorial(n), comb(n, k)
     l, tuples = 0, 1
     while tuples < need and (cap is None or l <= cap):
         l, tuples = l + 1, tuples * domain
@@ -112,7 +115,7 @@ def least_l_distinct(n, k):
         l += 1
         weight, left = 0, n
         for w in range(l + 1):
-            take = min(left, math.comb(l, w))
+            take = min(left, comb(l, w))
             weight, left = weight + w * take, left - take
             if not left:
                 break
@@ -121,24 +124,22 @@ def least_l_distinct(n, k):
 
 
 def base_size_subsets(n, k, threshold=1, max_l=None):
-    """Least l <= max_l (default C(n, k)) with <sgn, chi^l> >= threshold for
-    S_n on k-subsets: its base size at threshold 1, and at threshold D the
-    base size of its wreath product, in product action, with a top group of
-    distinguishing number D. A cap below L1 or below the least l with
-    C(n, k)^l >= D * n! is refused before the build, with the message the
-    search would give at its cap; the search starts at L1, every count
-    from there on a class sum."""
+    """Least l with <sgn, chi^l> >= threshold for S_n on k-subsets: its base
+    size at threshold 1, and at threshold D the base size of its wreath
+    product, in product action, with a top group of distinguishing number
+    D. The search starts at L1, every count from there on a class sum. A
+    max_l below L1 or below the least l with C(n, k)^l >= D * n! is refused
+    before the build, with the message the search would give at max_l."""
     _validate_subsets(n, k)
     if threshold < 1:
         raise InputError("distinguishing number must be positive")
     validate_l_limit(max_l)
     check_n_limit(n)
-    cap = math.comb(n, k) if max_l is None else max_l
     start = least_l_distinct(n, k)
-    if max(least_l_holding(n, k, threshold, cap), start) > cap:
-        raise _not_reached(threshold, cap)
+    if max_l and max(least_l_holding(n, k, threshold, max_l), start) > max_l:
+        raise CapacityError(_not_reached(threshold, max_l))
     chi = char_vector_subsets(n, k)
-    base, trace = _min_l_search(chi, threshold, cap, start)
+    base, trace = _min_l_search(chi, threshold, max_l, start)
     return BaseSizeReport(base, trace)
 
 
@@ -177,8 +178,7 @@ def base_size_partitions_action(n, r, s, max_l=None):
         return BaseSizeReport(
             None, (), caveat="the action is not faithful, no base exists",
             known_base_size=known, character=chi)
-    cap = chi.domain_size if max_l is None else max_l
-    base, trace = _min_l_search(chi, 1, cap)
+    base, trace = _min_l_search(chi, 1, max_l)
     caveat = PARTITIONS_CAVEAT
     if known is not None:
         relation = "agrees with" if base == known else "differs from"

@@ -16,14 +16,17 @@ depth-first search with nothing memoised,
 the distinguishing number of a group (the threshold of a wreath product
 over it) comes from a search over the set partitions of its domain, the
 regular orbits on tuples of k-subsets are counted as sets of distinct
-membership vectors, with no character at all, and the least l whose
-orbit count has more digits than Python prints comes from logarithms.
+membership vectors, with no character at all, a base of l k-subsets is
+built from n distinct membership vectors by plain set arithmetic, and
+the least l whose orbit count has more digits than Python prints comes
+from logarithms.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, lgamma, log, log10
+import random
 
 import numpy as np
 
@@ -279,6 +282,60 @@ def distinct_vector_sets(n, k, l):
                 grown[key] = grown.get(key, 0) + count
         states = grown
     return states.get(((k,) * l, n), 0)
+
+
+def least_weight_vectors(n, l, seed=0):
+    """n distinct vectors of {0,1}^l, as int bitmasks, of least total
+    weight: every vector of weight 0, 1, ... in turn, the last weight class
+    sampled with the seed; None while 2^l < n."""
+    if 2 ** l < n:
+        return None
+    rng, rows = random.Random(seed), []
+    for weight in range(l + 1):
+        members = [sum(1 << i for i in chosen)
+                   for chosen in combinations(range(l), weight)]
+        if len(rows) + len(members) >= n:
+            return rows + rng.sample(members, n - len(rows))
+        rows += members
+
+
+def distinct_vector_base(n, k, l, seed=0):
+    """l k-subsets of range(n) whose membership vectors are distinct, so
+    that (S_1..S_l) is a base of S_n on k-subsets; None when n distinct
+    vectors of {0,1}^l weigh more than k * l in all, where no base exists.
+
+    Row x of the n least-weight vectors (least_weight_vectors) says which
+    S_i hold x, so column i must come to weigh |S_i| = k. While a column a
+    weighs more than k, a bit moves from a to a column b below k in a row
+    where the moved vector is new: rows with a and not b outnumber rows
+    with b and not a, so one has no counterpart. Otherwise a bit is set in
+    a column b below k where the grown vector is new: rows without b
+    outnumber rows with b, since b weighs below k <= n/2.
+    Each step takes sum |weight_i - k| down, so a base is always reached
+    when the start weighs at most k * l. Choices are drawn from the seed.
+    """
+    rows = least_weight_vectors(n, l, seed)
+    if rows is None or sum(bin(row).count("1") for row in rows) > k * l:
+        return None
+    rng, present = random.Random(seed), set(rows)
+    sums = [sum(row >> i & 1 for row in rows) for i in range(l)]
+    while sums != [k] * l:
+        low = rng.choice([i for i in range(l) if sums[i] < k])
+        high = [i for i in range(l) if sums[i] > k]
+        clear = rng.choice(high) if high else None
+        new = [(x, row ^ (1 << low) ^ (0 if clear is None else 1 << clear))
+               for x, row in enumerate(rows)
+               if not row >> low & 1 and (clear is None or row >> clear & 1)]
+        x, row = rng.choice([(x, row) for x, row in new
+                             if row not in present])
+        present.discard(rows[x])
+        present.add(row)
+        rows[x] = row
+        sums[low] += 1
+        if clear is not None:
+            sums[clear] -= 1
+    return [frozenset(x for x in range(n) if rows[x] >> i & 1)
+            for i in range(l)]
 
 
 def as_arrays(action):

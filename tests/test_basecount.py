@@ -1,3 +1,6 @@
+from math import comb, factorial
+import random
+
 import pytest
 
 from basechar import basecount, oracle
@@ -6,7 +9,8 @@ from basechar.basecount import (base_size_partitions_action,
 from basechar.characters import (char_vector_subsets, iter_inner_products,
                                  orbit_counts)
 from basechar.errors import CapacityError, InputError
-from reference_impls import as_arrays, subsets_inner_product
+from reference_impls import (as_arrays, distinct_vector_base,
+                             least_weight_vectors, subsets_inner_product)
 
 
 def oracle_base(action):
@@ -96,6 +100,64 @@ def test_distinct_vector_bound_values():
     assert basecount.least_l_distinct(64, 5) == 21
 
 
+def test_distinct_vector_base_at_l1():
+    # b(S_n on k-subsets) = L1: L1 k-subsets with distinct membership
+    # vectors are a base, built and checked by set arithmetic alone, and
+    # below L1 the n least-weight vectors of {0,1}^l already weigh more
+    # than k * l (least_l_distinct), so no base is that short.
+    sizes = [(n, k) for n in range(2, 65) for k in range(1, n)
+             if k == 1 or n > 2 * k]
+    assert len(sizes) == 993
+    rng = random.Random(9)
+    for _ in range(40):
+        n = rng.randrange(65, 201)
+        sizes.append((n, rng.randrange(1, (n + 1) // 2)))
+    for n, k in sizes:
+        l = basecount.least_l_distinct(n, k)
+        sets = distinct_vector_base(n, k, l)
+        assert sets is not None and len(sets) == l, (n, k)
+        assert all(len(s) == k and s <= set(range(n)) for s in sets), (n, k)
+        assert len({tuple(x in s for s in sets) for x in range(n)}) == n
+        rows = least_weight_vectors(n, l - 1)
+        assert rows is None or \
+            sum(bin(row).count("1") for row in rows) > k * (l - 1), (n, k)
+        assert distinct_vector_base(n, k, l - 1) is None, (n, k)
+
+
+def test_search_bound_is_reached_exactly_at_two_points():
+    # floor(log2 2!) + ceil(log2 3) = 1 + 2: S_2 wr S_3 has base size 3, the
+    # bound itself, so a bound one lower would fail this search
+    bound = factorial(2).bit_length() - 1 + (3 - 1).bit_length()
+    report = base_size_subsets(2, 1, threshold=3)
+    assert report.base_size == bound == 3
+    assert report.witness_l_values == ((1, 1), (2, 2), (3, 4))
+
+
+# Regular orbits of H wr S_r in product action on l-tuples, l = 1..5, as
+# the oracle counts them; H is S_n on k-subsets.
+PRODUCT_ACTION_COUNTS = {
+    "sn:3/wreath:2": ((3, 1, 2), (0, 0, 6, 78, 780)),
+    "sn:4/wreath:2": ((4, 1, 2), (0, 0, 0, 21, 595)),
+    "sn:3/wreath:3": ((3, 1, 3), (0, 0, 4, 286, 9880)),
+    "sn:5/subsets:2/wreath:2": ((5, 2, 2), (0, 0, 6, 2016, 282376)),
+    "sn:2/wreath:3": ((2, 1, 3), (0, 0, 4, 56, 560)),
+    "sn:2/wreath:5": ((2, 1, 5), (0, 0, 0, 56, 4368)),
+}
+
+
+def test_product_action_regular_orbits_are_binomials():
+    # An l-tuple has trivial stabilizer in H wr S_r exactly when each
+    # coordinate's tuple is regular for H and the r coordinates lie in
+    # distinct H-orbits, so the count is C(R_l, r), R_l = <sgn, chi^l> of H.
+    for spec, ((n, k, r), expected) in PRODUCT_ACTION_COUNTS.items():
+        action = oracle.parse_group_spec(spec).action
+        rows = oracle.tuple_orbit_counts(action, 5)[1]
+        assert tuple(regular for _, _, _, regular in rows[1:]) == expected
+        chi = char_vector_subsets(n, k)
+        assert tuple(comb(o_k - o, r) for o, o_k in
+                     (orbit_counts(chi, l) for l in range(1, 6))) == expected
+
+
 def test_subsets_validation():
     with pytest.raises(InputError):
         base_size_subsets(4, 2)  # needs n > 2k
@@ -138,7 +200,8 @@ def test_wreath_thresholds():
 
 
 def test_wreath_matches_oracle():
-    for n, r in ((3, 2), (4, 2)):
+    # at n = 2 the base sizes 3 and 4 lie past C(2, 1) = 2 steps
+    for n, r in ((3, 2), (4, 2), (2, 3), (2, 5)):
         formula = base_size_subsets(n, 1, threshold=r).base_size
         wreath = oracle.product_action_wreath(oracle.symmetric_group(n), r)
         assert formula == oracle_base(wreath)

@@ -271,7 +271,9 @@ def test_one_class_pass_per_command(monkeypatch, capsys):
 
 def test_one_class_sum_per_base_size(monkeypatch, capsys):
     # The search starts at L1, which is the base size here, so the loop
-    # takes one step; every trace entry below it comes from the bound.
+    # takes one step; every trace entry below it comes from the bound. At
+    # every valid size with n <= 30 the base size is L1 from both sides:
+    # below it no count is summed, and at it the one class sum is nonzero.
     steps = []
 
     def counted(chi, l=1):
@@ -284,6 +286,15 @@ def test_one_class_sum_per_base_size(monkeypatch, capsys):
         steps.clear()
         assert cli.main(["basesize", "--n", n, "--k", k]) == 0
         capsys.readouterr()
+        assert steps == [base], (n, k, steps)
+    sizes = [(n, k) for n in range(2, 31) for k in range(1, n)
+             if k == 1 or n > 2 * k]
+    assert len(sizes) == 211
+    for n, k in sizes:
+        steps.clear()
+        base = basecount.least_l_distinct(n, k)
+        assert basecount.base_size_subsets(n, k).base_size == base \
+            <= n - 1 <= factorial(n).bit_length() - 1, (n, k)
         assert steps == [base], (n, k, steps)
 
 

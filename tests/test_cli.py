@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from basechar import basecount, cli, oracle
+from basechar.errors import CapacityError
 from reference_impls import (as_arrays, burnside_orbit_count,
                              least_unprintable_l)
 
@@ -101,6 +102,12 @@ def test_wreath_command(capsys):
                            "--dist", "1")
     base, base_doc, _ = run_cli(capsys, "basesize", "--n", "5", "--k", "2")
     assert doc["outputs"]["base_size"] == base_doc["outputs"]["base_size"]
+
+    # the answers 3 and 4 lie past C(2, 1) = 2 steps
+    for flag, threshold, base in (("--r", "3", "3"), ("--dist", "5", "4")):
+        code, doc, _ = run_cli(capsys, "wreath", "--n", "2", "--k", "1",
+                               flag, threshold)
+        assert code == 0 and doc["outputs"]["base_size"] == base
 
 
 def test_wreath_flags_mutually_exclusive(capsys):
@@ -251,12 +258,9 @@ FORMULA_COMPARISONS = (
     ("pgl2:7", None, []),
     # S_5 again, but only the sn tag reaches the formula lane
     ("gens:(1,2,3,4,5);(1,2)", None, []),
-    # the formula search stops at its cap C(2, 1) = 2 below the oracle's
-    # base sizes 3 and 4; the oracle's results are still written
-    ("sn:2/wreath:3", None, ["formula comparison skipped: no count reaching "
-                             "3 found up to l=2"]),
-    ("sn:2/wreath:5", None, ["formula comparison skipped: no count reaching "
-                             "5 found up to l=2"]),
+    # base sizes past C(2, 1) = 2, within the bound log2 2! + log2 D
+    ("sn:2/wreath:3", {"base_size": "3", "relation": "equal"}, []),
+    ("sn:2/wreath:5", {"base_size": "4", "relation": "equal"}, []),
 )
 
 
@@ -587,9 +591,8 @@ HOSTILE_INPUTS = (
     # --max-l below L0 = 6: refused before the (64, 25) build
     (("basesize", "--n", "64", "--k", "25", "--max-l", "4"), 3),
     (("partitions-action", "--n", "0", "--r", "0", "--s", "0"), 2),
-    # a 4,001-digit threshold needs C(40, 2)^l >= 10^4000 * 40!, so
-    # l >= 1,400, past the cap C(40, 2) = 780: refused before the build
-    (("wreath", "--n", "40", "--k", "2", "--dist", "1" + "0" * 4000), 3),
+    # a 4,001-digit threshold, answered at l = 1,400 in about a second
+    (("wreath", "--n", "40", "--k", "2", "--dist", "1" + "0" * 4000), 0),
 )
 
 
@@ -616,22 +619,57 @@ def test_hostile_inputs(capsys, argv, expected):
     assert len(captured.err) < 300  # no echo of a huge number in full
 
 
-def test_hopeless_threshold_refused_before_the_build(capsys, monkeypatch):
-    # Each regular orbit holds 40! tuples, so 10^4000 of them need l >= 1,400
-    # > 780 = C(40, 2); the refusal gives the message of the search at its
-    # cap without building the character.
+def test_huge_threshold_answered_within_the_bound(monkeypatch):
+    # Each regular orbit holds 40! tuples, so 10^4000 of them need l >= 1,400,
+    # and that is the answer: the count grows C(40, 2)-fold per step. A cap
+    # below it is refused before the build, with the search's own message.
+    threshold = 10 ** 4000
+    report = basecount.base_size_subsets(40, 2, threshold)
+    assert report.base_size == 1400 == \
+        basecount.least_l_holding(40, 2, threshold)
+    trace = report.witness_l_values
+    assert [l for l, _ in trace] == list(range(1, 1401))
+    assert trace[-2][1] < threshold <= trace[-1][1]
+
     def no_build(n, k):
         raise AssertionError("character built")
 
     monkeypatch.setattr(basecount, "char_vector_subsets", no_build)
-    code, doc, err = run_cli(capsys, "wreath", "--n", "40", "--k", "2",
-                             "--dist", "1" + "0" * 4000)
-    assert code == 3 and doc is None
-    assert err == ("capacity error: no count reaching a 13288-bit threshold "
-                   "found up to l=780\n")
-    assert basecount.least_l_holding(40, 2, 10 ** 4000) == 1400
+    with pytest.raises(CapacityError) as refused:
+        basecount.base_size_subsets(40, 2, threshold, max_l=780)
+    assert str(refused.value) == \
+        "no count reaching a 13288-bit threshold found up to l=780"
     # the bound stops one step past the cap, however far the power is off
-    assert basecount.least_l_holding(40, 2, 10 ** 4000, cap=5) == 6
+    assert basecount.least_l_holding(40, 2, threshold, cap=5) == 6
+
+
+def test_search_past_its_bound_is_a_consistency_failure(capsys, monkeypatch):
+    # With every count patched to 0 the search stops at
+    # floor(log2 n!) + ceil(log2 D), exit 4, however large D is; a --max-l
+    # below the bound is still a refusal, exit 3.
+    def zeros(chi, l=1):
+        while True:
+            yield l, 0, 0
+            l += 1
+
+    monkeypatch.setattr(basecount, "iter_inner_products", zeros)
+    huge = 10 ** 4000
+    for argv, n, threshold in (
+            (("basesize", "--n", "6", "--k", "2"), 6, 1),
+            (("wreath", "--n", "2", "--k", "1", "--r", "3"), 2, 3),
+            (("wreath", "--n", "40", "--k", "2", "--dist", str(huge)), 40,
+             huge),
+            (("partitions-action", "--n", "6", "--r", "3", "--s", "2"), 6, 1),
+            (("basesize", "--n", "6", "--k", "2", "--max-l", "20"), 6, 1)):
+        bound = (factorial(n).bit_length() - 1
+                 + (threshold - 1).bit_length())
+        shown = "a 13288-bit threshold" if threshold == huge else threshold
+        assert run_cli(capsys, *argv) == (
+            4, None, f"consistency failure: no count reaching {shown} found "
+                     f"up to l={bound} (the bound)\n")
+    assert run_cli(capsys, "basesize", "--n", "6", "--k", "2", "--max-l",
+                   "5") == (3, None, "capacity error: no count reaching 1 "
+                                     "found up to l=5\n")
 
 
 def test_unprintable_counts_refused_before_the_sum(monkeypatch, capsys):

@@ -13,7 +13,8 @@ by one packed-integer product and weighted by the ways to put the other
 points in cycles longer than k, split by sign; no class is listed.  At
 n = 40, k = 2 the vectors give 725 signed terms against p(40) = 37,338
 classes, holding 261 distinct values; at n = 36, k = 3, 2,231 terms hold
-610.  The partition character is computed and kept class by class.
+610.  The partition character keeps one value per class; only the
+classes with a nonzero plethysm coefficient are sized.
 
 Every count is one loop over the terms: T = sum of all * chi^l and
 E = sum of even * chi^l give o = T/n! orbits of S_n and o_K = 2E/n!
@@ -189,7 +190,9 @@ def char_vector_uniform_partitions(n, r, s):
 
     chi(mu) = z_mu [p_mu] h_r[h_s]; with z_mu = n! / class size and the
     r! s!^r scaling of the coefficients this is domain * coefficient /
-    class size, which must come out integral.
+    class size, which must come out integral.  Only classes with a nonzero
+    coefficient are sized; the value-0 term takes what they leave of n!
+    and n!/2, in the place of the first class of value 0.
     """
     if r < 1 or s < 1 or n != r * s:
         raise InputError(f"need n = r*s, got n={n}, r={r}, s={s}")
@@ -202,13 +205,21 @@ def char_vector_uniform_partitions(n, r, s):
     values = []
     distribution = {}
     for parts in cycle_types:
+        coefficient = coefficients.get(parts)
+        if coefficient is None:  # value 0, its term is filled in below
+            values.append(0)
+            distribution.setdefault(0, (0, 0))
+            continue
         size = class_size(parts)
-        value, rem = divmod(domain * coefficients.get(parts, 0), size)
+        value, rem = divmod(domain * coefficient, size)
         if rem:
             raise ConsistencyError(f"h_r[h_s] gives a non-integral "
                                    f"character value at class {parts}")
         values.append(value)
         _add(distribution, value, size, size if sign_of(parts) > 0 else 0)
+    if 0 in distribution:
+        sized, sized_even = map(sum, zip(*distribution.values()))
+        distribution[0] = factorial(n) - sized, factorial(n) // 2 - sized_even
     return CharVector(n, f"partitions:{r}x{s}", domain,
                       tuple((v, *c) for v, c in distribution.items()),
                       cycle_types, tuple(values))

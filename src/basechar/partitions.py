@@ -19,26 +19,31 @@ from math import factorial
 from .errors import ConsistencyError, InputError
 
 
-def _parts_desc(n, max_part):
-    # Descending part tuples in descending lexicographic order.
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _parts_desc(n - first, first):
-            yield (first,) + rest
-
-
 def enumerate_cycle_types(n):
     """Yield every cycle type of S_n exactly once, as a descending tuple.
 
     Order: descending lexicographic, so the n-cycle comes first and the
     identity last.  The count of yielded items is the partition number
-    p(n).
+    p(n).  One loop walks the order (Knuth, TAOCP 7.2.1.4): each step
+    lowers the last part above 1 by one and refills the tail greedily
+    with parts of that size, the fixed points kept as a count.
     """
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
-    yield from _parts_desc(n, n)
+    parts, ones = ([n], 0) if n > 1 else ([], 1)
+    while True:
+        yield tuple(parts) + (1,) * ones
+        if not parts:
+            return
+        x = parts.pop() - 1
+        if x == 1:
+            ones += 2
+            continue
+        q, ones = divmod(ones + 1, x)
+        parts += [x] * (q + 1)
+        if ones > 1:
+            parts.append(ones)
+            ones = 0
 
 
 def class_size(parts):

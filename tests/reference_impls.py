@@ -1,14 +1,16 @@
 """Independent reference implementations used as oracles in tests.
 
 Nothing here imports the package's combinatorics: partition counting uses the
-pentagonal-number recurrence, class data comes from sympy, fixed-point counts
-are plain itertools enumeration (for uniform partitions also a search that
-lists only the fixed ones) or, for k-subsets, one product of
-(1 + x^length) per class, permutations with all cycles long are counted
-by the cycle through the last point, the value distribution of a character merges
-these per-class values, orbit counts on tuples come from Burnside's
-lemma, representatives lay cycles out shortest first (the package uses
-longest first, so agreement also exercises class invariance), induced
+pentagonal-number recurrence, the order of cycle types comes from a
+recursion on the first part, class data comes from sympy, fixed-point counts
+are plain itertools enumeration (uniform partitions held as tuples of block
+bitmasks; for them also a search that lists only the fixed ones) or, for
+k-subsets, one product of (1 + x^length) per class, permutations with all
+cycles long are counted by the cycle through the last point, the value
+distribution of a character merges these per-class values, orbit counts
+on tuples come from Burnside's lemma, representatives lay cycles out
+shortest first (the package uses longest first, so agreement also
+exercises class invariance), induced
 tables (subsets, uniform partitions and the wreath product action) are
 built one element and one point at a time, the base-controlling verdict
 tries every set of points, the first counterexample comes from a
@@ -55,6 +57,18 @@ def partition_count(n):
         total += term if k % 2 else -term
         k += 1
     return total
+
+
+def cycle_types_recursive(n, max_part):
+    """Partitions of n into parts at most max_part, as descending tuples in
+    descending lexicographic order: every first part from the largest
+    down, then the partitions of the rest into parts no larger."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in cycle_types_recursive(n - first, first):
+            yield (first,) + rest
 
 
 def sympy_class_data(n):
@@ -130,27 +144,40 @@ def count_fixed_subsets(perm, k):
                if tuple(sorted(perm[x] for x in subset)) == subset)
 
 
-def uniform_partitions_frozen(n, r, s):
-    """All partitions of range(n) into r blocks of size s, as frozensets."""
+def uniform_partitions_masks(n, r, s):
+    """All partitions of range(n) into r blocks of size s, each a tuple of
+    its blocks as bitmasks (bit x set for point x), by least point."""
     def extend(free):
         if not free:
-            yield frozenset()
+            yield ()
             return
-        first = free[0]
-        rest = free[1:]
+        first, rest = free[0], free[1:]
         for others in combinations(rest, s - 1):
-            block = frozenset((first,) + others)
-            left = [p for p in rest if p not in block]
+            block = 1 << first
+            for x in others:
+                block |= 1 << x
+            left = [x for x in rest if not block >> x & 1]
             for sub in extend(left):
-                yield sub | {block}
+                yield (block,) + sub
     return list(extend(list(range(n))))
 
 
-def count_fixed_uniform(perm, parts_list):
+def count_fixed_uniform(perm, partitions):
+    """How many of the partitions, as uniform_partitions_masks lists them,
+    perm fixes: each block's image must be a block of the same partition.
+    The image of a block is mapped point by point, once per block."""
+    images = {}
     fixed = 0
-    for part in parts_list:
-        image = frozenset(frozenset(perm[x] for x in block) for block in part)
-        if image == part:
+    for part in partitions:
+        for block in part:
+            image = images.get(block)
+            if image is None:
+                image = images[block] = sum(1 << perm[x]
+                                            for x in range(len(perm))
+                                            if block >> x & 1)
+            if image not in part:
+                break
+        else:
             fixed += 1
     return fixed
 
@@ -402,8 +429,9 @@ def partitions_action_table(rows, n, r, s):
     """(table, point names) of the action on partitions of range(n) into r
     blocks of size s, each partition its sorted list of sorted blocks and
     the partitions in lexicographic order."""
-    points = sorted(tuple(sorted(tuple(sorted(block)) for block in part))
-                    for part in uniform_partitions_frozen(n, r, s))
+    points = sorted(tuple(tuple(x for x in range(n) if block >> x & 1)
+                          for block in part)
+                    for part in uniform_partitions_masks(n, r, s))
     names = tuple("|".join("".join(str(x + 1) for x in block)
                            for block in point) for point in points)
     return _block_table(rows, points), names

@@ -13,8 +13,8 @@ from reference_impls import (chi_subsets, count_fixed_subsets,
                              count_fixed_uniform, distinct_vector_sets,
                              long_cycle_counts,
                              merge_by_value, perm_shortest_first, subsets_class_values,
-                             subsets_inner_product, uniform_class_values,
-                             uniform_partitions_frozen)
+                             subsets_inner_product, sympy_class_data,
+                             uniform_class_values, uniform_partitions_masks)
 
 
 def split_count(chi, l):
@@ -73,7 +73,7 @@ def test_chi_uniform_matches_enumeration():
               if n % r == 0]
     for r, s in shapes + [(3, 4)]:
         n = r * s
-        parts_list = uniform_partitions_frozen(n, r, s)
+        parts_list = uniform_partitions_masks(n, r, s)
         chi = char_vector_uniform_partitions(n, r, s)
         for ct, value in zip(enumerate_cycle_types(n), chi.values):
             perm = perm_shortest_first(ct, n)
@@ -82,8 +82,8 @@ def test_chi_uniform_matches_enumeration():
 
 def test_chi_uniform_fifteen_points():
     # 3 blocks of 5: a few classes, since each costs a sweep over all
-    # 126,126 partitions.
-    parts_list = uniform_partitions_frozen(15, 3, 5)
+    # 126,126 partitions, listed once with their blocks as bitmasks.
+    parts_list = uniform_partitions_masks(15, 3, 5)
     values = uniform_values(15, 3, 5)
     expected = {(5, 5, 5): 1, (3,) * 5: 81, (2,) + (1,) * 13: 36036,
                 (2,) * 7 + (1,): 336}
@@ -94,7 +94,9 @@ def test_chi_uniform_fifteen_points():
 
 
 def test_chi_uniform_transitive_at_ceiling():
-    # The identity fixes every partition, and S_n is transitive on them.
+    # The identity fixes every partition, and S_n is transitive on them;
+    # the terms, value-0 term included, match sympy's class data.
+    classes = sympy_class_data(36)
     for r, s in ((6, 6), (18, 2), (2, 18)):
         n = r * s
         chi = char_vector_uniform_partitions(n, r, s)
@@ -102,6 +104,7 @@ def test_chi_uniform_transitive_at_ceiling():
         assert chi.domain_size == domain
         assert chi.values[-1] == domain  # identity class comes last
         assert orbit_counts(chi, 1)[0] == 1
+        check_distribution(chi, own_values(chi, classes))
 
 
 def test_chi_uniform_single_block():
@@ -328,6 +331,24 @@ def test_collapsed_subsets_match_class_sum():
                                subsets_class_values(n, k))
 
 
+def own_values(chi, classes):
+    """sympy's (parts, size, sign) classes as (size, sign, value) triples,
+    each value chi's own for that class."""
+    values = dict(zip(chi.cycle_types, chi.values))
+    return [(size, sign, values[parts]) for parts, size, sign in classes]
+
+
+def test_partition_terms_match_sympy_class_data():
+    # Only the classes with a nonzero plethysm coefficient are sized; the
+    # value-0 term is what they leave, so check it against sympy's sizes.
+    for n in range(1, 25):
+        classes = sympy_class_data(n)
+        for r in range(1, n + 1):
+            if n % r == 0:
+                chi = char_vector_uniform_partitions(n, r, n // r)
+                check_distribution(chi, own_values(chi, classes))
+
+
 def test_partition_distribution_matches_classes():
     for n in range(1, 13):
         for r in range(1, n + 1):
@@ -418,14 +439,14 @@ def test_subset_vector_n_limit():
 
 
 # Fixed-point counts on uniform set partitions: the closed form against
-# the frozenset enumeration in reference_impls.
+# the bitmask enumeration in reference_impls.
 
 
 def test_table_row_counts():
     # The number of partitions, from the closed form and by enumeration.
     for n, r, s, expected in ((4, 2, 2, 3), (6, 3, 2, 15), (6, 2, 3, 10),
                               (8, 4, 2, 105), (9, 3, 3, 280)):
-        assert len(uniform_partitions_frozen(n, r, s)) == expected
+        assert len(uniform_partitions_masks(n, r, s)) == expected
         chi = char_vector_uniform_partitions(n, r, s)
         assert chi.domain_size == expected
         assert chi.values[-1] == expected  # identity class comes last
@@ -440,8 +461,8 @@ def test_table_input_errors():
         char_vector_uniform_partitions(4, 4, 0)
 
 
-def test_counts_match_frozenset_reference():
-    parts_list = uniform_partitions_frozen(6, 3, 2)
+def test_counts_match_bitmask_reference():
+    parts_list = uniform_partitions_masks(6, 3, 2)
     values = uniform_values(6, 3, 2)
     for ct in enumerate_cycle_types(6):
         perm = perm_shortest_first(ct, 6)
@@ -452,7 +473,7 @@ def test_counts_match_frozenset_reference():
 def test_count_class_invariance():
     # Shortest-first and longest-first representatives of one class fix
     # the same number of partitions, and the closed form gives it.
-    parts_list = uniform_partitions_frozen(6, 2, 3)
+    parts_list = uniform_partitions_masks(6, 2, 3)
     values = uniform_values(6, 2, 3)
     for ct in enumerate_cycle_types(6):
         a = count_fixed_uniform(perm_longest_first(ct, 6), parts_list)

@@ -6,7 +6,8 @@ from basechar import cli, partitions
 from basechar.characters import char_vector_uniform_partitions
 from basechar.errors import ConsistencyError, InputError
 from basechar.partitions import class_size, enumerate_cycle_types, sign_of
-from reference_impls import partition_count, sympy_class_data
+from reference_impls import (cycle_types_recursive, partition_count,
+                             sympy_class_data)
 
 
 def test_n1_single_cycle_type():
@@ -16,8 +17,17 @@ def test_n1_single_cycle_type():
 
 
 def test_counts_match_pentagonal_recurrence():
-    for n in range(1, 26):
+    # Up to the uniform-partition ceiling, p(36) = 17,977.
+    for n in range(1, 37):
         assert len(list(enumerate_cycle_types(n))) == partition_count(n)
+    assert partition_count(36) == 17977
+
+
+def test_walk_matches_recursive_order():
+    # The loop walk refills the tail after each step; the recursion on the
+    # first part fixes the same order with no refill at all.
+    for n in range(1, 31):
+        assert list(enumerate_cycle_types(n)) == list(cycle_types_recursive(n, n))
 
 
 def test_n4_and_n15_counts():

@@ -130,13 +130,12 @@ def cmd_verify(args):
     warnings = []
     parsed = oracle.parse_group_spec(args.group, labels_mode=args.labels)
     action = parsed.action
-    kernel = action.kernel[0]
-    faithful = kernel == 1
+    faithful = action.kernel == 1
 
     outputs = {
         "degree": action.degree,
         "order": action.order,
-        "kernel_order": kernel,
+        "kernel_order": action.kernel,
         "faithful": faithful,
         "base_size": None,
     }

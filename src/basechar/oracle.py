@@ -9,11 +9,11 @@ one byte per row: 0 for +1 and 1 for -1, so the label of a product is the
 exclusive or. Induced actions carry one table row per parent element, so
 a stabilizer is a set of rows and labels stay well-defined even when the
 action is not faithful. The lattice of tuple stabilizers, each expanded
-once, gives the base size, the orbit counts o and o_K of the group and of
-its label kernel, the regular-orbit counts for every l, and whether the
-labels are base-controlling. Everything here is deliberately simple and
-slow; the fast formula code is validated against it, never the other way
-around.
+once, gives the kernel order, the base size (None when no key has a
+regular orbit), the orbit counts o and o_K of the group and of its label
+kernel, the regular-orbit counts for every l, and whether the labels are
+base-controlling. Everything here is deliberately simple and slow; the
+fast formula code is validated against it, never the other way around.
 """
 
 from array import array
@@ -151,7 +151,9 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 def _cycle_points(text):
     """The 0-based points of each nonempty cycle of 1-based cycle notation
-    like ``(1,2)(3,4)``, read once; _cycle_rows checks the rest."""
+    like ``(1,2)(3,4)``, with nothing outside the cycles, read once."""
+    if _CYCLE_RE.sub("", text.replace(" ", "")):
+        raise InputError(f"malformed cycle notation: {text!r}")
     try:
         return [[int(part) - 1 for part in cycle.split(",")]
                 for cycle in _CYCLE_RE.findall(text.replace(" ", "")) if cycle]
@@ -164,8 +166,6 @@ def _cycle_rows(texts, cycles, degree):
     written into the identity of the given degree."""
     rows = []
     for text, body_cycles in zip(texts, cycles):
-        if _CYCLE_RE.sub("", text.replace(" ", "")):
-            raise InputError(f"malformed cycle notation: {text!r}")
         row = list(range(degree))
         for points in body_cycles:
             if len(set(points)) != len(points):
@@ -226,14 +226,13 @@ class InducedAction:
 
     @cached_property
     def kernel(self):
-        """(kernel order, mask of the points every row fixes); the kernel is
-        found by keeping, point by point, the rows that fix it."""
-        rows, degree = self.table, self.degree
-        for point in range(degree):
-            column = rows[point::degree]
-            if column.count(point) < len(column):
-                rows = _gather(rows, degree, _equal_mask(column, point))
-        return len(rows) // degree, _fixed_points(self.table, degree)
+        """Order of the kernel, the rows fixing every point, which lie in
+        every key's rows. A key with a regular orbit has a point that only
+        one of its rows fixes, so the kernel is 1. Else the lattice, which
+        expands each point some but not all of a key's rows fix into fewer
+        rows, stops only at keys whose rows fix every point: the kernel, so
+        its order is the least row count."""
+        return min(1 if node[1] else node[4] for node in self.lattice.values())
 
     @cached_property
     def lattice(self):
@@ -573,10 +572,10 @@ def check_tuple_length(l_max):
 
 
 def _stabilizer_lattice(action):
-    """{key: (depth, regular orbits on points, {child key: orbits}, all
-    +1)} for every tuple stabilizer, expanded once each, breadth first from
-    the whole group: depth is the shortest tuple with that stabilizer, and
-    the last entry says whether every row of it is labelled +1.
+    """{key: (depth, regular orbits on points, {child key: orbits}, all +1,
+    rows)} for every tuple stabilizer, expanded once each, breadth first
+    from the whole group, the first key: depth is the shortest tuple with
+    that stabilizer, rows its order, all +1 whether each row is labelled +1.
 
     A tuple's stabilizer G_S is also the pointwise stabilizer of its own
     fixed-point set F (it fixes F, and S lies in F), so F, as a mask over
@@ -587,7 +586,7 @@ def _stabilizer_lattice(action):
     """
     degree = action.degree
     labels = action.labels if action.labels is not None else b""
-    root = action.kernel[1]
+    root = _fixed_points(action.table, degree)
     pending = {root: (action.table, labels, 0)}  # None once expanded
     lattice = {}
     queue = [root]
@@ -620,7 +619,7 @@ def _stabilizer_lattice(action):
                                   depth + 1)
                 queue.append(child)
         plus = action.labels is not None and 1 not in sub_labels
-        lattice[key] = (depth, regular, children, plus)
+        lattice[key] = (depth, regular, children, plus, rows)
     return lattice
 
 
@@ -633,7 +632,7 @@ def tuple_orbit_counts(action, l_max=None):
     fixes a point, so it stays on every level past its depth, and a regular
     orbit on points is degree^(m-l) regular orbits at every level m >= l:
     the base size is one more than the least depth of a key with a regular
-    orbit (0 for the trivial group, None for a non-faithful action).
+    orbit (0 for the trivial group, None when no key has a regular orbit).
 
     rows holds (l, o, o_K, regular) for l = 0..l_max (by default base size
     + 1, or 2 without a base): the orbits of the group, of its label kernel
@@ -646,9 +645,8 @@ def tuple_orbit_counts(action, l_max=None):
     if l_max is not None:
         check_tuple_length(l_max)
     labels, degree, lattice = action.labels, action.degree, action.lattice
-    kernel, root = action.kernel
-    base = (0 if action.order == 1 else None if kernel > 1 else 1 + min(
-        depth for depth, regular, _, _ in lattice.values() if regular))
+    depths = [node[0] for node in lattice.values() if node[1]]
+    base = (0 if action.order == 1 else 1 + min(depths) if depths else None)
     if l_max is None:
         l_max = 2 if base is None else base + 1
 
@@ -656,7 +654,7 @@ def tuple_orbit_counts(action, l_max=None):
     # K, and the regular orbits first reached there; level 0 is the one
     # orbit of the empty tuple
     nonregular, inside, fresh = (0, 0, 1) if base == 0 else (1, 0, 0)
-    frontier = {} if base == 0 else {root: 1}
+    frontier = {} if base == 0 else {next(iter(lattice)): 1}
     rows = []
     regular = 0
     for l in range(l_max + 1):
@@ -668,7 +666,7 @@ def tuple_orbit_counts(action, l_max=None):
         nonregular = inside = fresh = 0
         nxt = {}
         for key, count in frontier.items():
-            _, key_regular, children, _ = lattice[key]
+            _, key_regular, children, _, _ = lattice[key]
             fresh += count * key_regular
             for child, orbits in children.items():
                 nonregular += count * orbits
@@ -706,7 +704,9 @@ def is_base_controlling(action):
     stabilizer (a set of rows, kept as the bytes of their indices) whose
     subtree already held no violation: a violating superset of that
     stabilizer's points would have a sorted chain either in that subtree
-    or before it, so it is found either way.
+    or before it, so it is found either way. The indices, not the
+    fixed-point mask, key the memo: a mask costs a _fixed_points per step,
+    2-7 times slower where the labels are not base-controlling.
     """
     if action.labels is None:
         raise InputError("labels required")

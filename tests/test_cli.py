@@ -553,6 +553,10 @@ def test_suffixes_sized_before_any_build(capsys, monkeypatch):
 HOSTILE_INPUTS = (
     (("verify", "--group", "gens:"), 2),
     (("verify", "--group", "gens:!()"), 2),
+    # text outside the cycles is bad input, whatever degree the cycles name
+    (("verify", "--group", "gens:(1,2"), 2),
+    (("verify", "--group", "gens:1,2"), 2),
+    (("verify", "--group", "gens:(1,99999)x"), 2),
     (("verify", "--group", "sn:0"), 2),
     (("verify", "--group", "an:1"), 0),
     (("verify", "--group", "pgl2:1"), 2),

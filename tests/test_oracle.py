@@ -1,4 +1,5 @@
 import json
+import random
 from array import array
 from itertools import permutations, product
 from math import factorial
@@ -257,7 +258,7 @@ def test_act_on_subsets():
     assert action.degree == 6
     assert action.order == 24
     assert action.point_names[0] == "{1,2}"
-    assert action.kernel[0] == 1
+    assert action.kernel == 1
     with pytest.raises(InputError):
         act_on_subsets(symmetric_group(4), 5)
 
@@ -271,7 +272,7 @@ def test_act_on_uniform_partitions():
     assert small.point_names == ("12|34", "13|24", "14|23")
     swap = elements(small)[elements(symmetric_group(4)).index((1, 0, 2, 3))]
     assert swap == (0, 2, 1)  # (1 2) swaps 13|24 and 14|23
-    assert small.kernel[0] == 4  # the double transpositions act trivially
+    assert small.kernel == 4  # the double transpositions act trivially
     with pytest.raises(InputError):
         act_on_uniform_partitions(symmetric_group(6), 4, 2)
 
@@ -345,7 +346,7 @@ def test_wreath_product_action():
     assert wreath.order == 72
     assert wreath.labels is not None
     assert signs(wreath).count(1) * 2 == wreath.order
-    assert wreath.kernel[0] == 1
+    assert wreath.kernel == 1
     with pytest.raises(InputError):
         product_action_wreath(symmetric_group(3), 0)
 
@@ -616,18 +617,71 @@ def test_distinguishing_numbers():
         distinguishing_number(closure([identity_perm(13)]))
 
 
+def _identity_rows(action):
+    """The number of rows fixing every point, and the mask of the points
+    every row fixes, from the whole table at once."""
+    fixed = as_arrays(action)[0] == np.arange(action.degree)
+    return int(fixed.all(axis=1).sum()), fixed.all(axis=0).astype(int).tolist()
+
+
 def test_kernel_order():
-    assert symmetric_group(3).kernel[0] == 1
-    assert act_on_uniform_partitions(symmetric_group(4), 2, 2).kernel[0] == 4
+    assert symmetric_group(3).kernel == 1
+    assert act_on_uniform_partitions(symmetric_group(4), 2, 2).kernel == 4
+    # the last four have no regular orbit on any key; the regular C_4 has
+    # no one-row key
     for spec, order in (("sn:4/partitions:2x2", 4), ("sn:1/subsets:1", 1),
                         ("an:2", 1), ("gens:(1,2)(3,4)", 1),
-                        ("gens:(1,2);(4,5)", 1), ("sn:4/wreath:2", 1)):
+                        ("gens:(1,2);(4,5)", 1), ("sn:4/wreath:2", 1),
+                        ("gens:(1,2,3,4)", 1), ("an:4/partitions:2x2", 4),
+                        ("pgl2:3/partitions:2x2", 4), ("sn:2/subsets:2", 2),
+                        ("an:3/subsets:3", 3)):
         action = parse_group_spec(spec).action
-        fixed = as_arrays(action)[0] == np.arange(action.degree)
-        kernel, mask = action.kernel
-        assert kernel == order == int(fixed.all(axis=1).sum())
-        assert isinstance(mask, bytes)  # one byte per point, 1 if fixed
-        assert list(mask) == fixed.all(axis=0).astype(int).tolist()
+        kernel, mask = _identity_rows(action)
+        assert action.kernel == order == kernel, spec
+        root = next(iter(action.lattice))  # the whole group
+        assert isinstance(root, bytes)  # one byte per point, 1 if fixed
+        assert list(root) == mask
+
+
+def _small_gens_specs(rng, count):
+    """Seeded gens: specs on at most 6 points, one to three generators, each
+    a random permutation cut into cycles, bare and with a subsets or a
+    uniform partitions suffix; generators that are all the identity are
+    skipped."""
+    for _ in range(count):
+        degree = rng.randint(2, 6)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            points = rng.sample(range(1, degree + 1), degree)
+            cuts = sorted(rng.sample(range(1, degree),
+                                     rng.randint(0, min(3, degree - 1))))
+            cycles = [points[a:b] for a, b in zip([0] + cuts, cuts + [None])]
+            gens.append("".join("(" + ",".join(map(str, cycle)) + ")"
+                                for cycle in cycles if len(cycle) > 1))
+        spec = "gens:" + ";".join(gens)
+        if not any(gens):
+            continue
+        # the suffixes are sized by the degree, the largest point moved
+        n = parse_group_spec(spec).action.degree
+        yield spec
+        yield f"{spec}/subsets:{rng.randint(1, n)}"
+        s = rng.choice([s for s in range(1, n + 1) if n % s == 0])
+        yield f"{spec}/partitions:{n // s}x{s}"
+
+
+def test_kernel_off_the_lattice_matches_identity_rows():
+    # the kernel is the least row count over the keys, or 1 once some key
+    # has a regular orbit; and no key has one exactly when there is no base
+    rng = random.Random(28)
+    seen = set()
+    for spec in _small_gens_specs(rng, 60):
+        action = parse_group_spec(spec).action
+        kernel, _ = _identity_rows(action)
+        assert action.kernel == kernel, spec
+        no_base = tuple_orbit_counts(action)[0] is None
+        assert no_base == (action.order > 1 and action.kernel > 1), spec
+        seen.add((action.kernel > 1, no_base))
+    assert seen == {(False, False), (True, True)}
 
 
 def test_parse_group_spec_forms():
@@ -811,3 +865,7 @@ def test_parse_group_spec_errors():
             parse_group_spec(spec)
     with pytest.raises(InputError):
         parse_group_spec("sn:5", labels_mode="weird")
+    # text left around the cycles is refused before the degree is read
+    for spec in ("gens:(1,2", "gens:1,2", "gens:(1,99999)x"):
+        with pytest.raises(InputError, match="^malformed cycle notation: "):
+            parse_group_spec(spec)

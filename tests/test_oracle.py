@@ -1,6 +1,7 @@
 import json
 import random
 from array import array
+from functools import cache
 from itertools import permutations, product
 from math import factorial
 
@@ -498,17 +499,29 @@ def test_pruned_search_equals_blind_enumeration():
                 assert o_k == len(blind_orbit_data(kernel, l))
 
 
+@cache
+def _action(spec):
+    """The action of a spec, built once for the tests that share it."""
+    return parse_group_spec(spec).action
+
+
+# 276 points, two bytes each: the lattice and the search gather rows of an
+# array('H') table, which must be keyed by a bytes copy
+WIDE = "pgl2:23/subsets:2"
+
+
 def test_merged_walk_matches_burnside_at_depth():
     # Past l = 3 many tuple orbits share one stabilizer, so this checks the
-    # merge by fixed-point set against |G|^-1 sum fix(g)^l, for the group
-    # and for its +1 rows. pgl2:7 is labelled by determinant class, the
-    # wreath squares by the product of coordinate signs, an:5/subsets:2 not
-    # at all, and the 5-cycle's sign labels are all +1.
+    # merge by stabilizer rows against |G|^-1 sum fix(g)^l, for the group
+    # and for its +1 rows. pgl2:7 and pgl2:23 are labelled by determinant
+    # class, the wreath squares by the product of coordinate signs,
+    # an:5/subsets:2 not at all, and the 5-cycle's sign labels are all +1.
     specs = (("sn:9", 10), ("pgl2:7", 12), ("an:5/subsets:2", 10),
              ("sn:4/wreath:2", 8), ("sn:3/wreath:2", 12),
-             ("sn:6/partitions:3x2", 10), ("gens:(1,2,3,4,5)", 12))
+             ("sn:6/partitions:3x2", 10), ("gens:(1,2,3,4,5)", 12),
+             (WIDE, 4))
     for spec, l_max in specs:
-        action = parse_group_spec(spec).action
+        action = _action(spec)
         table, labels = as_arrays(action)
         kernel = None if labels is None else table[labels == 1]
         for l, o, o_k, _ in orbit_rows(action, l_max):
@@ -562,8 +575,8 @@ def test_memoised_search_names_the_plain_first_counterexample():
     for spec in ("sn:4/wreath:2", "sn:3/wreath:3", "pgl2:5/wreath:2",
                  "sn:4/subsets:2/wreath:2", "sn:3/wreath:2/wreath:2",
                  "sn:4/partitions:2x2",
-                 "gens:!(1,2)(3,4);(1,3)(2,4)/wreath:2"):
-        action = parse_group_spec(spec).action
+                 "gens:!(1,2)(3,4);(1,3)(2,4)/wreath:2", WIDE):
+        action = _action(spec)
         chain, order = first_all_plus_chain(*as_arrays(action))
         verdict = is_base_controlling(action)
         assert not verdict.controlling, spec
@@ -618,10 +631,9 @@ def test_distinguishing_numbers():
 
 
 def _identity_rows(action):
-    """The number of rows fixing every point, and the mask of the points
-    every row fixes, from the whole table at once."""
-    fixed = as_arrays(action)[0] == np.arange(action.degree)
-    return int(fixed.all(axis=1).sum()), fixed.all(axis=0).astype(int).tolist()
+    """The number of rows fixing every point, from the whole table at once."""
+    table = as_arrays(action)[0]
+    return int((table == np.arange(action.degree)).all(axis=1).sum())
 
 
 def test_kernel_order():
@@ -632,15 +644,57 @@ def test_kernel_order():
     for spec, order in (("sn:4/partitions:2x2", 4), ("sn:1/subsets:1", 1),
                         ("an:2", 1), ("gens:(1,2)(3,4)", 1),
                         ("gens:(1,2);(4,5)", 1), ("sn:4/wreath:2", 1),
+                        (WIDE, 1),
                         ("gens:(1,2,3,4)", 1), ("an:4/partitions:2x2", 4),
                         ("pgl2:3/partitions:2x2", 4), ("sn:2/subsets:2", 2),
                         ("an:3/subsets:3", 3)):
-        action = parse_group_spec(spec).action
-        kernel, mask = _identity_rows(action)
-        assert action.kernel == order == kernel, spec
-        root = next(iter(action.lattice))  # the whole group
-        assert isinstance(root, bytes)  # one byte per point, 1 if fixed
-        assert list(root) == mask
+        action = _action(spec)
+        assert action.kernel == order == _identity_rows(action), spec
+        # the whole group is the first key, None, with every row; every
+        # other key is the bytes of the rows fixing every point its rows
+        # fix, in table order
+        assert next(iter(action.lattice)) is None, spec
+        assert action.lattice[None][4] == action.order, spec
+        table = as_arrays(action)[0]
+        dtype = f"u{bytes_per_point(action)}"  # the table's point type
+        points = np.arange(action.degree)
+        for key, node in action.lattice.items():
+            if key is None:
+                continue
+            rows = np.frombuffer(key, dtype=dtype).reshape(-1, action.degree)
+            assert len(rows) == node[4], spec
+            fixed = (rows == points).all(axis=0)
+            stab = (table[:, fixed] == points[fixed]).all(axis=1)
+            assert key == table[stab].astype(dtype).tobytes(), spec
+
+
+def _shuffled_rows(action, rng):
+    """The action with its rows, and their labels alike, in a random order."""
+    table, _ = as_arrays(action)
+    order = rng.permutation(action.order)
+    dtype = f"u{bytes_per_point(action)}"
+    rows = table[order].astype(dtype).tobytes()
+    labels = None if action.labels is None else \
+        bytes(np.frombuffer(action.labels, dtype=np.uint8)[order])
+    return InducedAction(rows if dtype == "u1" else array("H", rows),
+                         labels, action.point_names)
+
+
+def test_lattice_and_verdict_invariant_under_row_order():
+    # keys are the bytes of gathered rows, so a table in another row order
+    # gives other keys; what is read off them must not move
+    rng = np.random.default_rng(29)
+    for spec in ("sn:4/wreath:2", "pgl2:5", "sn:4/partitions:2x2",
+                 "sn:3/wreath:3", WIDE):
+        action = _action(spec)
+        shuffled = _shuffled_rows(action, rng)
+        assert shuffled.table != action.table, spec
+        assert tuple_orbit_counts(shuffled, 4) == \
+            tuple_orbit_counts(action, 4), spec
+        assert shuffled.kernel == action.kernel, spec
+        assert len(shuffled.lattice) == len(action.lattice), spec
+        assert is_base_controlling(shuffled) == \
+            is_base_controlling(action), spec
 
 
 def _small_gens_specs(rng, count):
@@ -676,8 +730,7 @@ def test_kernel_off_the_lattice_matches_identity_rows():
     seen = set()
     for spec in _small_gens_specs(rng, 60):
         action = parse_group_spec(spec).action
-        kernel, _ = _identity_rows(action)
-        assert action.kernel == kernel, spec
+        assert action.kernel == _identity_rows(action), spec
         no_base = tuple_orbit_counts(action)[0] is None
         assert no_base == (action.order > 1 and action.kernel > 1), spec
         seen.add((action.kernel > 1, no_base))

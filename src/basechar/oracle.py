@@ -69,6 +69,15 @@ def _apply(rows, image):
     return array("H", map(image.__getitem__, rows))
 
 
+def _after_each(table, labels, images, image_labels):
+    """(the table with each image applied after every row, one block per
+    image in turn, joined; the label bytes, a block's flipped when its
+    image's label is 1). One round of every table builder."""
+    flipped = labels.translate(_FLIP)
+    return (_join([_apply(table, image) for image in images], table),
+            b"".join(flipped if bit else labels for bit in image_labels))
+
+
 @cache
 def _equal_table(value):
     """Translation table: 1 for the byte value, 0 for every other."""
@@ -317,11 +326,11 @@ def symmetric_group(n):
     In lexicographic order the rows of S_(m+1) are, for each first image i
     in turn, i followed by a row of S_m with every entry >= i shifted up by
     one. The table starts as one row of n placeholders and holds S_m on its
-    last m columns; each step translates it once per first image i, which
-    writes i where the placeholder was and shifts the entries, so no column
-    is ever inserted. The first entry adds i inversions and the shift keeps
-    the relative order of the rest, so the row's sign is (-1)^i times the
-    sign of the S_m row.
+    last m columns; each of the n rounds (_after_each) applies, for each
+    first image i, a shift after every row that writes i where the
+    placeholder was and moves the entries up, so no column is ever
+    inserted. The first entry adds i inversions and the shift keeps the
+    relative order of the rest, so the shift's label is i % 2.
     """
     if n < 1:
         raise InputError("degree must be positive")
@@ -331,13 +340,10 @@ def symmetric_group(n):
         # S_m is written as base + 1 + v, the placeholder of column base
         # is the value base, and the columns before it keep theirs
         base = n - m - 1
-        blocks, block_signs = [], []
-        for i in range(m + 1):
-            image = bytearray(range(256))
-            image[base:base + i + 1] = [base + i] + list(range(base, base + i))
-            blocks.append(table.translate(image))
-            block_signs.append(signs.translate(_FLIP) if i % 2 else signs)
-        table, signs = b"".join(blocks), b"".join(block_signs)
+        table, signs = _after_each(table, signs, [
+            [*range(base), base + i, *range(base, base + i),
+             *range(base + i + 1, n)] for i in range(m + 1)],
+            [i % 2 for i in range(m + 1)])
     return _natural(table, n, signs)
 
 
@@ -354,11 +360,14 @@ def pgl2(q):
     affine, x -> e x + a with determinant e, or x -> a + e / (x + d) with
     determinant -e (the matrix (a, ad + e; 1, d)); so every row is the
     identity or R_d: x -> 1 / (x + d), then M_e: x -> e x, then T_a:
-    x -> x + a, and the table is q - 1 translates of the q + 1 rows of the
-    identity and R_d, then q translates of those. A row is labeled +1 iff
-    its determinant is a nonzero square mod q; the kernel of that labeling
-    is PSL_2(q). The rows are then sorted; two equal rows would mean two
-    matrices gave one map, or the rows were not those of PGL_2(q).
+    x -> x + a. A row is labeled +1 iff its determinant is a nonzero
+    square mod q; the kernel of that labeling is PSL_2(q). The q + 1 starts
+    are labeled 0 for the identity and "-1 is a non-square" for each R_d
+    (determinant -1); one round (_after_each) applies the q - 1 M_e, each
+    labeled "e is a non-square", and a second the q translations T_a,
+    labeled 0, so the rows run a-major, then e, then the start. They are
+    then sorted; two equal rows would mean two matrices gave one map, or
+    the rows were not those of PGL_2(q).
 
     These labels are the signs. The translations x -> x + a and their
     conjugates generate PSL_2(q); each is a q-cycle fixing infinity, q is
@@ -371,23 +380,19 @@ def pgl2(q):
     infinity, degree = q, q + 1
     inverse = [0] + [pow(x, q - 2, q) for x in range(1, q)]
     squares = {x * x % q for x in range(1, q)}
-
-    def fixing_infinity(images):
-        return bytes(images) + bytes([infinity]) + bytes(range(degree, 256))
-
     starts = bytes(range(degree)) + bytes(chain.from_iterable(
         [inverse[(x + d) % q] if (x + d) % q else infinity
          for x in range(q)] + [0] for d in range(q)))
-    scaled = b"".join(starts.translate(fixing_infinity(e * x % q
-                                                       for x in range(q)))
-                      for e in range(1, q))
-    bits = [bit for e in range(1, q)
-            for bit in [e not in squares] + [-e % q not in squares] * q]
-    labels = {}
-    for a in range(q):
-        moved = scaled.translate(fixing_infinity((x + a) % q
-                                                 for x in range(q)))
-        labels.update(zip(_rows(moved, degree), bits))
+    table, bits = _after_each(
+        starts, bytes([0] + [q - 1 not in squares] * q),
+        [[e * x % q for x in range(q)] + [infinity] for e in range(1, q)],
+        [e not in squares for e in range(1, q)])
+    table, bits = _after_each(
+        table, bits,
+        [[(x + a) % q for x in range(q)] + [infinity] for a in range(q)],
+        bytes(q))
+    labels = dict(zip(_rows(table, degree), bits))
+    del table  # the sorted rows are joined into a new one; hold one at most
     if len(labels) != q ** 3 - q:
         raise ConsistencyError("two normalised matrices give one map")
     rows = sorted(labels)
@@ -510,6 +515,13 @@ def product_action_wreath(base, r):
     g_r) acting coordinatewise, then sigma moving coordinate sigma^-1(i) to
     coordinate i. Base labels, when present, carry over as the product of
     the per-coordinate labels.
+
+    Built in r + 1 rounds (_after_each): one per coordinate, from the last
+    back, applying every base row embedded at that coordinate with its
+    base label, then one applying the r! tops, labeled 0. Row
+    s * |base|^r + b is therefore the b-th bottom (g_1, ..., g_r) in
+    product order followed by the s-th sigma, in the order of
+    itertools.permutations.
     """
     _, degree = _wreath_size(base.order, base.degree, r)
     m = base.degree
@@ -517,33 +529,17 @@ def product_action_wreath(base, r):
     points = list(product(range(m), repeat=r))
     names = tuple("(" + ",".join(base.point_names[d] for d in x) + ")"
                   for x in points)
-
-    # the bottoms in product order, built from the last coordinate back:
-    # each base row, embedded at coordinate i, is applied after every
-    # bottom so far, and the label bytes follow
     base_bits = base.labels or bytes(base.order)
-    bottoms, bits = _pack(range(degree), degree), b"\0"
+    table, bits = _pack(range(degree), degree), b"\0"
     for i in reversed(range(r)):
-        blocks, block_bits = [], []
-        for row, bit in zip(_rows(base.table, m), base_bits):
-            blocks.append(_apply(bottoms, _pack(
-                [j + (row[x[i]] - x[i]) * weights[i]
-                 for j, x in enumerate(points)], degree)))
-            block_bits.append(bits.translate(_FLIP) if bit else bits)
-        bottoms, bits = _join(blocks, bottoms), b"".join(block_bits)
-
-    # row b * |top| + s is bottom b followed by sigma s, which moves the
-    # coordinate source[i] = sigma^-1(i) of a point to coordinate i
-    tops = []
-    for sigma in permutations(range(r)):
-        source = [sigma.index(i) for i in range(r)]
-        tops.append(_rows(_apply(bottoms, _pack(
-            [sum(x[source[i]] * weights[i] for i in range(r)) for x in points],
-            degree)), degree))
-    labels = (None if base.labels is None
-              else bytes(chain.from_iterable(zip(*[bits] * len(tops)))))
-    return InducedAction(_join(chain.from_iterable(zip(*tops)), bottoms),
-                         labels, names)
+        table, bits = _after_each(table, bits, (
+            [j + (row[x[i]] - x[i]) * weights[i] for j, x in enumerate(points)]
+            for row in _rows(base.table, m)), base_bits)
+    # sigma moves coordinate c of a point to coordinate sigma[c]
+    tops = ([sum(x[c] * weights[sigma[c]] for c in range(r)) for x in points]
+            for sigma in permutations(range(r)))
+    table, bits = _after_each(table, bits, tops, bytes(math.factorial(r)))
+    return InducedAction(table, None if base.labels is None else bits, names)
 
 
 # ---------------------------------------------------------------------------

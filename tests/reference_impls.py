@@ -440,7 +440,7 @@ def partitions_action_table(rows, n, r, s):
 def wreath_action_table(rows, r):
     """(table, point names) of the wreath product with top group S_r in
     product action on r-tuples of the points of range(len(rows[0])), the
-    tuples in product order. Row b * r! + s is the b-th r-tuple
+    tuples in product order. Row s * len(rows)^r + b is the b-th r-tuple
     (g_1, ..., g_r) of rows, in product order, with the s-th permutation
     sigma of range(r); it maps x to the tuple whose coordinate i is the
     g_{sigma^-1(i)} image of x_{sigma^-1(i)}."""
@@ -450,8 +450,8 @@ def wreath_action_table(rows, r):
                for sigma in permutations(range(r))]
     table = [[index[tuple(rows[bottom[j]][x[j]] for j in src)]
               for x in points]
-             for bottom in product(range(len(rows)), repeat=r)
-             for src in sources]
+             for src in sources
+             for bottom in product(range(len(rows)), repeat=r)]
     names = tuple("(" + ",".join(str(c + 1) for c in x) + ")" for x in points)
     return np.array(table, dtype=np.int32), names
 

@@ -3,7 +3,7 @@ import random
 from array import array
 from functools import cache
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -215,9 +215,9 @@ def test_pgl2_examples():
 
 def test_pgl2_equals_generated_closure():
     # x -> x+1 and x -> -1/x have determinant 1, x -> w*x determinant w,
-    # a non-square; together they generate PGL_2(q). 17, 19 and 23 are the
-    # groups the benchmark verifies, so their three-image sort is pinned.
-    for q in (3, 5, 7, 11, 13, 17, 19, 23):
+    # a non-square; together they generate PGL_2(q). Every q pgl2 accepts
+    # is pinned, 19 and 23 among them, the groups the benchmark verifies.
+    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         infinity = q
         omega = next(w for w in range(2, q)
                      if all(x * x % q != w for x in range(q)))
@@ -359,26 +359,41 @@ def test_wreath_rows_are_permutations():
     assert len(set(elements(wreath))) == 72
 
 
-def test_wreath_rows_match_definition():
-    # Row b * |top| + s is (g_1, g_2; sigma) with (g_1, g_2) the b-th pair
-    # of S_3 rows in product order and sigma the s-th top element; it maps
-    # point (x_1, x_2) to the tuple whose coordinate i is the image of
-    # x_{sigma^-1(i)} under g_{sigma^-1(i)}, and is labeled sgn(g_1)sgn(g_2).
-    s3 = symmetric_group(3)
-    g = elements(s3)
-    points = list(product(range(3), repeat=2))
-    wreath = product_action_wreath(s3, 2)
+def _assert_wreath_rows(base, r, base_labels):
+    """Row s * |base|^r + b of the wreath is (g_1, ..., g_r; sigma) with
+    (g_1, ..., g_r) the b-th r-tuple of base rows in product order and
+    sigma the s-th top element; it maps point x to the tuple whose
+    coordinate i is the image of x_{sigma^-1(i)} under g_{sigma^-1(i)},
+    and is labeled by the product of base_labels over g_1, ..., g_r,
+    whatever sigma is."""
+    g = elements(base)
+    points = list(product(range(base.degree), repeat=r))
+    wreath = product_action_wreath(base, r)
     rows = iter(zip(elements(wreath), signs(wreath)))
-    for bottom in product(range(6), repeat=2):
-        for sigma in permutations(range(2)):
+    for sigma in permutations(range(r)):
+        src = [sigma.index(i) for i in range(r)]
+        for bottom in product(range(len(g)), repeat=r):
             row, label = next(rows)
-            src = [sigma.index(i) for i in range(2)]
             for x, image in zip(points, row):
                 assert points[image] == tuple(
                     g[bottom[j]][x[j]] for j in src)
-            assert label == perm_sign(g[bottom[0]]) * perm_sign(
-                g[bottom[1]])
+            assert label == prod(base_labels[b] for b in bottom)
     assert next(rows, None) is None
+
+
+def test_wreath_rows_match_definition():
+    # S_3 wr S_2, labeled sgn(g_1)sgn(g_2)
+    s3 = symmetric_group(3)
+    _assert_wreath_rows(s3, 2, [perm_sign(row) for row in elements(s3)])
+
+
+def test_wreath_labels_are_products_of_base_labels():
+    # V_4 wr S_3 on 64 points, 384 rows, over marked labels that are not
+    # the signs: (1,2)(3,4) is even and labeled -1
+    base = parse_group_spec("gens:!(1,2)(3,4);(1,3)(2,4)").base_group
+    labels = signs(base)
+    assert labels != [perm_sign(row) for row in elements(base)]
+    _assert_wreath_rows(base, 3, labels)
 
 
 def alternating_power(m, r):

@@ -44,6 +44,7 @@ MAX_TUPLE_LENGTH = 64
 
 
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # negates every label
+_BYTES = bytes(range(256))  # the identity translation
 
 
 def _pack(values, degree):
@@ -65,7 +66,7 @@ def _join(parts, like):
 def _apply(rows, image):
     """image after every entry of rows: each entry x becomes image[x]."""
     if isinstance(rows, bytes):
-        return rows.translate(bytes(image) + bytes(range(len(image), 256)))
+        return rows.translate(bytes(image) + _BYTES[len(image):])
     return array("H", map(image.__getitem__, rows))
 
 
@@ -267,13 +268,20 @@ def _bounded_factorial(n, refusal):
 def closure(generators, labels=None):
     """Close a generator list under composition, propagating labels.
 
-    Breadth first: each round applies each generator after every row first
-    reached in the round before, one translate per generator, and keeps the
-    images not yet found, a dict from row to label byte. Labels, when given
-    (as +1 or -1 per generator), ride along multiplicatively; reaching the
-    same element with both signs means the labeling is not a homomorphism.
-    The table size is checked before each new element is listed, so a
-    group too large to tabulate is refused as soon as it outgrows the cap.
+    Coset by coset (Dimino's algorithm; Butler, Fundamental Algorithms for
+    Permutation Groups, LNCS 559, 1991, ch. 6): the group of the first
+    i + 1 generators is a union of cosets "rows of H, then e", H the group
+    of the first i, kept as a table with its label bytes. The
+    representatives e start at the identity and each is followed by every
+    generator so far; a product not yet found starts a new coset, one
+    translate of H's table with H's labels, flipped when e is labelled -1.
+    Once no product is new the cosets are closed, so they are the group.
+    Labels (+1 or -1 per generator) ride along multiplicatively; a product
+    found with the other label means they are not a homomorphism, and as
+    H's labels are one, checking each (representative, generator) pair
+    checks every element. The order and the table size are checked before
+    each coset is listed, so a group too large is refused as it outgrows
+    the cap.
     """
     generators = [tuple(g) for g in generators]
     if not generators:
@@ -293,29 +301,36 @@ def closure(generators, labels=None):
         if any(x not in (1, -1) for x in labels):
             raise InputError("labels must be +1 or -1")
         bits = [int(x == -1) for x in labels]
-    frontier, frontier_bits = _pack(range(degree), degree), b"\0"
-    found = dict.fromkeys(_rows(frontier, degree), 0)
-    while frontier:
-        fresh, fresh_bits = [], bytearray()
-        for g, bit in zip(generators, bits):
-            image_bits = frontier_bits.translate(_FLIP) if bit else frontier_bits
-            for row, label in zip(_rows(_apply(frontier, g), degree),
-                                  image_bits):
+    identity = next(_rows(_pack(range(degree), degree), degree))
+    found, cosets, coset_bits = {identity: 0}, [identity], [b"\0"]
+    for i in range(len(generators)):
+        table, table_bits = _join(cosets, identity), b"".join(coset_bits)
+        cosets, coset_bits = [table], [table_bits]
+        flipped = table_bits.translate(_FLIP)
+        reps = [identity]
+        for rep in reps:
+            for g, bit in zip(generators[:i + 1], bits):
+                row = _apply(rep, g)
+                row = row if isinstance(row, bytes) else tuple(row)
+                label = found[rep] ^ bit
                 known = found.get(row)
                 if known is None:
-                    if len(found) >= MAX_CLOSURE_ORDER:
+                    order = len(found) + len(table_bits)
+                    if order > MAX_CLOSURE_ORDER:
                         raise CapacityError(
                             f"group order exceeds {MAX_CLOSURE_ORDER}")
-                    _check_table_capacity(len(found) + 1, degree)
-                    found[row] = label
-                    fresh.append(row)
-                    fresh_bits.append(label)
+                    _check_table_capacity(order, degree)
+                    coset = _apply(table, row)
+                    coset_bits.append(flipped if label else table_bits)
+                    found.update(zip(_rows(coset, degree), coset_bits[-1]))
+                    cosets.append(coset)
+                    reps.append(row)
                 elif known != label:
                     raise InputError(
                         "generator labels do not define a homomorphism")
-        frontier, frontier_bits = _join(fresh, frontier), bytes(fresh_bits)
+    del cosets, table  # hold one table at most while the rows are sorted
     rows = sorted(found)
-    return _natural(_join(rows, frontier), degree,
+    return _natural(_join(rows, identity), degree,
                     bytes(map(found.__getitem__, rows))
                     if labels is not None else None)
 
@@ -356,18 +371,13 @@ def alternating_group(n):
 def pgl2(q):
     """PGL_2(q) as Moebius maps on the projective line over F_q.
 
-    Points 0..q-1 are field elements, point q is infinity. A map is either
-    affine, x -> e x + a with determinant e, or x -> a + e / (x + d) with
-    determinant -e (the matrix (a, ad + e; 1, d)); so every row is the
-    identity or R_d: x -> 1 / (x + d), then M_e: x -> e x, then T_a:
-    x -> x + a. A row is labeled +1 iff its determinant is a nonzero
-    square mod q; the kernel of that labeling is PSL_2(q). The q + 1 starts
-    are labeled 0 for the identity and "-1 is a non-square" for each R_d
-    (determinant -1); one round (_after_each) applies the q - 1 M_e, each
-    labeled "e is a non-square", and a second the q translations T_a,
-    labeled 0, so the rows run a-major, then e, then the start. They are
-    then sorted; two equal rows would mean two matrices gave one map, or
-    the rows were not those of PGL_2(q).
+    Points 0..q-1 are field elements, point q is infinity. The group is the
+    closure of x -> x + 1 and x -> -1 / x, which generate PSL_2(q), and
+    x -> c x with c the least non-square; an order other than q^3 - q is a
+    ConsistencyError. A row is labeled +1 iff its determinant is a nonzero
+    square mod q, so the kernel is PSL_2(q). Determinants multiply, so
+    labeling the generators by theirs (1, c and 1: +1, -1 and +1) labels
+    every row by its determinant.
 
     These labels are the signs. The translations x -> x + a and their
     conjugates generate PSL_2(q); each is a q-cycle fixing infinity, q is
@@ -377,27 +387,15 @@ def pgl2(q):
     """
     if q not in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         raise InputError("q must be an odd prime at most 31")
-    infinity, degree = q, q + 1
-    inverse = [0] + [pow(x, q - 2, q) for x in range(1, q)]
-    squares = {x * x % q for x in range(1, q)}
-    starts = bytes(range(degree)) + bytes(chain.from_iterable(
-        [inverse[(x + d) % q] if (x + d) % q else infinity
-         for x in range(q)] + [0] for d in range(q)))
-    table, bits = _after_each(
-        starts, bytes([0] + [q - 1 not in squares] * q),
-        [[e * x % q for x in range(q)] + [infinity] for e in range(1, q)],
-        [e not in squares for e in range(1, q)])
-    table, bits = _after_each(
-        table, bits,
-        [[(x + a) % q for x in range(q)] + [infinity] for a in range(q)],
-        bytes(q))
-    labels = dict(zip(_rows(table, degree), bits))
-    del table  # the sorted rows are joined into a new one; hold one at most
-    if len(labels) != q ** 3 - q:
-        raise ConsistencyError("two normalised matrices give one map")
-    rows = sorted(labels)
-    return _natural(b"".join(rows), degree,
-                    bytes(map(labels.__getitem__, rows)))
+    # Euler's criterion: c^((q-1)/2) is 1 exactly for the squares
+    c = next(c for c in range(2, q) if pow(c, (q - 1) // 2, q) != 1)
+    group = closure([[(x + 1) % q for x in range(q)] + [q],
+                     [c * x % q for x in range(q)] + [q],
+                     [q] + [-pow(x, q - 2, q) % q for x in range(1, q)] + [0]],
+                    [1, -1, 1])
+    if group.order != q ** 3 - q:
+        raise ConsistencyError(f"PGL_2({q}) closed to order {group.order}")
+    return group
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,12 @@ depth-first search with nothing memoised,
 the distinguishing number of a group (the threshold of a wreath product
 over it) comes from a search over the set partitions of its domain, the
 regular orbits on tuples of k-subsets are counted as sets of distinct
-membership vectors, with no character at all, a base of l k-subsets is
-built from n distinct membership vectors by plain set arithmetic, and
-the least l whose orbit count has more digits than Python prints comes
-from logarithms.
+membership vectors, with no character at all, the orbit counts o, o_K
+and the regular count on tuples of k-subsets come from a column-by-column
+count over the partitions of n, a base of l k-subsets is built from n
+distinct membership vectors by plain set arithmetic, the least l whose
+orbit count has more digits than Python prints comes from logarithms,
+and PGL_2(q) is listed from every invertible 2 x 2 matrix over F_q.
 """
 
 from fractions import Fraction
@@ -309,6 +311,76 @@ def distinct_vector_sets(n, k, l):
                 grown[key] = grown.get(key, 0) + count
         states = grown
     return states.get(((k,) * l, n), 0)
+
+
+def column_counts(n, k, l):
+    """(o, o_K, R_l) of S_n on l-tuples of k-subsets of [n], counted a
+    column at a time with no character and no group.
+
+    A tuple is an n x l 0/1 matrix whose columns each sum to k, and S_n
+    permutes its rows; the stabilizer is the Young subgroup of the classes
+    of equal rows, trivial exactly when the rows are distinct and else
+    holding a transposition. The state after some columns is the multiset
+    of sizes of the classes of rows equal so far, a partition of n; a
+    column puts b of its k ones into a class of size a, splitting it into
+    b and a - b, in C(a, b) ways with the rows labelled and 1 way without.
+    After l columns the labelled weight of the all-ones state over n! is
+    R_l, the regular orbits; the unlabelled weights sum to o, the
+    multisets of rows; and an orbit splits over A_n exactly when its
+    stabilizer lies in A_n, that is, when it is regular, so o_K = o + R_l.
+    """
+    states = {(n,): (1, 1)}  # classes -> (labelled, unlabelled) weight
+    for _ in range(l):
+        grown = {}
+        for classes, (labelled, unlabelled) in states.items():
+            # (ones placed, classes split so far) -> weights
+            splits = {(0, ()): (labelled, unlabelled)}
+            for a in classes:
+                step = {}
+                for (ones, parts), (lw, uw) in splits.items():
+                    for b in range(min(a, k - ones) + 1):
+                        key = (ones + b, tuple(sorted(
+                            parts + tuple(x for x in (b, a - b) if x))))
+                        old_lw, old_uw = step.get(key, (0, 0))
+                        step[key] = old_lw + comb(a, b) * lw, old_uw + uw
+                splits = step
+            for (ones, parts), (lw, uw) in splits.items():
+                if ones == k:
+                    old_lw, old_uw = grown.get(parts, (0, 0))
+                    grown[parts] = old_lw + lw, old_uw + uw
+        states = grown
+    regular, remainder = divmod(states.get((1,) * n, (0, 0))[0], factorial(n))
+    assert remainder == 0, (n, k, l)
+    o = sum(unlabelled for _, unlabelled in states.values())
+    return o, o + regular, regular
+
+
+def pgl2_reference(q):
+    """(rows, labels) of PGL_2(q) on the projective line, rows sorted and
+    each label 1 when the determinant is a non-square mod q.
+
+    Every (a, b, c, d) over F_q with ad - bc nonzero gives the row of
+    x -> (ax + b) / (cx + d), point q being infinity: x with cx + d = 0
+    goes to infinity, and infinity to a / c (infinity when c = 0). The
+    q - 1 scalar multiples of a matrix give one map, and their
+    determinants differ by squares, so a map given two labels is an error.
+    """
+    squares = {x * x % q for x in range(1, q)}
+
+    def divide(top, bottom):
+        return q if bottom == 0 else top * pow(bottom, q - 2, q) % q
+
+    labels = {}
+    for a, b, c, d in product(range(q), repeat=4):
+        det = (a * d - b * c) % q
+        if det:
+            row = tuple(divide((a * x + b) % q, (c * x + d) % q)
+                        for x in range(q)) + (divide(a, c),)
+            label = int(det not in squares)
+            if labels.setdefault(row, label) != label:
+                raise ConsistencyError(f"two labels for one map of PGL_2({q})")
+    rows = sorted(labels)
+    return rows, [labels[row] for row in rows]
 
 
 def least_weight_vectors(n, l, seed=0):

@@ -9,7 +9,7 @@ from basechar.characters import (char_vector_subsets,
                                  iter_inner_products, orbit_counts)
 from basechar.errors import CapacityError, ConsistencyError, InputError
 from basechar.partitions import class_size, enumerate_cycle_types, sign_of
-from reference_impls import (chi_subsets, count_fixed_subsets,
+from reference_impls import (chi_subsets, column_counts, count_fixed_subsets,
                              count_fixed_uniform, distinct_vector_sets,
                              long_cycle_counts,
                              merge_by_value, perm_shortest_first, subsets_class_values,
@@ -421,6 +421,22 @@ def test_regular_orbits_are_sets_of_distinct_vectors():
         assert split_count(char_vector_subsets(n, k), l) == count, (n, k, l)
     # so b(S_10 on 2-subsets) = 6 = ceil(2 * 9 / 3), as Halasi gives it
     assert basecount.base_size_subsets(10, 2).base_size == 6
+
+
+# (n, k, l) counted column by column: l around L1 = least_l_distinct(n, k),
+# with k = 2 at L1 and L1 + 2, where the counts are largest
+COLUMN_COUNT_SIZES = ((8, 2, 4), (8, 2, 5), (8, 2, 7), (10, 5, 3), (10, 5, 4),
+                      (10, 5, 6), (12, 2, 8), (12, 2, 10), (14, 7, 4),
+                      (14, 7, 6), (16, 4, 5), (16, 4, 6), (16, 4, 8),
+                      (24, 3, 12), (30, 2, 19), (30, 2, 20), (30, 2, 22))
+
+
+def test_orbit_counts_match_the_column_count():
+    for n, k, l in COLUMN_COUNT_SIZES:
+        o, o_k, regular = column_counts(n, k, l)
+        assert orbit_counts(char_vector_subsets(n, k), l) == (o, o_k), (n, k, l)
+        assert (regular > 0) == (l >= basecount.least_l_distinct(n, k))
+
 
 def test_long_cycle_recurrence_matches_the_double_loop():
     # the linear recurrence from (1 - x) f' = x^k f against the sum over

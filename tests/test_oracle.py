@@ -21,6 +21,7 @@ from reference_impls import (as_arrays, blind_orbit_data,
                              burnside_orbit_count, distinguishing_number,
                              first_all_plus_chain, has_all_plus_stabilizer,
                              partitions_action_table, perm_sign,
+                             pgl2_reference,
                              subsets_action_table, wreath_action_table)
 
 
@@ -135,6 +136,15 @@ def test_closure_inconsistent_labels():
     gens = [parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)]
     with pytest.raises(InputError):
         closure(gens, labels=[-1, -1])
+    # (1,2) and (2,3) are conjugate, so no homomorphism tells them apart,
+    # yet each alone is consistent: only a product of both shows it
+    gens = [parse_cycles("(1,2)", 3), parse_cycles("(2,3)", 3)]
+    with pytest.raises(InputError):
+        closure(gens, labels=[1, -1])
+    # r^2 already lies in the group of r, where it is labelled +1
+    r = parse_cycles("(1,2,3,4)", 4)
+    with pytest.raises(InputError):
+        closure([r, tuple(r[x] for x in r)], labels=[1, -1])
 
 
 def test_symmetric_and_alternating():
@@ -213,23 +223,17 @@ def test_pgl2_examples():
             pgl2(q)
 
 
-def test_pgl2_equals_generated_closure():
-    # x -> x+1 and x -> -1/x have determinant 1, x -> w*x determinant w,
-    # a non-square; together they generate PGL_2(q). Every q pgl2 accepts
-    # is pinned, 19 and 23 among them, the groups the benchmark verifies.
-    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        infinity = q
-        omega = next(w for w in range(2, q)
-                     if all(x * x % q != w for x in range(q)))
-        shift = tuple((x + 1) % q for x in range(q)) + (infinity,)
-        scale = tuple(omega * x % q for x in range(q)) + (infinity,)
-        flip = (infinity,) + tuple(-pow(x, q - 2, q) % q
-                                   for x in range(1, q)) + (0,)
-        generated = closure([shift, scale, flip], labels=[1, -1, 1])
+def test_pgl2_matches_every_invertible_matrix():
+    # pgl2 is the closure of three maps; the reference lists every map
+    # x -> (ax + b) / (cx + d) with its determinant class. 19 and 23, the
+    # groups the benchmark verifies, are held to their order.
+    for q in (3, 5, 7, 11, 13):
+        rows, labels = pgl2_reference(q)
         group = pgl2(q)
-        assert group.order == q ** 3 - q
-        assert group.table == generated.table
-        assert group.labels == generated.labels
+        assert elements(group) == rows, q
+        assert list(group.labels) == labels, q
+    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        assert pgl2(q).order == q ** 3 - q
 
 
 def test_spot_check_catches_tampered_labels():

@@ -1,20 +1,21 @@
 """Brute-force permutation-group engine used as ground truth.
 
 Every group is its own natural action: an action table with one row per
-element, the rows in lexicographic order (no stabilizer chains). A table
-is one row-major bytes object with one byte per point, or an array('H')
-past 256 points; column p is table[p::degree], and applying a permutation
-after every row is one translate. Labels, when present, are bytes with
-one byte per row: 0 for +1 and 1 for -1, so the label of a product is the
-exclusive or. Induced actions carry one table row per parent element, so
-a stabilizer is a set of rows and labels stay well-defined even when the
-action is not faithful. The lattice of tuple stabilizers, each below the
-whole group keyed by the bytes of its own rows and expanded once, gives
-the kernel order, the base size (None when no key has a regular orbit),
-the orbit counts o and o_K of the group and of its label kernel, the
-regular-orbit counts for every l, and whether the labels are
-base-controlling. Everything here is deliberately simple and slow; the
-fast formula code is validated against it, never the other way around.
+element, the rows in lexicographic order. A table is one row-major bytes
+object with one byte per point, or an array('H') past 256 points; column
+p is table[p::degree], and applying a permutation after every row is one
+translate. Labels, when present, are bytes with one byte per row: 0 for
++1 and 1 for -1, so the label of a product is the exclusive or. Induced
+actions carry one table row per parent element, so a stabilizer is a set
+of rows even when the action is not faithful; subset and partition tables
+replay the base group's stabilizer chain. The lattice of tuple
+stabilizers, each below the whole group keyed by the bytes of its own
+rows and expanded once, gives the kernel order, the base size (None when
+no key has a regular orbit), the orbit counts o and o_K of the group and
+of its label kernel, the regular-orbit counts for every l, and whether
+the labels are base-controlling. Everything here is deliberately simple
+and slow; the fast formula code is validated against it, never the other
+way around.
 """
 
 from array import array
@@ -75,7 +76,7 @@ def _after_each(table, labels, images, image_labels):
     image in turn, joined; the label bytes, a block's flipped when its
     image's label is 1). One round of every table builder."""
     flipped = labels.translate(_FLIP)
-    return (_join([_apply(table, image) for image in images], table),
+    return (_join((_apply(table, image) for image in images), table),
             b"".join(flipped if bit else labels for bit in image_labels))
 
 
@@ -187,9 +188,9 @@ class InducedAction:
     """Action table with one row per group element.
 
     A group is its own natural action, rows in lexicographic order. Rows of
-    an induced action may repeat when it is not faithful; stabilizers are
-    sets of rows, so parent labels carry over unchanged. There is one
-    point name per point.
+    an induced action may repeat when it is not faithful, and come in the
+    order their builder lists the elements, each with its element's label;
+    stabilizers are sets of rows. There is one point name per point.
     """
 
     def __init__(self, table, labels, point_names):
@@ -402,34 +403,49 @@ def pgl2(q):
 # induced actions
 
 
-class _SortedIndex(dict):
-    """Index of each point, a sorted tuple; an image tuple that is not
-    sorted is sorted and looked up once, then remembered."""
-
-    def __missing__(self, image):
-        point = tuple(sorted(image))
-        if point == image:
-            raise KeyError(image)
-        self[image] = index = self[point]
-        return index
+def _set_images(points):
+    """The map from a row to its induced row on points, sorted tuples, of
+    one length, of points of the row, given in lexicographic order."""
+    index = {point: i for i, point in enumerate(points)}
+    return lambda row: [index[tuple(sorted(map(row.__getitem__, point)))]
+                        for point in points]
 
 
-def _sets_table(table, degree, points):
-    """Action table on points that are sorted tuples, of one length, of
-    points of table, given in lexicographic order.
+def _induced(group, induce, names):
+    """The action of a base group on the points named, induce(row) giving
+    the induced row of a row of the group.
 
-    Built one column at a time: zipping the columns of a point's members
-    gives each row's image tuple, which _SortedIndex turns into the index of
-    the image point.
+    The base table is sorted with the identity first, so the rows fixing
+    0..j-1 are a prefix G_j, led by those of G_(j+1). Level j's transversal
+    holds the first row of G_j for each image of j; every element is one
+    product of representatives, one per level (Sims' stabilizer chain;
+    Seress, Permutation Group Algorithms, 2003, ch. 4), so a product of
+    transversal sizes other than the order is a ConsistencyError. An
+    induced action is a homomorphism: its table is one _after_each round
+    per level, the last first, from the induced identity, and only the
+    representatives are induced point by point. Rows come in chain order,
+    the base order for S_n, each labelled by the exclusive or of its
+    representatives' labels.
     """
-    size = len(points)
-    index = _SortedIndex((point, i) for i, point in enumerate(points))
-    cells = len(table) // degree * size
-    out = bytearray(cells) if size <= 256 else array("H", bytes(2 * cells))
-    for i, point in enumerate(points):
-        out[i::size] = _pack(map(index.__getitem__, zip(
-            *(table[x::degree] for x in point))), size)
-    return bytes(out) if isinstance(out, bytearray) else out
+    table, degree, order = group.table, group.degree, group.order
+    labels = group.labels or bytes(order)
+    levels, rows = [], order
+    for j in range(degree):
+        if rows == 1:
+            break
+        column = table[j:rows * degree:degree]
+        levels.append(sorted(map(column.index, set(column))))
+        rows = column.count(j)
+        if column[:rows].count(j) != rows:  # G_(j+1) is not a prefix,
+            rows = 0  # so the next level is empty and the product 0
+    if math.prod(map(len, levels)) != order:
+        raise ConsistencyError("base table is not a sorted group")
+    out, bits = _pack(range(len(names)), len(names)), b"\0"
+    for firsts in reversed(levels):
+        out, bits = _after_each(out, bits, [
+            induce(table[i * degree:(i + 1) * degree]) for i in firsts],
+            [labels[i] for i in firsts])
+    return InducedAction(out, None if group.labels is None else bits, names)
 
 
 def _subsets_size(order, degree, k):
@@ -442,12 +458,11 @@ def _subsets_size(order, degree, k):
 
 
 def act_on_subsets(group, k):
-    """Induced action on the k-element subsets of the domain."""
+    """Induced action on the k-element subsets of the domain (_induced)."""
     _subsets_size(group.order, group.degree, k)
     points = list(combinations(range(group.degree), k))
     names = tuple("{" + ",".join(str(x + 1) for x in s) + "}" for s in points)
-    return InducedAction(_sets_table(group.table, group.degree, points),
-                         group.labels, names)
+    return _induced(group, _set_images(points), names)
 
 
 def _uniform_partitions(free, s):
@@ -480,12 +495,12 @@ def act_on_uniform_partitions(group, r, s):
     points = _uniform_partitions(tuple(range(n)), s)
     blocks = list(combinations(range(n), s))
     index = {block: i for i, block in enumerate(blocks)}
-    table = _sets_table(_sets_table(group.table, n, blocks), len(blocks),
-                        [tuple(index[block] for block in part)
-                         for part in points])
+    on_blocks = _set_images(blocks)
+    on_points = _set_images([tuple(index[block] for block in part)
+                             for part in points])
     names = tuple("|".join("".join(str(x + 1) for x in block)
                            for block in part) for part in points)
-    return InducedAction(table, group.labels, names)
+    return _induced(group, lambda row: on_points(on_blocks(row)), names)
 
 
 def _wreath_size(order, degree, r):

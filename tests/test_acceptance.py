@@ -33,7 +33,7 @@ def subsets_action(n, k):
 
 
 def valid_pairs():
-    return [(n, k) for n in range(5, 9) for k in range(1, n) if n > 2 * k]
+    return [(n, k) for n in range(5, 10) for k in range(1, n) if n > 2 * k]
 
 
 def test_01_subset_base_sizes_match_oracle(capsys):
@@ -46,7 +46,7 @@ def test_01_subset_base_sizes_match_oracle(capsys):
     elapsed = perf_counter() - started
     mismatches = [r for r in results if r[2] != r[3]]
     ok = not mismatches and elapsed < 60
-    detail = (f"{len(results)} (n,k) pairs with n=5..8, formula == brute "
+    detail = (f"{len(results)} (n,k) pairs with n=5..9, formula == brute "
               f"force everywhere, {elapsed:.1f}s"
               if ok else f"mismatches {mismatches}, {elapsed:.1f}s")
     report(capsys, ok, "subset-action base sizes, formula vs oracle", detail)

@@ -530,7 +530,7 @@ def test_suffixes_sized_before_any_build(capsys, monkeypatch):
     def no_rows(*args):
         raise AssertionError("induced action built")
 
-    monkeypatch.setattr(oracle, "_sets_table", no_rows)
+    monkeypatch.setattr(oracle, "_induced", no_rows)
     for spec, order in (("sn:9/subsets:2/wreath:6",
                          factorial(9) ** 6 * factorial(6)),
                         ("sn:8/partitions:4x2/wreath:3",

@@ -1,6 +1,7 @@
 import json
 import random
 from array import array
+from collections import Counter
 from functools import cache
 from itertools import permutations, product
 from math import factorial, prod
@@ -307,6 +308,61 @@ def test_induced_tables_match_plain_construction():
     assert (cyclic.degree, cyclic.order) == (63, 63)
     expected = subsets_action_table(elements(cyclic), 63, 2)
     _same_action(act_on_subsets(cyclic, 2), expected)
+
+
+def _rows_and_labels(table, labels):
+    return Counter(zip(map(tuple, table), labels))
+
+
+def test_chain_order_tables_match_plain_construction():
+    # PGL_2(q) and A_n are built in lexicographic order, but their induced
+    # rows come in stabilizer-chain order: the same (row, label) pairs as
+    # the element-by-element reference, in another order
+    for spec in ("pgl2:5", "pgl2:7", "an:5", "an:6"):
+        group = parse_group_spec(spec, "sgn").base_group
+        n, rows = group.degree, elements(group)
+        induced = [(act_on_subsets(group, k), subsets_action_table(rows, n, k))
+                   for k in range(1, n)]
+        induced += [(act_on_uniform_partitions(group, r, n // r),
+                     partitions_action_table(rows, n, r, n // r))
+                    for r in range(2, n) if n % r == 0]
+        reordered = 0
+        for action, (table, names) in induced:
+            assert action.point_names == names
+            assert _rows_and_labels(elements(action), action.labels) == \
+                _rows_and_labels(table.tolist(), group.labels)
+            reordered += elements(action) != [tuple(row)
+                                              for row in table.tolist()]
+        assert reordered, spec
+
+
+def test_induced_action_refuses_an_unsorted_base():
+    s3 = symmetric_group(3)
+    backwards = InducedAction(
+        bytes(x for row in reversed(elements(s3)) for x in row),
+        s3.labels[::-1], s3.point_names)
+    with pytest.raises(ConsistencyError, match="not a sorted group"):
+        act_on_subsets(backwards, 1)
+
+
+def test_subset_table_induces_only_representatives(monkeypatch):
+    # only the transversal rows of the chain of S_8, 8 + 7 + ... + 2 of
+    # them, are induced point by point; every other row is a translate
+    induced = []
+    set_images = oracle._set_images
+
+    def counted(points):
+        induce = set_images(points)
+
+        def count(row):
+            induced.append(row)
+            return induce(row)
+        return count
+
+    monkeypatch.setattr(oracle, "_set_images", counted)
+    action = act_on_subsets(symmetric_group(8), 3)
+    assert action.order == factorial(8)
+    assert len(induced) <= 8 * 9 // 2
 
 
 def _cycle_spec(n):

@@ -148,18 +148,17 @@ def large_base_bounds(m, k, r):
     alternating group on k-subsets and the full wreath product.
 
     Returns (lower, upper): lower is the base size of the subset action one
-    degree down, upper is the least l whose regular-orbit count reaches r.
-    No order between the two is asserted.
+    degree down, L1 = least_l_distinct(m - 1, k) with no class sum: no base
+    is shorter (see there), and test_distinct_vector_base_at_l1 builds one
+    of that size at every m - 1 <= 63. upper, the least l whose
+    regular-orbit count reaches r, is searched first, so its n limit
+    refuses a huge m before L1's loop starts. No order is asserted.
     """
     if r < 1:
         raise InputError("r must be positive")
-    # both sizes are checked before either search starts
-    for n in (m - 1, m):
-        _validate_subsets(n, k)
-        check_n_limit(n)
-    lower = base_size_subsets(m - 1, k).base_size
+    _validate_subsets(m - 1, k)  # m - 1 > 2k implies m > 2k
     upper = base_size_subsets(m, k, threshold=r).base_size
-    return lower, upper
+    return least_l_distinct(m - 1, k), upper
 
 
 def base_size_partitions_action(n, r, s, max_l=None):

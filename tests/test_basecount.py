@@ -210,9 +210,31 @@ def test_wreath_matches_oracle():
 def test_bounds_examples():
     assert large_base_bounds(5, 1, 2) == (3, 5)
     assert large_base_bounds(6, 1, 2) == (4, 6)
-    lower, upper = large_base_bounds(5, 1, 1)
-    assert lower == base_size_subsets(4, 1).base_size
-    assert upper == base_size_subsets(5, 1).base_size
+    # the lower value is L1 read off least_l_distinct; the class sum one
+    # degree down must agree with it, and the upper value with its search
+    for m in range(3, 21):
+        for k in range(1, m):
+            if k > 1 and m - 1 <= 2 * k:
+                continue
+            for r in (1, 2, 3):
+                lower, upper = large_base_bounds(m, k, r)
+                assert lower == base_size_subsets(
+                    m - 1, k).base_size, (m, k, r)
+                assert upper == base_size_subsets(
+                    m, k, threshold=r).base_size, (m, k, r)
+
+
+def test_bounds_builds_one_character(monkeypatch):
+    calls = []
+
+    def counted(n, k):
+        calls.append((n, k))
+        return char_vector_subsets(n, k)
+
+    monkeypatch.setattr(basecount, "char_vector_subsets", counted)
+    lower, _ = large_base_bounds(20, 3, 5)
+    assert calls == [(20, 3)]  # the upper search's; L1 needs no build
+    assert lower == basecount.least_l_distinct(19, 3)
 
 
 def test_bounds_validation():
@@ -227,8 +249,8 @@ def no_build(n, k):
 
 
 def test_bounds_checks_both_sizes_before_any_search(monkeypatch):
-    # (64, 26) is a valid size that takes seconds to search; (65, 26) is
-    # past the limit, so nothing is built
+    # the lower value at (64, 26) is L1, read without a build; (65, 26)
+    # is past the limit, so nothing is built
     monkeypatch.setattr(basecount, "char_vector_subsets", no_build)
     with pytest.raises(CapacityError, match="n = 65 exceeds the limit 64"):
         large_base_bounds(65, 26, 2)

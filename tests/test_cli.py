@@ -590,7 +590,8 @@ HOSTILE_INPUTS = (
     # after the sum, when the counts are written
     (("orbits", "--n", "3", "--k", "1", "--l", "9014"), 3),
     (("basesize", "--n", "65", "--k", "2"), 3),
-    # refused before the (64, 26) search, which takes seconds
+    # m = 65 is refused before the (65, 26) build; the lower value, at
+    # m - 1 = 64, is L1 and needs no search
     (("bounds", "--m", "65", "--k", "26", "--r", "2"), 3),
     # --max-l below L0 = 6: refused before the (64, 25) build
     (("basesize", "--n", "64", "--k", "25", "--max-l", "4"), 3),
@@ -855,11 +856,11 @@ GENERATED_SEED, GENERATED_COUNT = 20261019, 300
 # are legal work at n = 63 or 64.
 KNOWN_SLOW = {
     "basesize --n 63 --k 6": 0.5,  # exit 0
+    "bounds --m 63 --k 8 --r 63": 1.0,  # exit 0
     "orbits --n 63 --k 8 --l 65": 1.4,  # exit 0
     "basesize --n 64 --k 8": 1.5,  # exit 0
     "wreath --n 64 --k 5 --r <401 chars>": 1.7,  # exit 0
     "orbits --n 63 --k 9 --l 65": 1.9,  # exit 0
-    "bounds --m 63 --k 8 --r 63": 2.3,  # exit 0
     "basesize --n 63 --k 10 --max-l 63": 2.7,  # exit 0
     "wreath --n 63 --k 12 --dist 12": 2.8,  # exit 0
     "orbits --n 63 --k 12 --l 64": 4.0,  # exit 0
@@ -892,18 +893,28 @@ def test_generated_argvs_exit_cleanly(capsys):
 
 
 # Parameters whose refusal must not wait on work growing with them (a huge
-# factorial, trial division). Each runs in a child process with a timeout,
-# since a stall inside one C call cannot be interrupted in-process.
-HUGE_PARAMETERS = (("sn:99999999999999", 3), ("an:99999999999999", 3),
-                   ("pgl2:2305843009213693951", 2))
+# factorial, trial division, a loop over the degree). Each runs in a child
+# process with a timeout, since a stall inside one C call cannot be
+# interrupted in-process; a limit checked after such work fails here at
+# once instead of stalling the suite.
+HUGE = "1" + "0" * 40
+HUGE_PARAMETERS = (
+    (("verify", "--group", "sn:99999999999999"), 3),
+    (("verify", "--group", "an:99999999999999"), 3),
+    (("verify", "--group", "pgl2:2305843009213693951"), 2),
+    (("bounds", "--m", HUGE, "--k", "1", "--r", "2"), 3),
+    (("basesize", "--n", HUGE, "--k", "2"), 3),
+    (("wreath", "--n", HUGE, "--k", "2", "--r", "3"), 3),
+    (("orbits", "--n", HUGE, "--k", "2", "--l", "3"), 3),
+)
 
 
-@pytest.mark.parametrize("spec, expected", HUGE_PARAMETERS,
-                         ids=[spec for spec, _ in HUGE_PARAMETERS])
-def test_huge_parameters_refused_at_once(spec, expected):
+@pytest.mark.parametrize("argv, expected", HUGE_PARAMETERS,
+                         ids=[_case_id(argv) for argv, _ in HUGE_PARAMETERS])
+def test_huge_parameters_refused_at_once(argv, expected):
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
-        [sys.executable, "-m", "basechar.cli", "verify", "--group", spec],
+        [sys.executable, "-m", "basechar.cli", *argv],
         capture_output=True, text=True, timeout=10,
         env={**os.environ, "PYTHONPATH": str(src)})
     assert done.returncode == expected, done.stderr

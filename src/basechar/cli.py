@@ -142,7 +142,7 @@ def cmd_verify(args):
     if not faithful:
         warnings.append("action is not faithful, no base exists")
 
-    if action.labels is None:
+    if not parsed.labelled:
         outputs["base_controlling"] = None
         warnings.append("no labels on this group, base-controlling check "
                         "and kernel orbit counts skipped")
@@ -162,10 +162,10 @@ def cmd_verify(args):
     outputs["base_size"] = base
     outputs["regular_orbits"] = [(l, regular) for l, _, _, regular
                                  in counts[1:]]
-    if action.labels is not None:
+    if parsed.labelled:
         outputs["orbit_counts"] = [(l, o, o_k) for l, o, o_k, _ in counts[1:]]
 
-    if args.seed is not None and parsed.base_group.labels is not None:
+    if args.seed is not None and parsed.labelled:
         pairs = oracle.label_homomorphism_spot_check(
             parsed.base_group, samples=50, seed=args.seed)
         outputs["label_spot_check"] = f"{pairs} random pairs multiplicative"

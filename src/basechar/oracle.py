@@ -4,8 +4,9 @@ Every group is its own natural action: an action table with one row per
 element, the rows in lexicographic order. A table is one row-major bytes
 object with one byte per point, or an array('H') past 256 points; column
 p is table[p::degree], and applying a permutation after every row is one
-translate. Labels, when present, are bytes with one byte per row: 0 for
-+1 and 1 for -1, so the label of a product is the exclusive or. Induced
+translate. Every group carries labels, bytes with one byte per row: 0
+for +1 and 1 for -1, so the label of a product is the exclusive or; a
+group without a sign or determinant to read is labelled all +1. Induced
 actions carry one table row per parent element, so a stabilizer is a set
 of rows even when the action is not faithful; subset and partition tables
 replay the base group's stabilizer chain. The lattice of tuple
@@ -127,20 +128,6 @@ def _orbit(column, seen):
     return set(column)
 
 
-def _signs(rows):
-    """Label byte of each row: 1 when it sorts in an odd number of swaps."""
-    bits = bytearray()
-    for row in rows:
-        row, swaps = list(row), 0
-        for point in range(len(row)):
-            while row[point] != point:  # each swap puts image in place
-                image = row[point]
-                row[point], row[image] = row[image], image
-                swaps += 1
-        bits.append(swaps & 1)
-    return bytes(bits)
-
-
 # ---------------------------------------------------------------------------
 # cycle notation, read into rows of images, 0-based
 
@@ -189,7 +176,8 @@ class InducedAction:
 
     A group is its own natural action, rows in lexicographic order. Rows of
     an induced action may repeat when it is not faithful, and come in the
-    order their builder lists the elements, each with its element's label;
+    order their builder lists the elements, each with its element's label
+    byte (all 0, every label +1, when the group has none to read);
     stabilizers are sets of rows. There is one point name per point.
     """
 
@@ -197,7 +185,7 @@ class InducedAction:
         self.table, self.labels, self.point_names = table, labels, point_names
         if len(self.table) % self.degree:
             raise InputError("table length is not a multiple of the degree")
-        if self.labels is not None and len(self.labels) != self.order:
+        if len(self.labels) != self.order:
             raise InputError("labels and table rows differ in length")
 
     @property
@@ -213,8 +201,6 @@ class InducedAction:
         """Whether some label is -1. Labels form a homomorphism onto {+1,-1}:
         each is +1 or -1, and once one is -1 exactly half the rows are +1;
         anything else is a ConsistencyError."""
-        if self.labels is None:
-            return False
         minus = self.labels.count(1)
         if self.labels.count(0) + minus != self.order:
             raise ConsistencyError("labels must be +1 or -1")
@@ -247,7 +233,7 @@ def _check_table_capacity(order, degree):
         raise CapacityError("action table too large")
 
 
-def _natural(table, degree, labels=None):
+def _natural(table, degree, labels):
     """The group whose elements are the rows of a lexicographically sorted
     table, as its natural action."""
     _check_table_capacity(len(table) // degree, degree)
@@ -267,7 +253,8 @@ def _bounded_factorial(n, refusal):
 
 
 def closure(generators, labels=None):
-    """Close a generator list under composition, propagating labels.
+    """Close a generator list under composition, propagating labels, all
+    +1 when none are given.
 
     Coset by coset (Dimino's algorithm; Butler, Fundamental Algorithms for
     Permutation Groups, LNCS 559, 1991, ch. 6): the group of the first
@@ -332,8 +319,7 @@ def closure(generators, labels=None):
     del cosets, table  # hold one table at most while the rows are sorted
     rows = sorted(found)
     return _natural(_join(rows, identity), degree,
-                    bytes(map(found.__getitem__, rows))
-                    if labels is not None else None)
+                    bytes(map(found.__getitem__, rows)))
 
 
 def symmetric_group(n):
@@ -364,9 +350,11 @@ def symmetric_group(n):
 
 
 def alternating_group(n):
-    """The even rows of S_n, unlabeled."""
+    """The even rows of S_n, with their labels: all +1."""
     group = symmetric_group(n)
-    return _natural(_gather(group.table, n, group.labels.translate(_FLIP)), n)
+    even = group.labels.translate(_FLIP)
+    return _natural(_gather(group.table, n, even), n,
+                    _gather(group.labels, 1, even))
 
 
 def pgl2(q):
@@ -428,7 +416,6 @@ def _induced(group, induce, names):
     representatives' labels.
     """
     table, degree, order = group.table, group.degree, group.order
-    labels = group.labels or bytes(order)
     levels, rows = [], order
     for j in range(degree):
         if rows == 1:
@@ -444,8 +431,8 @@ def _induced(group, induce, names):
     for firsts in reversed(levels):
         out, bits = _after_each(out, bits, [
             induce(table[i * degree:(i + 1) * degree]) for i in firsts],
-            [labels[i] for i in firsts])
-    return InducedAction(out, None if group.labels is None else bits, names)
+            [group.labels[i] for i in firsts])
+    return InducedAction(out, bits, names)
 
 
 def _subsets_size(order, degree, k):
@@ -526,8 +513,8 @@ def product_action_wreath(base, r):
     An element (g_1, ..., g_r; sigma) maps coordinate i of a tuple to the
     g_{sigma^-1(i)} image of coordinate sigma^-1(i): the bottom (g_1, ...,
     g_r) acting coordinatewise, then sigma moving coordinate sigma^-1(i) to
-    coordinate i. Base labels, when present, carry over as the product of
-    the per-coordinate labels.
+    coordinate i. Base labels carry over as the product of the
+    per-coordinate labels.
 
     Built in r + 1 rounds (_after_each): one per coordinate, from the last
     back, applying every base row embedded at that coordinate with its
@@ -542,17 +529,16 @@ def product_action_wreath(base, r):
     points = list(product(range(m), repeat=r))
     names = tuple("(" + ",".join(base.point_names[d] for d in x) + ")"
                   for x in points)
-    base_bits = base.labels or bytes(base.order)
     table, bits = _pack(range(degree), degree), b"\0"
     for i in reversed(range(r)):
         table, bits = _after_each(table, bits, (
             [j + (row[x[i]] - x[i]) * weights[i] for j, x in enumerate(points)]
-            for row in _rows(base.table, m)), base_bits)
+            for row in _rows(base.table, m)), base.labels)
     # sigma moves coordinate c of a point to coordinate sigma[c]
     tops = ([sum(x[c] * weights[sigma[c]] for c in range(r)) for x in points]
             for sigma in permutations(range(r)))
     table, bits = _after_each(table, bits, tops, bytes(math.factorial(r)))
-    return InducedAction(table, None if base.labels is None else bits, names)
+    return InducedAction(table, bits, names)
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +572,7 @@ def _stabilizer_lattice(action):
     stays on its parent's key.
     """
     degree = action.degree
-    labels = action.labels if action.labels is not None else b""
-    pending = {None: (action.table, labels, 0)}  # None once expanded
+    pending = {None: (action.table, action.labels, 0)}  # None once expanded
     lattice = {}
     queue = [None]
     for key in queue:
@@ -618,8 +603,7 @@ def _stabilizer_lattice(action):
                 pending[child] = (child_rows, _gather(sub_labels, 1, mask),
                                   depth + 1)
                 queue.append(child)
-        plus = action.labels is not None and 1 not in sub_labels
-        lattice[key] = (depth, regular, children, plus, rows)
+        lattice[key] = (depth, regular, children, 1 not in sub_labels, rows)
     return lattice
 
 
@@ -640,11 +624,11 @@ def tuple_orbit_counts(action, l_max=None):
     index 2 and an orbit splits in two K-orbits exactly when its stabilizer
     lies in K, so o_K is o plus the non-regular orbits whose stabilizer
     carries only +1 labels plus the regular ones. o_K is o when every label
-    is +1 and None without labels.
+    is +1.
     """
     if l_max is not None:
         check_tuple_length(l_max)
-    labels, degree, lattice = action.labels, action.degree, action.lattice
+    degree, lattice = action.degree, action.lattice
     depths = [node[0] for node in lattice.values() if node[1]]
     base = (0 if action.order == 1 else 1 + min(depths) if depths else None)
     if l_max is None:
@@ -660,8 +644,7 @@ def tuple_orbit_counts(action, l_max=None):
     for l in range(l_max + 1):
         regular = regular * degree + fresh
         o = nonregular + regular
-        o_k = (None if labels is None else o + inside + regular
-               if action.signed else o)
+        o_k = o + inside + regular if action.signed else o
         rows.append((l, o, o_k, regular))
         nonregular = inside = fresh = 0
         nxt = {}
@@ -709,8 +692,6 @@ def is_base_controlling(action):
     more gather per step, measured 1.05-3.9 times slower on specs that are
     not base-controlling.
     """
-    if action.labels is None:
-        raise InputError("labels required")
     if not action.signed:
         raise InputError(
             "labels are all +1: degenerate, controls only the trivial group")
@@ -758,8 +739,6 @@ def label_homomorphism_spot_check(group, samples=50, seed=0):
     closed under products with labels that are homomorphisms, so a
     violation is a bug.
     """
-    if group.labels is None:
-        raise InputError("group carries no labels")
     rng = random.Random(seed)
     table, degree, labels = group.table, group.degree, group.labels
 
@@ -782,12 +761,15 @@ def label_homomorphism_spot_check(group, samples=50, seed=0):
 # group specification mini-format
 
 
-class ParsedGroup(namedtuple("ParsedGroup", "action tags base_group")):
+class ParsedGroup(namedtuple("ParsedGroup",
+                               "action tags base_group labelled")):
     """A parsed group spec: the induced action plus what it was built from.
 
     tags holds one parsed tuple per spec part, in order. The first names
     the base group, ("sn", n), ("an", n), ("pgl2", q) or ("gens",); each
     suffix follows as ("subsets", k), ("partitions", r, s) or ("wreath", r).
+    labelled is False only when the base group is an:<n> in auto mode:
+    its labels are all +1, and verify reports it as unlabelled.
     """
 
     __slots__ = ()
@@ -801,9 +783,7 @@ def _parse_base(token, sign_labels):
         return symmetric_group(n), ("sn", n)
     if token.startswith("an:"):
         n = _parse_int(token[3:], "an degree")
-        group = alternating_group(n)  # even rows: every sign is +1
-        labels = bytes(group.order) if sign_labels else None
-        return InducedAction(group.table, labels, group.point_names), ("an", n)
+        return alternating_group(n), ("an", n)  # even rows: every sign +1
     if token.startswith("pgl2:"):
         q = _parse_int(token[5:], "pgl2 parameter")
         return pgl2(q), ("pgl2", q)  # its determinant labels are the signs
@@ -819,9 +799,11 @@ def _parse_base(token, sign_labels):
         if degree == 0:
             raise InputError("cannot infer degree from identity generators")
         _check_table_capacity(1, degree)  # before any row of that length
-        gens = _cycle_rows(bodies, cycles, degree)
-        bits = _signs(gens) if sign_labels or not any(marks) else marks
-        return closure(gens, [-1 if bit else 1 for bit in bits]), ("gens",)
+        gens = _cycle_rows(bodies, cycles, degree)  # the cycles are disjoint
+        if sign_labels or not any(marks):  # signs: a k-cycle is k - 1 swaps
+            marks = [sum(len(cycle) - 1 for cycle in body_cycles) % 2
+                     for body_cycles in cycles]
+        return closure(gens, [-1 if bit else 1 for bit in marks]), ("gens",)
     raise InputError(f"unknown group spec: {token!r}")
 
 
@@ -840,10 +822,11 @@ def parse_group_spec(spec, labels_mode="auto"):
     and ``/wreath:<r>`` apply induced actions in order (subsets and
     partitions only directly on the base group). The base group is
     labelled as it is built, never relabelled. ``labels_mode`` is ``auto``
-    (sign for sn, none for an, determinant class for pgl2, explicit ``!``
-    marks for gens, else the sign) or ``sgn`` (permutation sign of every
-    base element: pgl2's determinant classes already are the signs, an is
-    all +1, and gens carry their generators' signs, ``!`` marks unread).
+    (sign for sn, all +1 for an, reported unlabelled, determinant class for
+    pgl2, explicit ``!`` marks for gens, else the sign) or ``sgn``
+    (permutation sign of every base element: pgl2's determinant classes
+    already are the signs, an is all +1, and gens carry their generators'
+    signs, ``!`` marks unread). The result is labelled but for an in auto.
     Every suffix is read and sized from the running order and degree
     before any induced row is built, so a refusal costs no build.
     """
@@ -884,4 +867,5 @@ def parse_group_spec(spec, labels_mode="auto"):
     action = group
     for build, *args in builds:
         action = build(action, *args)
-    return ParsedGroup(action, tuple(tags), group)
+    return ParsedGroup(action, tuple(tags), group,
+                       labels_mode == "sgn" or base_tag[0] != "an")

@@ -439,13 +439,11 @@ def distinct_vector_base(n, k, l, seed=0):
 
 def as_arrays(action):
     """(table, labels) of an oracle action as numpy arrays: one int32 row
-    per element, and its labels as +1 and -1 (None without labels). The
-    oracle keeps a table as one row-major run of points, and a label as
-    one byte per row, 0 for +1 and 1 for -1."""
+    per element, and its labels as +1 and -1. The oracle keeps a table as
+    one row-major run of points, and a label as one byte per row, 0 for +1
+    and 1 for -1."""
     table = np.fromiter(action.table, dtype=np.int32).reshape(
         action.order, action.degree)
-    if action.labels is None:
-        return table, None
     return table, 1 - 2 * np.frombuffer(action.labels, dtype=np.uint8).astype(
         np.int32)
 

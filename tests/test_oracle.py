@@ -157,7 +157,6 @@ def test_symmetric_and_alternating():
         assert signs(sn) == [perm_sign(e) for e in elements(sn)]
     a4 = alternating_group(4)
     assert a4.order == 12
-    assert a4.labels is None
     assert all(perm_sign(e) == 1 for e in elements(a4))
     with pytest.raises(CapacityError):
         symmetric_group(11)  # 11! is past the order bound
@@ -165,13 +164,18 @@ def test_symmetric_and_alternating():
         symmetric_group(0)
 
 
-def test_vectorised_signs_match_perm_sign():
-    gens = [parse_cycles("(1,2,3,4,5,6)", 6), parse_cycles("(1,2)(3,5)", 6)]
-    for group in (alternating_group(5), pgl2(7), closure(gens)):
-        rows = elements(group)
-        bits = oracle._signs(rows)
-        assert isinstance(bits, bytes)
-        assert [1 - 2 * bit for bit in bits] == [perm_sign(e) for e in rows]
+def test_cycle_signs_match_perm_sign():
+    # a gens: generator's sign is read off its cycles, a k-cycle k - 1
+    # swaps; 1-cycles and the identity count none, and ! marks are unread
+    specs = ["gens:(1,2,3,4,5,6);(1,2)(3,5)", "gens:(1,2,3)(4,5)",
+             "gens:(2)(1,3)", "gens:();(1,2,3)", "gens:!(1,2);(1,2,3,4)",
+             "gens:(1,4)(2,5,3)(6,7,8,9)"]
+    specs += [spec for spec in _small_gens_specs(random.Random(34), 20)
+              if "/" not in spec]
+    for spec in specs:
+        group = parse_group_spec(spec, "sgn").base_group
+        assert isinstance(group.labels, bytes)
+        assert signs(group) == [perm_sign(e) for e in elements(group)], spec
 
 
 def test_rows_in_strict_lexicographic_order():
@@ -244,8 +248,6 @@ def test_spot_check_catches_tampered_labels():
     broken = InducedAction(s4.table, bytes(labels), s4.point_names)
     with pytest.raises(ConsistencyError):
         label_homomorphism_spot_check(broken, samples=200, seed=0)
-    with pytest.raises(InputError):
-        label_homomorphism_spot_check(alternating_group(4))
 
 
 def test_spot_check_catches_missing_products():
@@ -533,8 +535,8 @@ def test_orbit_counts_examples():
     s3 = symmetric_group(3)
     assert [(o, o_k) for _, o, o_k, _ in orbit_rows(s3, 2)] \
         == [(1, 1), (1, 1), (2, 3)]
-    a4 = alternating_group(4)
-    assert orbit_rows(a4, 1) == [(0, 1, None, 0), (1, 1, None, 0)]
+    a4 = alternating_group(4)  # all +1: the label kernel is the group
+    assert orbit_rows(a4, 1) == [(0, 1, 1, 0), (1, 1, 1, 0)]
     # o_K is read off the stabilizers only for an index-2 label kernel
     s4 = symmetric_group(4)
     lopsided = InducedAction(s4.table, bytes([0] * 23 + [1]), s4.point_names)
@@ -567,11 +569,8 @@ def test_pruned_search_equals_blind_enumeration():
             data = blind_orbit_data(table, l)
             assert o == len(data)
             assert regular == sum(1 for _, stab in data if stab == 1)
-            if labels is None:
-                assert o_k is None
-            else:
-                kernel = table[labels == 1]
-                assert o_k == len(blind_orbit_data(kernel, l))
+            kernel = table[labels == 1]
+            assert o_k == len(blind_orbit_data(kernel, l))
 
 
 @cache
@@ -589,8 +588,8 @@ def test_merged_walk_matches_burnside_at_depth():
     # Past l = 3 many tuple orbits share one stabilizer, so this checks the
     # merge by stabilizer rows against |G|^-1 sum fix(g)^l, for the group
     # and for its +1 rows. pgl2:7 and pgl2:23 are labelled by determinant
-    # class, the wreath squares by the product of coordinate signs,
-    # an:5/subsets:2 not at all, and the 5-cycle's sign labels are all +1.
+    # class, the wreath squares by the product of coordinate signs, and
+    # an:5/subsets:2 and the 5-cycle's sign labels are all +1.
     specs = (("sn:9", 10), ("pgl2:7", 12), ("an:5/subsets:2", 10),
              ("sn:4/wreath:2", 8), ("sn:3/wreath:2", 12),
              ("sn:6/partitions:3x2", 10), ("gens:(1,2,3,4,5)", 12),
@@ -598,12 +597,10 @@ def test_merged_walk_matches_burnside_at_depth():
     for spec, l_max in specs:
         action = _action(spec)
         table, labels = as_arrays(action)
-        kernel = None if labels is None else table[labels == 1]
+        kernel = table[labels == 1]
         for l, o, o_k, _ in orbit_rows(action, l_max):
             assert o == burnside_orbit_count(table, l), (spec, l)
-            expected = None if kernel is None else \
-                burnside_orbit_count(kernel, l)
-            assert o_k == expected, (spec, l)
+            assert o_k == burnside_orbit_count(kernel, l), (spec, l)
 
 
 def test_is_base_controlling_subsets():
@@ -749,8 +746,7 @@ def _shuffled_rows(action, rng):
     order = rng.permutation(action.order)
     dtype = f"u{bytes_per_point(action)}"
     rows = table[order].astype(dtype).tobytes()
-    labels = None if action.labels is None else \
-        bytes(np.frombuffer(action.labels, dtype=np.uint8)[order])
+    labels = bytes(np.frombuffer(action.labels, dtype=np.uint8)[order])
     return InducedAction(rows if dtype == "u1" else array("H", rows),
                          labels, action.point_names)
 
@@ -821,7 +817,13 @@ def test_parse_group_spec_forms():
     assert natural.action.degree == 4
     assert natural.tags == (("sn", 4),)
 
-    assert parse_group_spec("an:5").action.labels is None
+    # an is labelled all +1, and only in auto mode reported unlabelled
+    an = parse_group_spec("an:5")
+    assert an.action.labels == bytes(60) and an.labelled is False
+    assert parse_group_spec("an:5", "sgn").labelled is True
+    assert parse_group_spec("an:5/wreath:2").labelled is False
+    assert all(parse_group_spec(spec).labelled for spec in (
+        "sn:4", "pgl2:5", "gens:(1,2,3)", "gens:!(1,2)/subsets:1"))
     assert parse_group_spec("pgl2:7").action.degree == 8
 
     partitions = parse_group_spec("sn:6/partitions:3x2")
@@ -861,7 +863,7 @@ LABELLED_SPECS = (
 def test_every_spec_kind_has_homomorphism_labels(spec, mode):
     # every constructor's labels pass the one label check
     action = parse_group_spec(spec, labels_mode=mode).action
-    has_minus = action.labels is not None and -1 in signs(action)
+    has_minus = -1 in signs(action)
     assert action.signed is has_minus
     if has_minus:
         assert 2 * signs(action).count(1) == action.order
@@ -874,102 +876,83 @@ def test_signed_rejects_labels_off_a_homomorphism():
         action = InducedAction(s4.table, bytes(labels), s4.point_names)
         with pytest.raises(ConsistencyError):
             action.signed
-    assert not InducedAction(s4.table, None, s4.point_names).signed
     assert not InducedAction(s4.table, bytes(24), s4.point_names).signed
 
 
-def test_gens_auto_labels_are_element_signs(signs_calls):
-    # unmarked generators carry their signs through the closure, so only
-    # the generators' cycles are counted, never the whole table's
-    for spec, generators, order in (
-            ("gens:(1,2,3,4,5,6);(1,2)(3,5)", 2, 720),
-            ("gens:(1,2)(3,4);(1,2,3,4,5)", 2, 60),
-            ("gens:(1,2,3,4,5,6,7);(1,2)", 2, 5040),
-            ("gens:(1,2)(3,4,5)", 1, 6)):
-        signs_calls.clear()
+def test_gens_auto_labels_are_element_signs():
+    # unmarked generators carry their signs, read off their cycles, through
+    # the closure
+    for spec, order in (("gens:(1,2,3,4,5,6);(1,2)(3,5)", 720),
+                        ("gens:(1,2)(3,4);(1,2,3,4,5)", 60),
+                        ("gens:(1,2,3,4,5,6,7);(1,2)", 5040),
+                        ("gens:(1,2)(3,4,5)", 6)):
         group = parse_group_spec(spec).base_group
-        assert signs_calls == [generators]
         assert group.order == order
         assert isinstance(group.labels, bytes)
         assert signs(group) == [perm_sign(e) for e in elements(group)]
 
 
-@pytest.fixture
-def signs_calls(monkeypatch):
-    """The row count of every row list _signs is called on."""
-    signs = oracle._signs
-    rows = []
-
-    def counted(table_rows):
-        rows.append(len(table_rows))
-        return signs(table_rows)
-
-    monkeypatch.setattr(oracle, "_signs", counted)
-    return rows
-
-
-def test_sgn_mode_keeps_the_signs_of_unmarked_gens(signs_calls):
+def test_sgn_mode_keeps_the_signs_of_unmarked_gens():
     # closure already labels an unmarked spec by sign, so --labels sgn
-    # reads the signs of the generators only, never of the whole table
-    for spec, generators, order in (
-            ("gens:(1,2,3,4,5,6);(1,2)", 2, 720),
-            ("gens:(1,2)(3,4);(1,2,3,4,5)", 2, 60),
-            ("gens:(1,2,3,4,5,6,7);(1,2)(3,4);(1,5)", 3, 5040)):
-        signs_calls.clear()
+    # gives the same labels
+    for spec, order in (("gens:(1,2,3,4,5,6);(1,2)", 720),
+                        ("gens:(1,2)(3,4);(1,2,3,4,5)", 60),
+                        ("gens:(1,2,3,4,5,6,7);(1,2)(3,4);(1,5)", 5040)):
         group = parse_group_spec(spec, labels_mode="sgn").base_group
-        assert signs_calls == [generators]
         assert group.order == order
         auto = parse_group_spec(spec).base_group
         assert group.labels == auto.labels
         assert signs(group) == [perm_sign(e) for e in elements(group)]
 
 
-def test_sgn_mode_relabels_marked_gens(signs_calls):
+def test_sgn_mode_relabels_marked_gens():
     # (1,2)(3,4) marked odd and (1,2) unmarked even are not the signs
     spec = "gens:!(1,2)(3,4);(1,2)"
     auto = parse_group_spec(spec).base_group
-    assert signs_calls == []
     assert signs(auto) == [1, -1, 1, -1]  # 1, (34), (12), (12)(34)
     group = parse_group_spec(spec, labels_mode="sgn").base_group
-    assert signs_calls == [2]  # the generators, not the 4 rows
     assert signs(group) == [perm_sign(e) for e in elements(group)]
 
 
-def test_sgn_mode_counts_cycles_of_generators_only(signs_calls):
+def test_sgn_mode_labels_every_base_group_by_sign():
     # every base group is labelled by sign as it is built: sn and an from
     # S_n's construction, pgl2 by its determinant classes, and gens from
-    # its generators' signs, so no _signs call sees more rows than a spec
-    # has generators
-    for spec, generators in (
-            ("sn:6", 0), ("an:6", 0), ("pgl2:7", 0), ("pgl2:31", 0),
-            ("gens:(1,2,3,4,5,6);(1,2)", 2),
-            ("gens:!(1,2)(3,4);(1,2)", 2),
-            ("gens:!(1,2);!(1,2,3,4,5,6,7,8)", 2),
-            ("gens:!(6,7);(1,2,3,4,5);(1,2)", 3)):
-        signs_calls.clear()
-        parse_group_spec(spec, "sgn")
-        assert all(rows <= generators for rows in signs_calls), spec
+    # its generators' cycles
+    for spec in ("sn:6", "an:6", "pgl2:7", "gens:(1,2,3,4,5,6);(1,2)",
+                 "gens:!(1,2)(3,4);(1,2)", "gens:!(1,2);!(1,2,3,4,5,6,7,8)",
+                 "gens:!(6,7);(1,2,3,4,5);(1,2)"):
+        group = parse_group_spec(spec, "sgn").base_group
+        assert signs(group) == [perm_sign(e) for e in elements(group)], spec
+
+
+def test_no_builder_returns_unlabelled_rows():
+    # a group with no sign or determinant to read is labelled all +1, and
+    # every induced action carries its base group's labels
+    for action in (closure([parse_cycles("(1,2,3)(4,5)", 5)]),
+                   alternating_group(5),
+                   act_on_subsets(alternating_group(5), 2),
+                   act_on_uniform_partitions(alternating_group(4), 2, 2),
+                   product_action_wreath(alternating_group(4), 2)):
+        assert isinstance(action.labels, bytes)
+        assert action.labels == bytes(action.order)
+        assert not action.signed
 
 
 def test_pgl2_determinant_labels_are_the_signs():
     # the theorem in pgl2's docstring, for every allowed q
     for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         group = pgl2(q)
-        rows = list(oracle._rows(group.table, group.degree))
-        assert group.labels == oracle._signs(rows), q
+        assert signs(group) == [perm_sign(e) for e in elements(group)], q
 
 
-def test_sgn_mode_labels_an_even_without_counting_cycles(signs_calls,
-                                                        capsys):
-    # the rows of an:n are the even rows of S_n, so --labels sgn writes
-    # +1 for each and never counts a cycle
+def test_sgn_mode_labels_an_even_without_counting_cycles(capsys):
+    # the rows of an:n are the even rows of S_n, gathered with their
+    # labels, so --labels sgn gives +1 for each and never counts a cycle
     for n, order in ((1, 1), (2, 1), (5, 60), (9, 181440)):
         group = parse_group_spec(f"an:{n}", labels_mode="sgn").base_group
-        assert signs_calls == []
         assert group.order == order
-        assert group.labels == oracle._signs(list(oracle._rows(group.table,
-                                                               n)))
-        signs_calls.clear()
+        assert group.labels == bytes(order)
+        assert all(perm_sign(e) == 1 for e in elements(group))
     # verify reports what the same group and labels give when they come
     # from a closure of 3-cycles labelled by sign
     for n in (5, 6):

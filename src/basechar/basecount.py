@@ -10,11 +10,13 @@ inside A_n need not be trivial, so L1 does not hold, the search starts at
 L = 1, and the minimum is only a candidate, as the report says.
 """
 
+import sys
 from collections import namedtuple
 from math import comb, factorial
 
 from .characters import (char_vector_subsets, char_vector_uniform_partitions,
-                         check_n_limit, iter_inner_products)
+                         check_n_limit, check_power, iter_inner_products,
+                         orbit_counts)
 from .errors import CapacityError, ConsistencyError, InputError
 
 # Published base size of the symmetric group on 15 points acting on the
@@ -97,6 +99,21 @@ def least_l_holding(n, k, threshold=1, cap=None):
     while tuples < need and (cap is None or l <= cap):
         l, tuples = l + 1, tuples * domain
     return l
+
+
+def orbit_counts_subsets(n, k, l):
+    """(o, o_K) of S_n on l-tuples of k-subsets. For 1 <= k < n a negative
+    l, and one whose o >= C(n, k)^l / n! has more digits than Python
+    prints, are refused before the build; other k are left to the build.
+    """
+    if 1 <= k < n:
+        check_n_limit(n)
+        check_power(l)
+        limit = sys.get_int_max_str_digits()
+        if limit and least_l_holding(n, k, 10 ** (limit + 1), l) <= l:
+            raise CapacityError(f"o has more decimal digits at l = {l} "
+                                f"than Python prints ({limit})")
+    return orbit_counts(char_vector_subsets(n, k), l)
 
 
 def least_l_distinct(n, k):

@@ -16,8 +16,6 @@ import sys
 import time
 
 from . import basecount
-from .characters import (char_vector_subsets, check_n_limit, check_power,
-                         orbit_counts)
 from .errors import CapacityError, ConsistencyError, InputError
 
 
@@ -48,18 +46,7 @@ def cmd_basesize(args):
 
 
 def cmd_orbits(args):
-    n, k, l = args.n, args.k, args.l
-    # refused before the build: a negative l, and one whose o >= C(n, k)^l /
-    # n! has more digits than Python prints; other k are left to the build
-    if 1 <= k < n:
-        check_n_limit(n)
-        check_power(l)
-        limit = sys.get_int_max_str_digits()
-        printable = 10 ** (limit + 1)
-        if limit and basecount.least_l_holding(n, k, printable, l) <= l:
-            raise CapacityError(f"o has more decimal digits at l = {l} "
-                                f"than Python prints ({limit})")
-    o, o_k = orbit_counts(char_vector_subsets(n, k), l)
+    o, o_k = basecount.orbit_counts_subsets(args.n, args.k, args.l)
     return {"regular": o_k - o, "o": o, "o_K": o_k}, []
 
 

@@ -69,7 +69,7 @@ def _apply(rows, image):
     """image after every entry of rows: each entry x becomes image[x]."""
     if isinstance(rows, bytes):
         return rows.translate(bytes(image) + _BYTES[len(image):])
-    return array("H", map(image.__getitem__, rows))
+    return array("H", [image[x] for x in rows])
 
 
 def _after_each(table, labels, images, image_labels):

@@ -285,6 +285,27 @@ def test_cap_below_least_nonzero_l_refused_before_the_build(monkeypatch):
         base_size_subsets(6, 2, threshold=2, max_l=2)
 
 
+def test_orbit_counts_refused_before_the_build_as_the_cli_refuses(
+        monkeypatch):
+    # A Python caller gets the refusal `orbits` prints, before any build:
+    # an o past Python's print limit, and a negative l.
+    monkeypatch.setattr(basecount, "char_vector_subsets", no_build)
+    for n, k, l in ((40, 2, 1600), (40, 2, 100000), (64, 25, 100000)):
+        with pytest.raises(CapacityError) as refused:
+            basecount.orbit_counts_subsets(n, k, l)
+        assert str(refused.value) == (f"o has more decimal digits at l = {l} "
+                                      "than Python prints (4300)")
+    with pytest.raises(InputError, match="^l must be nonnegative, got -2$"):
+        basecount.orbit_counts_subsets(64, 8, -2)
+
+
+def test_orbit_counts_subsets_are_the_class_sums():
+    for n, k, l in ((5, 5, 3), (6, 4, 2), (7, 3, 0), (8, 3, 5), (8, 1, 4),
+                    (2, 1, 0), (9, 2, 3)):
+        assert basecount.orbit_counts_subsets(n, k, l) == \
+            orbit_counts(char_vector_subsets(n, k), l), (n, k, l)
+
+
 def test_partitions_action_six_points():
     report = base_size_partitions_action(6, 3, 2)
     assert report.base_size == 4

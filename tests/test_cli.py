@@ -694,13 +694,13 @@ def test_unprintable_counts_refused_before_the_sum(monkeypatch, capsys):
     # The lower bound C(n,k)^l / n! on o already has more digits than
     # Python prints, so no class sum is taken; l = 1500 still prints. A sum
     # at a refused l fails at once rather than running for minutes.
-    original = cli.orbit_counts
+    original = basecount.orbit_counts
 
     def only_1500(chi, l):
         assert l == 1500, f"class sum taken at l = {l}"
         return original(chi, l)
 
-    monkeypatch.setattr(cli, "orbit_counts", only_1500)
+    monkeypatch.setattr(basecount, "orbit_counts", only_1500)
     for l in ("1600", "100000", "1" + "0" * 400):
         assert cli.main(["orbits", "--n", "40", "--k", "2", "--l", l]) == 3
         assert "more decimal digits" in capsys.readouterr().err
@@ -723,7 +723,7 @@ def test_unprintable_l_refused_before_the_build(capsys, monkeypatch, n, k, l):
     def no_build(n, k):
         raise AssertionError("character built")
 
-    monkeypatch.setattr(cli, "char_vector_subsets", no_build)
+    monkeypatch.setattr(basecount, "char_vector_subsets", no_build)
     code, doc, err = run_cli(capsys, "orbits", "--n", str(n), "--k", str(k),
                              "--l", l)
     assert code == 3 and doc is None
@@ -736,7 +736,7 @@ def test_negative_l_refused_before_the_build(capsys, monkeypatch):
     def no_build(n, k):
         raise AssertionError("character built")
 
-    monkeypatch.setattr(cli, "char_vector_subsets", no_build)
+    monkeypatch.setattr(basecount, "char_vector_subsets", no_build)
     for n, k, code, err in (
             ("64", "8", 2, "error: l must be nonnegative, got -2\n"),
             ("2", "1", 2, "error: l must be nonnegative, got -2\n"),
@@ -785,7 +785,7 @@ def test_printable_bound_matches_the_float_formula(capsys, monkeypatch):
     def built(n, k):
         raise Built
 
-    monkeypatch.setattr(cli, "char_vector_subsets", built)
+    monkeypatch.setattr(basecount, "char_vector_subsets", built)
     for n, k in ((2, 1), (3, 1), (40, 2), (64, 32), (64, 63)):
         l = least_unprintable_l(n, k, limit)
         code, _, err = run_cli(capsys, "orbits", "--n", str(n), "--k", str(k),
@@ -992,6 +992,12 @@ def test_oracle_shares_no_code_with_the_formula_lane():
     assert _package_imports("oracle") == {"errors"}
     for name in ("partitions", "characters", "basecount"):
         assert "oracle" not in _package_imports(name), name
+
+
+def test_cli_reaches_the_formula_lane_only_through_basecount():
+    # Every refusal, limit and build of a formula command lives in
+    # basecount, so a Python caller gets what the CLI gives.
+    assert _package_imports("cli") == {"basecount", "errors", "oracle"}
 
 
 # Every case the benchmark can draw, with the output recorded for it. The

@@ -126,18 +126,22 @@ def least_l_distinct(n, k):
     every S_i, so the n vectors are distinct and their weights sum to
     |S_1| + ... + |S_l| = k * l. Hence <sgn, chi^l> = 0 for every l < L1.
     At l = n - 1 the zero vector and the n - 1 unit vectors weigh n - 1, so
-    L1 <= n - 1."""
-    l = 0
-    while True:
-        l += 1
+    L1 <= n - 1. W falls as l grows and k * l rises, so the test fails and
+    then holds, and bisection over 1..n - 1 finds where it starts."""
+    def holds(l):
         weight, left = 0, n
         for w in range(l + 1):
             take = min(left, comb(l, w))
             weight, left = weight + w * take, left - take
             if not left:
-                break
-        if not left and weight <= k * l:
-            return l
+                return weight <= k * l
+        return False
+
+    low, high = 1, n - 1
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (low, mid) if holds(mid) else (mid + 1, high)
+    return low
 
 
 def base_size_subsets(n, k, threshold=1, max_l=None):
@@ -167,9 +171,8 @@ def large_base_bounds(m, k, r):
     Returns (lower, upper): lower is the base size of the subset action one
     degree down, L1 = least_l_distinct(m - 1, k) with no class sum: no base
     is shorter (see there), and test_distinct_vector_base_at_l1 builds one
-    of that size at every m - 1 <= 63. upper, the least l whose
-    regular-orbit count reaches r, is searched first, so its n limit
-    refuses a huge m before L1's loop starts. No order is asserted.
+    of that size at every m - 1 <= 63. upper is the least l whose
+    regular-orbit count reaches r. No order is asserted.
     """
     if r < 1:
         raise InputError("r must be positive")

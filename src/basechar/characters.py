@@ -159,30 +159,29 @@ def _uniform_partition_coefficients(r, s):
     characteristic of the action on partitions into r blocks of size s
     (Macdonald, Symmetric Functions and Hall Polynomials, I.8).
 
-    h_r[h_s] = sum over nu |- r of z_nu^-1 prod_i p_{nu_i}[h_s], where
-    p_k[h_s] = sum over lambda |- s of z_lambda^-1 p_{k lambda}.  Every
-    coefficient is scaled by r! s!^r, which makes it an integer: a term for
-    nu has len(nu) factors scaled by s! each, and s!^(r - len(nu)) makes up
-    the rest.  The map goes from descending part tuples to scaled
-    coefficients; products are merged by cycle type as they are built.
+    f -> f[h_s] is a ring map, so Newton's identity m h_m = sum over
+    k = 1..m of p_k h_(m-k) (Macdonald I.2) holds for the h_m[h_s], with
+    p_k[h_s] = P_k / s!, P_k = sum over lambda |- s of |class lambda|
+    p_(k lambda).  Scaled by m! s!^m they have integer coefficients,
+    G_m = sum over k of (m-1)!/(m-k)! s!^(k-1) P_k G_(m-k) from G_0 = 1.
+    The map goes from descending part tuples to the coefficients of G_r;
+    products are merged by cycle type as they are built.
     """
-    inner = {}
-    total = {}
-    for nu in enumerate_cycle_types(r):
-        terms = {(): class_size(nu) * factorial(s) ** (r - len(nu))}
-        for k in nu:
-            if k not in inner:
-                inner[k] = [(tuple(k * part for part in lam), class_size(lam))
-                            for lam in enumerate_cycle_types(s)]
-            merged = {}
-            for parts, coefficient in terms.items():
-                for more, factor in inner[k]:
+    classes = [(lam, class_size(lam)) for lam in enumerate_cycle_types(s)]
+    g = [{(): 1}]
+    for m in range(1, r + 1):
+        merged, scale = {}, 1  # scale is (m-1)!/(m-k)! s!^(k-1)
+        for k in range(1, m + 1):
+            power = [(tuple(k * part for part in lam), size)
+                     for lam, size in classes]
+            for parts, coefficient in g[m - k].items():
+                coefficient *= scale
+                for more, size in power:
                     key = tuple(sorted(parts + more, reverse=True))
-                    merged[key] = merged.get(key, 0) + coefficient * factor
-            terms = merged
-        for key, coefficient in terms.items():
-            total[key] = total.get(key, 0) + coefficient
-    return total
+                    merged[key] = merged.get(key, 0) + coefficient * size
+            scale *= (m - k) * factorial(s)
+        g.append(merged)
+    return g[r]
 
 
 def char_vector_uniform_partitions(n, r, s):
@@ -190,9 +189,9 @@ def char_vector_uniform_partitions(n, r, s):
 
     chi(mu) = z_mu [p_mu] h_r[h_s]; with z_mu = n! / class size and the
     r! s!^r scaling of the coefficients this is domain * coefficient /
-    class size, which must come out integral.  Only classes with a nonzero
-    coefficient are sized; the value-0 term takes what they leave of n!
-    and n!/2, in the place of the first class of value 0.
+    class size, which must come out integral.  The distribution is read
+    off the coefficient map: only classes with a nonzero coefficient are
+    sized, and the value-0 term takes what they leave of n! and n!/2.
     """
     if r < 1 or s < 1 or n != r * s:
         raise InputError(f"need n = r*s, got n={n}, r={r}, s={s}")
@@ -200,29 +199,24 @@ def char_vector_uniform_partitions(n, r, s):
         raise CapacityError(
             f"n={n} exceeds the uniform-partition limit {UNIFORM_CEILING}")
     domain = factorial(n) // (factorial(s) ** r * factorial(r))
-    coefficients = _uniform_partition_coefficients(r, s)
-    cycle_types = tuple(enumerate_cycle_types(n))
-    values = []
-    distribution = {}
-    for parts in cycle_types:
-        coefficient = coefficients.get(parts)
-        if coefficient is None:  # value 0, its term is filled in below
-            values.append(0)
-            distribution.setdefault(0, (0, 0))
-            continue
+    values, distribution = {}, {}
+    for parts, coefficient in _uniform_partition_coefficients(r, s).items():
         size = class_size(parts)
         value, rem = divmod(domain * coefficient, size)
         if rem:
             raise ConsistencyError(f"h_r[h_s] gives a non-integral "
                                    f"character value at class {parts}")
-        values.append(value)
+        values[parts] = value
         _add(distribution, value, size, size if sign_of(parts) > 0 else 0)
-    if 0 in distribution:
-        sized, sized_even = map(sum, zip(*distribution.values()))
-        distribution[0] = factorial(n) - sized, factorial(n) // 2 - sized_even
+    sized, sized_even = map(sum, zip(*distribution.values()))
+    if sized < factorial(n):
+        _add(distribution, 0, factorial(n) - sized,
+             factorial(n) // 2 - sized_even)
+    cycle_types = tuple(enumerate_cycle_types(n))
     return CharVector(n, f"partitions:{r}x{s}", domain,
                       tuple((v, *c) for v, c in distribution.items()),
-                      cycle_types, tuple(values))
+                      cycle_types,
+                      tuple(values.get(parts, 0) for parts in cycle_types))
 
 
 def _exact_quotient(total, order, name, chi, l):

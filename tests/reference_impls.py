@@ -23,7 +23,9 @@ and the regular count on tuples of k-subsets come from a column-by-column
 count over the partitions of n, a base of l k-subsets is built from n
 distinct membership vectors by plain set arithmetic, the least l whose
 orbit count has more digits than Python prints comes from logarithms,
-and PGL_2(q) is listed from every invertible 2 x 2 matrix over F_q.
+the distinct-vector bound L1 from a walk up from l = 1, the plethysm
+h_r[h_s] from its sum over the partitions nu of r, and PGL_2(q) is
+listed from every invertible 2 x 2 matrix over F_q.
 """
 
 from fractions import Fraction
@@ -211,6 +213,41 @@ def count_invariant_partitions(perm, s):
     return search(list(range(len(perm))))
 
 
+def _class_size(parts):
+    # n! / prod over part sizes i of i^c_i c_i!
+    size = factorial(sum(parts))
+    for part in set(parts):
+        count = parts.count(part)
+        size //= part ** count * factorial(count)
+    return size
+
+
+def plethysm_by_nu(r, s):
+    """Power-sum expansion of h_r[h_s], scaled by r! s!^r, as
+    characters._uniform_partition_coefficients returns it.
+
+    h_r[h_s] = sum over nu |- r of z_nu^-1 prod_i p_{nu_i}[h_s], where
+    p_k[h_s] = sum over lambda |- s of z_lambda^-1 p_{k lambda}. A term
+    for nu has len(nu) factors scaled by s! each, and s!^(r - len(nu))
+    makes up the rest; products are merged by cycle type.
+    """
+    classes = [(lam, _class_size(lam)) for lam in cycle_types_recursive(s, s)]
+    total = {}
+    for nu in cycle_types_recursive(r, r):
+        terms = {(): _class_size(nu) * factorial(s) ** (r - len(nu))}
+        for k in nu:
+            merged = {}
+            for parts, coefficient in terms.items():
+                for lam, size in classes:
+                    key = tuple(sorted(parts + tuple(k * x for x in lam),
+                                       reverse=True))
+                    merged[key] = merged.get(key, 0) + coefficient * size
+            terms = merged
+        for key, coefficient in terms.items():
+            total[key] = total.get(key, 0) + coefficient
+    return total
+
+
 def long_cycle_counts(n, k):
     """Even and odd permutations of m points, m = 0..n, whose cycles are
     all longer than k, as characters._long_cycle_counts returns them.
@@ -286,6 +323,22 @@ def least_unprintable_l(n, k, limit):
     (limit + 1 + log10 n!) / log10 C(n, k). C(n, k) must exceed 1."""
     return int((limit + 1 + lgamma(n + 1) / log(10))
                / log10(comb(n, k))) + 1
+
+
+def least_l_distinct_walk(n, k):
+    """L1 as basecount.least_l_distinct defines it, by trying l = 1, 2, ...
+    in turn: the n least-weight vectors of {0,1}^l are the C(l, w) of
+    weight w = 0, 1, ... taken in turn, and L1 is the first l at which
+    there are n of them and they weigh at most k * l."""
+    l = 0
+    while True:
+        l += 1
+        weight, left = 0, n
+        for w in range(l + 1):
+            take = min(left, comb(l, w))
+            weight, left = weight + w * take, left - take
+        if not left and weight <= k * l:
+            return l
 
 
 def distinct_vector_sets(n, k, l):

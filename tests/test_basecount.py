@@ -1,5 +1,9 @@
 from math import comb, factorial
+import os
+from pathlib import Path
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +14,7 @@ from basechar.characters import (char_vector_subsets, iter_inner_products,
                                  orbit_counts)
 from basechar.errors import CapacityError, InputError
 from reference_impls import (as_arrays, distinct_vector_base,
+                             least_l_distinct_walk,
                              least_weight_vectors, subsets_inner_product)
 
 
@@ -98,6 +103,31 @@ def test_distinct_vector_bound_values():
         assert basecount.least_l_distinct(n, 2) == -(-2 * (n - 1) // 3), n
     assert basecount.least_l_distinct(6, 2) == 4
     assert basecount.least_l_distinct(64, 5) == 21
+
+
+def test_distinct_vector_bisection_matches_the_walk():
+    # The bisection over 1..n - 1 finds the l at which the walk up from
+    # l = 1 stops, at every valid size with n <= 120.
+    sizes = [(n, k) for n in range(2, 121) for k in range(1, n)
+             if k == 1 or n > 2 * k]
+    assert len(sizes) == 3541
+    for n, k in sizes:
+        assert basecount.least_l_distinct(n, k) == \
+            least_l_distinct_walk(n, k), (n, k)
+
+
+def test_distinct_vector_bound_at_a_huge_n():
+    # L1 takes about log2 n tests of W, not n of them: a walk up from
+    # l = 1 would stall at n = 10^40, so the child's timeout catches it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("from basechar.basecount import least_l_distinct as l1; "
+            "n = 10 ** 40; "
+            "print(l1(n, 1) == n - 1, l1(n, 2) == -(-2 * (n - 1) // 3))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True True\n"
 
 
 def test_distinct_vector_base_at_l1():

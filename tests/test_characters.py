@@ -11,8 +11,9 @@ from basechar.errors import CapacityError, ConsistencyError, InputError
 from basechar.partitions import class_size, enumerate_cycle_types, sign_of
 from reference_impls import (chi_subsets, column_counts, count_fixed_subsets,
                              count_fixed_uniform, distinct_vector_sets,
-                             long_cycle_counts,
-                             merge_by_value, perm_shortest_first, subsets_class_values,
+                             long_cycle_counts, merge_by_value,
+                             perm_shortest_first, plethysm_by_nu,
+                             subsets_class_values,
                              subsets_inner_product, sympy_class_data,
                              uniform_class_values, uniform_partitions_masks)
 
@@ -105,6 +106,16 @@ def test_chi_uniform_transitive_at_ceiling():
         assert chi.values[-1] == domain  # identity class comes last
         assert orbit_counts(chi, 1)[0] == 1
         check_distribution(chi, own_values(chi, classes))
+
+
+def test_plethysm_recurrence_matches_the_nu_sum():
+    # Newton's recurrence against the sum over nu |- r, coefficient by
+    # coefficient: every shape with r * s <= 24, and 6 x 6 and 18 x 2.
+    shapes = [(r, n // r) for n in range(1, 25) for r in range(1, n + 1)
+              if n % r == 0]
+    for r, s in shapes + [(6, 6), (18, 2)]:
+        assert characters._uniform_partition_coefficients(r, s) == \
+            plethysm_by_nu(r, s), (r, s)
 
 
 def test_chi_uniform_single_block():

@@ -40,8 +40,8 @@ DEFAULT_N_LIMIT = 64
 UNIFORM_CEILING = 36
 
 
-class CharVector(namedtuple("CharVector", "n action domain_size terms "
-                            "cycle_types values", defaults=(None, None))):
+class CharVector(namedtuple("CharVector", "n action domain_size terms values",
+                            defaults=(None,))):
     """A permutation character of S_n as a signed value distribution.
 
     terms holds one (value, all, even) triple per distinct character
@@ -49,9 +49,8 @@ class CharVector(namedtuple("CharVector", "n action domain_size terms "
     the alls sum to n! and, for n >= 2, the evens to n!/2.  action is a
     tag like "subsets:2" or "partitions:3x5"; domain_size is the number of
     points acted on (the value at the identity).  For the partition action
-    cycle_types lists every class, in the order of
-    enumerate_cycle_types(n), and values[i] is the value on class
-    cycle_types[i]; both are None for the subset action.
+    values holds one (cycle type, value) pair per class, in the order of
+    enumerate_cycle_types(n); it is None for the subset action.
     """
 
     __slots__ = ()
@@ -199,7 +198,7 @@ def char_vector_uniform_partitions(n, r, s):
         raise CapacityError(
             f"n={n} exceeds the uniform-partition limit {UNIFORM_CEILING}")
     domain = factorial(n) // (factorial(s) ** r * factorial(r))
-    values, distribution = {}, {}
+    values, distribution = dict.fromkeys(enumerate_cycle_types(n), 0), {}
     for parts, coefficient in _uniform_partition_coefficients(r, s).items():
         size = class_size(parts)
         value, rem = divmod(domain * coefficient, size)
@@ -212,11 +211,9 @@ def char_vector_uniform_partitions(n, r, s):
     if sized < factorial(n):
         _add(distribution, 0, factorial(n) - sized,
              factorial(n) // 2 - sized_even)
-    cycle_types = tuple(enumerate_cycle_types(n))
     return CharVector(n, f"partitions:{r}x{s}", domain,
                       tuple((v, *c) for v, c in distribution.items()),
-                      cycle_types,
-                      tuple(values.get(parts, 0) for parts in cycle_types))
+                      tuple(values.items()))
 
 
 def _exact_quotient(total, order, name, chi, l):

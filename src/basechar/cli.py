@@ -68,7 +68,7 @@ def cmd_partitions_action(args):
         args.n, args.r, args.s, max_l=args.l_max)
     chi = report.character
     character = [("+".join(map(str, parts)), value)
-                 for parts, value in zip(chi.cycle_types, chi.values)]
+                 for parts, value in chi.values]
     outputs = {
         "min_l": report.base_size,
         "trace": report.witness_l_values,

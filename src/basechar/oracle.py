@@ -55,7 +55,7 @@ def _pack(values, degree):
 
 
 def _join(parts, like):
-    """Tables or rows (bytes, 'H' arrays or tuples), one after the other,
+    """Tables or rows (bytes or 'H' arrays), one after the other,
     as one table of the type of like."""
     if isinstance(like, bytes):
         return b"".join(parts)
@@ -110,11 +110,10 @@ def _gather(table, width, mask):
 
 
 def _rows(table, degree):
-    """The rows of a table: bytes objects for a bytes table, tuples for an
-    'H' array; hashable either way, and sorted in lexicographic order."""
-    if isinstance(table, bytes):
-        return chain.from_iterable(iter_unpack(f"{degree}s", table))
-    return zip(*[iter(table)] * degree)
+    """The rows of a table as bytes objects, of a wide row the bytes of its
+    'H' entries; in table order."""
+    width = degree if isinstance(table, bytes) else 2 * degree
+    return chain.from_iterable(iter_unpack(f"{width}s", table))
 
 
 def _orbit(column, seen):
@@ -289,8 +288,8 @@ def closure(generators, labels=None):
         if any(x not in (1, -1) for x in labels):
             raise InputError("labels must be +1 or -1")
         bits = [int(x == -1) for x in labels]
-    identity = next(_rows(_pack(range(degree), degree), degree))
-    found, cosets, coset_bits = {identity: 0}, [identity], [b"\0"]
+    identity = _pack(range(degree), degree)
+    found, cosets, coset_bits = {bytes(identity): 0}, [identity], [b"\0"]
     for i in range(len(generators)):
         table, table_bits = _join(cosets, identity), b"".join(coset_bits)
         cosets, coset_bits = [table], [table_bits]
@@ -299,9 +298,8 @@ def closure(generators, labels=None):
         for rep in reps:
             for g, bit in zip(generators[:i + 1], bits):
                 row = _apply(rep, g)
-                row = row if isinstance(row, bytes) else tuple(row)
-                label = found[rep] ^ bit
-                known = found.get(row)
+                label = found[bytes(rep)] ^ bit
+                known = found.get(bytes(row))
                 if known is None:
                     order = len(found) + len(table_bits)
                     if order > MAX_CLOSURE_ORDER:
@@ -317,9 +315,13 @@ def closure(generators, labels=None):
                     raise InputError(
                         "generator labels do not define a homomorphism")
     del cosets, table  # hold one table at most while the rows are sorted
-    rows = sorted(found)
-    return _natural(_join(rows, identity), degree,
-                    bytes(map(found.__getitem__, rows)))
+    if degree <= 256:
+        rows = sorted(found)
+        table = b"".join(rows)
+    else:  # sorted as numbers: the bytes of a wide row are not in order
+        rows = sorted(found, key=lambda row: array("H", row))
+        table = array("H", b"".join(rows))
+    return _natural(table, degree, bytes(map(found.__getitem__, rows)))
 
 
 def symmetric_group(n):
@@ -529,11 +531,12 @@ def product_action_wreath(base, r):
     points = list(product(range(m), repeat=r))
     names = tuple("(" + ",".join(base.point_names[d] for d in x) + ")"
                   for x in points)
+    rows = [base.table[k:k + m] for k in range(0, len(base.table), m)]
     table, bits = _pack(range(degree), degree), b"\0"
     for i in reversed(range(r)):
         table, bits = _after_each(table, bits, (
             [j + (row[x[i]] - x[i]) * weights[i] for j, x in enumerate(points)]
-            for row in _rows(base.table, m)), base.labels)
+            for row in rows), base.labels)
     # sigma moves coordinate c of a point to coordinate sigma[c]
     tops = ([sum(x[c] * weights[sigma[c]] for c in range(r)) for x in points]
             for sigma in permutations(range(r)))

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import comb, factorial
 import os
 from pathlib import Path
@@ -142,6 +143,7 @@ def test_distinct_vector_base_at_l1():
     for _ in range(40):
         n = rng.randrange(65, 201)
         sizes.append((n, rng.randrange(1, (n + 1) // 2)))
+    assert sum(n <= 63 for n, _ in sizes) == 962
     for n, k in sizes:
         l = basecount.least_l_distinct(n, k)
         sets = distinct_vector_base(n, k, l)
@@ -152,6 +154,27 @@ def test_distinct_vector_base_at_l1():
         assert rows is None or \
             sum(bin(row).count("1") for row in rows) > k * (l - 1), (n, k)
         assert distinct_vector_base(n, k, l - 1) is None, (n, k)
+        if n <= 63:
+            # one more point, in no set: at most one pair of the n + 1
+            # points shares a vector, so only an odd transposition of
+            # S_(n+1) fixes the sets and they are a base of A_(n+1)
+            vectors = Counter(tuple(x in s for s in sets) for x in range(n))
+            vectors[(False,) * l] += 1
+            assert sum(comb(c, 2) for c in vectors.values()) <= 1, (n, k)
+
+
+def test_alternating_base_on_subsets_is_l1_of_one_point_fewer():
+    # b(A_n on k-subsets) = L1(n - 1, k): n - 1 of the membership vectors
+    # must be distinct, and a base of S_(n-1) plus a point in no set leaves
+    # at most one odd transposition; checked on the oracle at every
+    # 1 <= k <= n/2, n <= 9, the natural action as an:<n> too
+    sizes = [(n, k) for n in range(4, 10) for k in range(1, n // 2 + 1)]
+    assert len(sizes) == 18
+    for n, k in sizes:
+        expected = basecount.least_l_distinct(n - 1, k)
+        for spec in [f"an:{n}/subsets:{k}"] + [f"an:{n}"] * (k == 1):
+            action = oracle.parse_group_spec(spec).action
+            assert oracle_base(action) == expected, spec
 
 
 def test_search_bound_is_reached_exactly_at_two_points():

@@ -261,6 +261,24 @@ def test_spot_check_catches_missing_products():
             label_homomorphism_spot_check(holed, samples=200, seed=0)
 
 
+@pytest.mark.parametrize("spec, labels_mode", [
+    ("sn:5", "auto"), ("an:5", "sgn"), ("pgl2:7", "auto"),
+    ("gens:!(1,2)(3,4);(1,3)(2,4)", "auto"), ("gens:(1,2,3,4,5);(1,2)", "auto"),
+])
+def test_labels_multiply_on_every_pair(spec, labels_mode):
+    # Every product of two rows is a row, and its label is the exclusive
+    # or of theirs: the labels are a homomorphism, checked element by
+    # element rather than on a sample.
+    group = parse_group_spec(spec, labels_mode).base_group
+    table, degree, labels = group.table, group.degree, group.labels
+    rows = [table[k:k + degree] for k in range(0, len(table), degree)]
+    index = {row: k for k, row in enumerate(rows)}
+    for i, first in enumerate(rows):
+        for j, second in enumerate(rows):
+            k = index[oracle._apply(first, second)]  # row i, then row j
+            assert labels[k] == labels[i] ^ labels[j], (spec, i, j)
+
+
 def test_act_on_subsets():
     action = act_on_subsets(symmetric_group(4), 2)
     assert action.degree == 6
@@ -494,6 +512,18 @@ def test_capacity_errors_on_induced_actions():
         product_action_wreath(closure([identity_perm(10)]), 5)  # degree 10^5
     with pytest.raises(CapacityError):
         act_on_subsets(symmetric_group(10), 2)  # order 10! past the bound
+
+
+def test_wreath_of_one_over_a_wide_cycle_is_the_base_action():
+    # 300 points take two bytes each; S_1 on top leaves the base action,
+    # its rows read off the base table
+    spec = "gens:(" + ",".join(map(str, range(1, 301))) + ")"
+    base = parse_group_spec(spec).action
+    wreath = parse_group_spec(spec + "/wreath:1").action
+    assert bytes_per_point(wreath) == 2
+    assert (wreath.degree, wreath.order) == (base.degree, base.order) \
+        == (300, 300)
+    assert tuple_orbit_counts(wreath) == tuple_orbit_counts(base)
 
 
 def test_regular_orbits_examples():

@@ -115,11 +115,10 @@ def test_class_data_bundles():
     # A per-class character keeps one value per class, and its terms
     # bundle the class sizes and signs of the classes with each value.
     chi = char_vector_uniform_partitions(6, 3, 2)
-    assert len(chi.values) == len(chi.cycle_types) == partition_count(6)
+    assert len(chi.values) == partition_count(6)
     terms = {value: (weight, even) for value, weight, even in chi.terms}
     for value, (weight, even) in terms.items():
-        classes = [ct for ct, v in zip(chi.cycle_types, chi.values)
-                   if v == value]
+        classes = [ct for ct, v in chi.values if v == value]
         assert weight == sum(class_size(ct) for ct in classes)
         assert even == sum(class_size(ct) for ct in classes
                            if sign_of(ct) > 0)
